@@ -10,7 +10,10 @@ freer or the penalty weaker.
 
 The scan works on the upper half [1/2, 1): delta_V is antisymmetric, so
 every asymmetric rest point arrives with its mirror image for free, and
-the symmetric point is always a root.
+the symmetric point is always a root.  It walks the relative wage rather
+than the share: the upper half is the wage interval [1, w_hi), on which
+both shares are closed forms of w (:func:`geoeq.model._share_terms`), so
+scanning and polishing in w evaluate delta_V without any wage solve.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import ModelParams, SingularityError, SolverError, solve_wage
+from .model import (ModelParams, SingularityError, SolverError, _share_raw, _share_terms,
+                    solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t
-from .welfare import FD_STEP, delta_u, dispersion_slope
+from .welfare import FD_STEP, _delta_u_at, delta_u, dispersion_slope
 
 __all__ = [
     "Equilibrium",
@@ -152,7 +156,47 @@ def _stability_from_slope(slope: float) -> str:
     return STABLE if slope < 0.0 else UNSTABLE
 
 
-def _interior_equilibrium(h_star: float, params: ModelParams,
+def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
+    """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve.
+
+    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b), so
+    the logit differential mu*(ln h - ln(1-h)) is mu*(ln a - ln b) and
+    never forms 1 - h by subtraction.
+    """
+    a, b = _share_terms(w, params)
+    h, g = a / (a + b), b / (a + b)
+    if spec.kind == LOGIT:
+        dt = spec.mu * (np.log(a) - np.log(b))
+    elif spec.kind == LINEAR:
+        dt = spec.mu * (h - g)
+    else:
+        dt = delta_t(h, spec)
+    return _delta_u_at(h, g, w, params) - dt
+
+
+def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
+    """Scan wages on [1, w_edge], no coarser in the share than a uniform scan.
+
+    Neighbouring nodes support shares no further apart than a uniform
+    scan of n_upper shares over [1/2, 1 - GRID_EDGE].  The share is far
+    from linear in the wage (a uniform wage grid leaves share gaps up to
+    ~20x too wide at low freeness), so each cell whose share gap is too
+    wide is split evenly in w into ceil(gap/target) pieces, repeated until
+    every gap fits.  The node count stays below about 2*n_upper.
+    """
+    target = (0.5 - GRID_EDGE) / (n_upper - 1)
+    w = np.linspace(1.0, w_edge, n_upper)
+    while True:
+        pieces = np.ceil(np.diff(_share_raw(w, params)) / target)
+        if pieces.max() <= 1.0:
+            return w
+        k = np.maximum(pieces, 1.0).astype(int)
+        first = np.repeat(np.cumsum(k) - k, k)
+        frac = (np.arange(k.sum()) - first) / np.repeat(k, k)
+        w = np.append(np.repeat(w[:-1], k) + frac * np.repeat(np.diff(w), k), w[-1])
+
+
+def _interior_equilibrium(h_star: float, w: float, params: ModelParams,
                           spec: PenaltySpec, residual_tol: float) -> Equilibrium:
     residual = abs(float(delta_V(h_star, params, spec)))
     slope = _slope_delta_V(h_star, params, spec)
@@ -165,7 +209,7 @@ def _interior_equilibrium(h_star: float, params: ModelParams,
             f"rest-point residual {residual:.3e} exceeds {residual_tol:.0e} at h={h_star}"
         )
     kind = KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL else KIND_PARTIAL
-    return Equilibrium(h_star=h_star, w=solve_wage(h_star, params), kind=kind,
+    return Equilibrium(h_star=h_star, w=w, kind=kind,
                        stability=_stability_from_slope(slope), slope=slope,
                        residual=residual)
 
@@ -199,12 +243,16 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
                     residual_tol: float = RESIDUAL_TOL) -> list[Equilibrium]:
     """All rest points of the migration dynamics, sorted by location.
 
-    Brackets sign changes of delta_V on a uniform scan of the upper half
-    [1/2, 1 - GRID_EDGE], polishes each with a bracketed root find,
-    mirrors the asymmetric ones across 1/2, and appends admissible
-    boundary points.  Roots closer together than the scan resolution
-    (about 1/grid_points) can be missed; raise ``grid_points`` to chase
-    structure near a bifurcation.
+    Brackets sign changes of delta_V on a scan of the upper half
+    [1/2, 1 - GRID_EDGE] and polishes each with a bracketed root find.
+    Both run in the relative wage w on [1, solve_wage(1 - GRID_EDGE)],
+    where delta_V is a closed form in w; the scan nodes are placed so that
+    no two neighbouring shares lie further apart than on a uniform grid of
+    ``grid_points // 2 + 1`` shares, and each root is reported at the share
+    h* = h(w*) of its polished wage.  The asymmetric roots are mirrored
+    across 1/2 and admissible boundary points appended.  Roots closer
+    together than the scan resolution (about 1/grid_points) can be missed;
+    raise ``grid_points`` to chase structure near a bifurcation.
 
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is
@@ -216,41 +264,48 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     """
     if grid_points < 16:
         raise ValueError("grid_points too small to bracket roots reliably")
-    n_upper = grid_points // 2 + 1
-    upper = np.linspace(0.5, 1.0 - GRID_EDGE, n_upper)
-    with np.errstate(divide="ignore"):
-        values = np.asarray(delta_V(upper, params, spec), dtype=float)
+    h_edge = 1.0 - GRID_EDGE
+    nodes = _wage_nodes(solve_wage(h_edge, params), grid_points // 2 + 1, params)
+    values = _delta_V_wage(nodes, params, spec)
 
-    roots: list[float] = []
+    roots: list[tuple[float, float]] = []
 
-    def add_root(r: float) -> None:
+    def add_root(r: float, w: float) -> None:
         if r - 0.5 <= DISPERSION_TOL:
             return
-        if all(abs(r - seen) > DISPERSION_TOL for seen in roots):
-            roots.append(r)
+        if all(abs(r - seen) > DISPERSION_TOL for seen, _ in roots):
+            roots.append((r, w))
 
-    f = lambda x: float(delta_V(x, params, spec))
+    f = lambda x: float(_delta_V_wage(x, params, spec))
 
-    # First cell: delta_V(1/2) = 0 by antisymmetry, so the usual sign-change
-    # test is blind there.  Use the symmetric slope to see whether the curve
-    # re-crosses before the first grid node.
-    slope_half = _slope_delta_V(0.5, params, spec)
-    if len(upper) > 1 and values[1] != 0.0 and slope_half * values[1] < 0.0:
-        a = 0.5 + 1e-12
-        if f(a) * values[1] < 0.0:
-            add_root(brentq(f, a, upper[1], xtol=1e-15, maxiter=200))
+    def polish(lo: float, hi: float) -> None:
+        w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
+        add_root(float(_share_raw(w, params)), w)
 
-    for i in range(1, n_upper - 1):
-        vi, vj = values[i], values[i + 1]
-        if vi == 0.0:
-            add_root(float(upper[i]))
-        elif vi * vj < 0.0:
-            add_root(brentq(f, float(upper[i]), float(upper[i + 1]),
-                            xtol=1e-15, maxiter=200))
-    if values[-1] == 0.0:
-        add_root(float(upper[-1]))
+    sym = _interior_equilibrium(0.5, 1.0, params, spec, residual_tol)
+    # First cell: delta_V(1/2) = 0 by antisymmetry, so the sign-change test
+    # is blind there.  A non-marginal symmetric slope whose sign differs from
+    # the first node's means the curve re-crosses inside the cell.  Halve
+    # toward w = 1 until delta_V takes the slope's sign to bracket the root;
+    # a fixed probe right next to 1/2 would read rounding noise.
+    if sym.stability != MARGINAL and sym.slope * values[1] < 0.0:
+        hi = float(nodes[1])
+        while (lo := 0.5 * (1.0 + hi)) > 1.0:
+            if f(lo) * values[1] <= 0.0:
+                polish(lo, hi)
+                break
+            hi = lo
 
-    found = [_interior_equilibrium(0.5, params, spec, residual_tol)]
+    inner = values[1:]
+    zero = inner == 0.0
+    change = np.append(inner[:-1] * inner[1:] < 0.0, False)
+    for i in np.flatnonzero(zero | change) + 1:
+        if change[i - 1]:
+            polish(float(nodes[i]), float(nodes[i + 1]))
+        else:
+            add_root(float(_share_raw(nodes[i], params)), float(nodes[i]))
+
+    found = [sym]
     pinned: list[Equilibrium] = []
     if not spec.bounded and values[-1] > 0.0:
         # The net incentive still presses outward at the window edge, so the
@@ -258,12 +313,13 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
         # through the last representable shares; if even the closest double
         # to 1 still flows outward, the rest point is below the resolution
         # of the floating-point grid and is reported pinned at the boundary.
+        f_h = lambda x: float(delta_V(x, params, spec))
         h_last = float(np.nextafter(1.0, 0.0))
-        v_last = f(h_last)
-        if v_last < 0.0:
-            add_root(brentq(f, float(upper[-1]), h_last, xtol=1e-16, maxiter=200))
-        elif v_last == 0.0:
-            add_root(h_last)
+        v_last = f_h(h_last)
+        if v_last <= 0.0:
+            r = h_last if v_last == 0.0 else brentq(f_h, h_edge, h_last,
+                                                     xtol=1e-16, maxiter=200)
+            add_root(r, solve_wage(r, params))
         else:
             lo_w, hi_w = params.wage_bracket
             pinned = [
@@ -272,9 +328,10 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
                 Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
                             slope=float("-inf"), residual=v_last),
             ]
-    for r in sorted(roots):
-        eq = _interior_equilibrium(r, params, spec, residual_tol)
-        mirror = _interior_equilibrium(1.0 - r, params, spec, residual_tol)
+    for r, w in sorted(roots):
+        eq = _interior_equilibrium(r, w, params, spec, residual_tol)
+        # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
+        mirror = _interior_equilibrium(1.0 - r, 1.0 / w, params, spec, residual_tol)
         found.extend([mirror, eq])
     found.extend(pinned)
     found.extend(_boundary_equilibria(params, spec))

@@ -9,8 +9,10 @@ At a fixed spatial distribution h, market clearing pins the relative wage
 down implicitly.  The map from wages to the population share supporting
 them is a cheap closed form and is strictly increasing on the admissible
 wage bracket [phi**(1/sigma), phi**(-1/sigma)], so the inverse problem is a
-bracketed scalar root find.  Everything downstream (welfare differentials,
-equilibrium scans) composes with these two functions.
+bracketed scalar root find.  Code that asks "what happens at share h"
+composes with :func:`solve_wage`; code free to choose where it looks, such
+as the rest-point scan in :mod:`geoeq.equilibria`, walks the wage instead
+and reads both shares off the closed form without solving anything.
 """
 
 from __future__ import annotations
@@ -168,23 +170,30 @@ class ShortRunState:
     n_R: float
 
 
-def _share_raw(w, params: ModelParams):
-    """Population share supported by wage w, without domain checks.
+def _share_terms(w, params: ModelParams):
+    """The two non-negative weights whose ratio gives the share at wage w.
 
     The textbook ratio subtracts ``phi`` from ``w**sigma`` top and bottom,
     which cancels catastrophically near the lower bracket end.  Multiplying
     through by ``w**sigma`` gives two non-negative terms instead:
 
-        h = a / (a + b),  a = X(X - phi),  b = w(1 - phi X),  X = w**sigma.
+        h = a / (a + b),  1 - h = b / (a + b),
+        a = X(X - phi),  b = w(1 - phi X),  X = w**sigma.
 
     ``a`` vanishes cleanly at the lower end (h -> 0) and ``b`` at the upper
-    end (h -> 1).
+    end (h -> 1), so both shares come out without cancellation.  Roundoff
+    can push either term a hair below zero at its bracket end; it is
+    clipped there.
     """
     X = w ** params.sigma
     a = X * (X - params.phi)
     b = w * (1.0 - params.phi * X)
-    a = np.maximum(a, 0.0)
-    b = np.maximum(b, 0.0)
+    return np.maximum(a, 0.0), np.maximum(b, 0.0)
+
+
+def _share_raw(w, params: ModelParams):
+    """Population share supported by wage w, without domain checks."""
+    a, b = _share_terms(w, params)
     return a / (a + b)
 
 

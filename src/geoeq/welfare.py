@@ -66,16 +66,24 @@ def delta_u(h, params: ModelParams):
     if np.any((h_arr < 0.0) | (h_arr > 1.0)):
         raise ValueError("population shares must lie in [0, 1]")
     w = solve_wage(h_arr, params) if not scalar else solve_wage(float(h), params)
-    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
-    wm = np.asarray(w, dtype=float) ** (1.0 - s)
-    A = h_arr * wm + (1.0 - h_arr) * p
-    B = h_arr * p * wm + (1.0 - h_arr)
-    if abs(th - 1.0) < LOG_UTILITY_BAND:
-        val = eta * (np.log(w) + np.log(A / B) / (s - 1.0))
-    else:
-        kappa = (1.0 - th) / (s - 1.0)
-        val = eta / (1.0 - th) * (np.asarray(w) ** (1.0 - th) * A ** kappa - B ** kappa)
+    val = _delta_u_at(h_arr, 1.0 - h_arr, np.asarray(w, dtype=float), params)
     return float(val) if scalar else val
+
+
+def _delta_u_at(h, g, w, params: ModelParams):
+    """delta_u from shares h and g = 1 - h and the wage w that supports them.
+
+    No wage solve and no domain checks: callers that walk the wage supply
+    both shares from the closed form of :func:`geoeq.model._share_terms`.
+    """
+    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
+    wm = w ** (1.0 - s)
+    A = h * wm + g * p
+    B = h * p * wm + g
+    if abs(th - 1.0) < LOG_UTILITY_BAND:
+        return eta * (np.log(w) + np.log(A / B) / (s - 1.0))
+    kappa = (1.0 - th) / (s - 1.0)
+    return eta / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
 
 
 def _delta_u_fd_slope(h: float, params: ModelParams, step: float) -> float:
@@ -88,7 +96,10 @@ class StabilityCoefficients:
     """Sign-carrying pieces of the closed-form utility-differential slopes.
 
     ``zeta``/``varphi``/``psi`` assemble the slope in the population share
-    (zeta > 0 on the open bracket); ``a1``/``a2``/``a3`` assemble the slope
+    (zeta < 0 on the open bracket: its numerator is the positive share
+    denominator a + b of the wage map and its denominator is -(sigma - 1)
+    times the positive G_poly, so the bracketed utility factor carries the
+    sign of the slope); ``a1``/``a2``/``a3`` assemble the slope
     in the freeness of trade, with ``a3 < 0`` whenever w > 1, and ``Psi``
     is the freeness slope stripped of the positive factor eta*w: Psi < 0
     means freer trade erodes the attraction of the crowded region.
@@ -220,25 +231,3 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     B_core = (1.0 - p * p) * w / D
     return eta * (-(w / c.a3) * (c.a1 * A_core ** (-e) + c.a2 * B_core ** (-e)))
 
-
-def ddelta_u_dphi_fd(h_star: float, params: ModelParams, *, step: float = 1e-6) -> float:
-    """Finite-difference check of ddelta_u_dphi, stepping the freeness."""
-    p = params.phi
-    step = min(step, 0.5 * p, 0.5 * (1.0 - p))
-    up = delta_u(h_star, params.with_phi(p + step))
-    dn = delta_u(h_star, params.with_phi(p - step))
-    return (up - dn) / (2.0 * step)
-
-
-def log_utility_limit_gap(h: float, params: ModelParams) -> float:
-    """Width of the seam between the isoelastic and log branches at h.
-
-    Evaluates delta_u just outside the log-routing band on both sides and
-    returns the larger deviation from the exact log-limit value; used by
-    tests to pin the crossover error near machine precision.
-    """
-    base = delta_u(h, params.with_theta(1.0))
-    eps = 2.0 * LOG_UTILITY_BAND
-    lo = delta_u(h, params.with_theta(1.0 - eps))
-    hi = delta_u(h, params.with_theta(1.0 + eps))
-    return max(abs(lo - base), abs(hi - base))

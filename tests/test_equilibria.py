@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from geoeq import (
+    Equilibrium,
     ModelParams,
     PenaltySpec,
     classify_stability,
@@ -16,17 +19,27 @@ from geoeq import (
     mu_p,
     phi_b,
     pitchfork_criticality,
+    solve_wage,
     sweep,
     threshold_phi_crossings,
+    wage_share,
 )
 from geoeq.equilibria import (
+    DISPERSION_TOL,
+    GRID_EDGE,
+    GRID_POINTS,
     KIND_BOUNDARY,
     KIND_DISPERSION,
     KIND_PARTIAL,
     MARGINAL,
+    RESIDUAL_TOL,
     STABLE,
     SUPERCRITICAL,
     UNSTABLE,
+    _boundary_equilibria,
+    _interior_equilibrium,
+    _slope_delta_V,
+    _wage_nodes,
 )
 
 LOGIT02 = PenaltySpec(kind="logit", mu=0.2)
@@ -166,6 +179,198 @@ def test_equilibrium_set_structure_property(sigma, phi, theta, mu):
     for e in eqs:
         if e.kind != KIND_BOUNDARY:
             assert e.residual <= 1e-10 * max(1.0, abs(e.slope))
+
+
+# ---------------------------------------------------------------------------
+# find_equilibria against a from-scratch scan in the share
+
+
+def _share_scan_equilibria(params, spec, grid_points=GRID_POINTS):
+    """Rest points from a uniform scan and polish in the share h.
+
+    Independent of the wage-parametrised scan: every delta_V evaluation
+    goes through the wage solver, the nodes are equally spaced in h and
+    each bracket is polished in h.  The first cell keeps a single probe
+    next to 1/2.  The chase past the window edge and the pinned-boundary
+    rule follow the library's; the per-root classification is the
+    library's own.
+    """
+    n_upper = grid_points // 2 + 1
+    upper = np.linspace(0.5, 1.0 - GRID_EDGE, n_upper)
+    with np.errstate(divide="ignore"):
+        values = np.asarray(delta_V(upper, params, spec), dtype=float)
+    f = lambda x: float(delta_V(x, params, spec))
+    roots = []
+
+    def add_root(r):
+        if r - 0.5 > DISPERSION_TOL and all(abs(r - seen) > DISPERSION_TOL for seen in roots):
+            roots.append(r)
+
+    slope_half = _slope_delta_V(0.5, params, spec)
+    if values[1] != 0.0 and slope_half * values[1] < 0.0:
+        a = 0.5 + 1e-12
+        if f(a) * values[1] < 0.0:
+            add_root(brentq(f, a, upper[1], xtol=1e-15, maxiter=200))
+    for i in range(1, n_upper - 1):
+        if values[i] == 0.0:
+            add_root(float(upper[i]))
+        elif values[i] * values[i + 1] < 0.0:
+            add_root(brentq(f, float(upper[i]), float(upper[i + 1]), xtol=1e-15, maxiter=200))
+    if values[-1] == 0.0:
+        add_root(float(upper[-1]))
+
+    def interior(h):
+        return _interior_equilibrium(h, solve_wage(h, params), params, spec, RESIDUAL_TOL)
+
+    found = [interior(0.5)]
+    if not spec.bounded and values[-1] > 0.0:
+        h_last = float(np.nextafter(1.0, 0.0))
+        v_last = f(h_last)
+        if v_last < 0.0:
+            add_root(brentq(f, float(upper[-1]), h_last, xtol=1e-16, maxiter=200))
+        elif v_last == 0.0:
+            add_root(h_last)
+        else:
+            found += [Equilibrium(h_star=h, w=w, kind=KIND_BOUNDARY, stability=STABLE,
+                                  slope=-math.inf, residual=v_last)
+                      for h, w in zip((0.0, 1.0), params.wage_bracket)]
+    for r in roots:
+        found += [interior(r), interior(1.0 - r)]
+    found += _boundary_equilibria(params, spec)
+    return sorted(found, key=lambda e: e.h_star)
+
+
+def _square(x):
+    return x * x
+
+
+def _square_prime(x):
+    return 2.0 * x
+
+
+_LOGIT02 = ("logit", 0.2)
+_SCAN_CASES = {
+    # acceptance criteria 4 and 8
+    "criterion-4": [(2.5, phi, 0.0, _LOGIT02) for phi in (0.3, 0.5, 0.9)],
+    "criterion-8": [(2.0, phi, theta, ("logit", mu)) for phi in (0.4, 0.5)
+                    for theta in (0.0, 1.0) for mu in (0.05, 0.2, 1.0)],
+    # the criterion-5 sweeps; the mu sweep is also fig6-left's
+    "criterion-5-phi": [(2.0, float(phi), 0.0, _LOGIT02)
+                        for phi in np.linspace(0.05, 0.95, 181)],
+    "criterion-5-mu": [(2.0, 0.4, 0.0, ("logit", float(mu)))
+                       for mu in np.linspace(0.0, 1.0, 181)],
+    "criterion-7": [(2.0, 0.4, 0.0, ("logit", float(mu)))
+                    for mu in np.linspace(0.2, 0.6, 21)],
+    "fig6-right": [(2.0, float(phi), 0.0, _LOGIT02)
+                   for phi in np.linspace(0.02, 0.98, 181)],
+    # each penalty branch of the wage-side delta_V (with interior roots), the
+    # log band and sigma near 1
+    "families": [(2.0, 0.5, 0.0, ("linear", 0.3)), (2.5, 0.5, 0.0, ("linear", 0.5)),
+                 (2.0, 0.7, 1.0, ("linear", 0.5)), (2.0, 0.5, 0.0, ("logit", 0.0)),
+                 (2.0, 0.5, 1.0, ("custom", None)), (2.5, 0.3, 1.0, ("custom", None)),
+                 (2.5, 0.3, 1.0 + 1e-9, _LOGIT02), (2.5, 0.3, 1.0 - 1e-9, _LOGIT02),
+                 (1.05, 0.02, 0.5, ("logit", 0.05)), (4.0, 0.98, 2.0, ("logit", 0.01))],
+}
+
+
+def _spec(family):
+    kind, mu = family
+    if kind == "custom":
+        return PenaltySpec(kind="custom", t=_square, t_prime=_square_prime)
+    return PenaltySpec(kind=kind, mu=mu)
+
+
+@pytest.mark.parametrize("group", sorted(_SCAN_CASES))
+def test_wage_scan_matches_the_share_scan(group):
+    for sigma, phi, theta, family in _SCAN_CASES[group]:
+        params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+        spec = _spec(family)
+        new = find_equilibria(params, spec)
+        old = _share_scan_equilibria(params, spec)
+        where = f"{group}: sigma={sigma} phi={phi} theta={theta} {family}"
+        assert [(e.kind, e.stability) for e in new] == \
+            [(e.kind, e.stability) for e in old], where
+        for a, b in zip(new, old):
+            assert abs(a.h_star - b.h_star) <= 1e-12, where
+
+
+@pytest.mark.parametrize("sigma,phi,theta", [
+    (2.0, 0.4, 0.0), (2.5, 0.3, 1.0), (3.0, 0.6, 2.0), (1.5, 0.2, 0.5)])
+@pytest.mark.parametrize("gap", [5e-9, 1e-8, 2e-8])
+def test_rest_points_inside_the_first_scan_cell_are_found(sigma, phi, theta, gap):
+    # just below a supercritical pitchfork the stable pair sits within about
+    # 1e-4 of 1/2, inside the first scan cell, where delta_V is ~1e-12
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    spec = PenaltySpec(kind="logit", mu=dispersion_threshold(params) - gap)
+    eqs = find_equilibria(params, spec)
+    assert [(e.kind, e.stability) for e in eqs] == [
+        (KIND_PARTIAL, STABLE), (KIND_DISPERSION, UNSTABLE), (KIND_PARTIAL, STABLE)]
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(sigma=st.floats(1.05, 4.0), phi=st.floats(0.02, 0.98))
+def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi):
+    params = ModelParams(sigma=sigma, phi=phi)
+    n_upper = GRID_POINTS // 2 + 1
+    w_edge = solve_wage(1.0 - GRID_EDGE, params)
+    nodes = _wage_nodes(w_edge, n_upper, params)
+    assert nodes[0] == 1.0 and nodes[-1] == w_edge
+    assert np.all(np.diff(nodes) > 0.0)
+    assert len(nodes) <= 2 * n_upper
+    gaps = np.diff(wage_share(nodes, params))
+    assert gaps.max() <= (0.5 - GRID_EDGE) / (n_upper - 1)
+
+
+def _mp_mirror_share(sigma, phi, theta, mu):
+    """The share 1 - h* of the outermost logit rest point, to 50 digits.
+
+    Bisects delta_V along the wage, where both shares are explicit, so no
+    double-precision wage solve or share subtraction is involved.
+    """
+    with mpmath.workdps(50):
+        s, p, th, mu = (mpmath.mpf(v) for v in (sigma, phi, theta, mu))
+        kappa = (1 - th) / (s - 1)
+
+        def terms(w):
+            X = w ** s
+            return X * (X - p), w * (1 - p * X)
+
+        def incentive(w):
+            a, b = terms(w)
+            h, g = a / (a + b), b / (a + b)
+            A = h * w ** (1 - s) + g * p
+            B = h * p * w ** (1 - s) + g
+            gap = (w ** (1 - th) * A ** kappa - B ** kappa) / (1 - th)
+            return gap - mu * (mpmath.log(a) - mpmath.log(b))
+
+        lo, hi = mpmath.mpf("1.000001"), p ** (-1 / s) * (1 - mpmath.mpf(10) ** -40)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if incentive(mid) > 0 else (lo, mid)
+        a, b = terms((lo + hi) / 2)
+        return b / (a + b)
+
+
+# fig6-left sample weights mu = k/180 whose lower rest point sits within
+# 1e-4 of h = 0, with the oracle's mirror share to 10 digits.
+@pytest.mark.parametrize("k,share", [
+    (7, 4.545952144e-9),
+    (9, 3.247058625e-7),
+    (10, 1.446618698e-6),
+    (12, 1.360644179e-5),
+    (13, 3.222813713e-5),
+])
+def test_near_boundary_mirror_share_matches_a_high_precision_oracle(k, share):
+    mu = float(np.linspace(0.0, 1.0, 181)[k])
+    truth = _mp_mirror_share(2.0, 0.4, 0.0, mu)
+    assert float(truth) == pytest.approx(share, rel=1e-9)
+    eqs = find_equilibria(ModelParams(sigma=2.0, phi=0.4, theta=0.0),
+                          PenaltySpec(kind="logit", mu=mu))
+    lower = eqs[0]
+    assert lower.kind == KIND_PARTIAL and lower.stability == STABLE
+    # the mirror is formed as 1 - h*, so a spacing of doubles just below 1
+    # (2**-53) per unit of error in h* is the floor; allow two of them
+    assert abs(lower.h_star - truth) <= 2.3e-16
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoeq import ModelParams, ddelta_u_dh, ddelta_u_dphi, delta_u, dispersion_slope
-from geoeq.welfare import (
-    ddelta_u_dh_closed,
-    ddelta_u_dphi_fd,
-    log_utility_limit_gap,
-    stability_coefficients,
-)
+from geoeq.welfare import LOG_UTILITY_BAND, ddelta_u_dh_closed, stability_coefficients
 
 P25 = ModelParams(sigma=2.0, phi=0.5)
+
+
+def ddelta_u_dphi_fd(h_star, params, *, step=1e-6):
+    """Finite-difference check of ddelta_u_dphi, stepping the freeness."""
+    p = params.phi
+    step = min(step, 0.5 * p, 0.5 * (1.0 - p))
+    up = delta_u(h_star, params.with_phi(p + step))
+    dn = delta_u(h_star, params.with_phi(p - step))
+    return (up - dn) / (2.0 * step)
+
+
+def log_utility_limit_gap(h, params):
+    """Width of the seam between the isoelastic and log branches at h.
+
+    Evaluates delta_u just outside the log-routing band on both sides and
+    returns the larger deviation from the exact log-limit value.
+    """
+    base = delta_u(h, params.with_theta(1.0))
+    eps = 2.0 * LOG_UTILITY_BAND
+    lo = delta_u(h, params.with_theta(1.0 - eps))
+    hi = delta_u(h, params.with_theta(1.0 + eps))
+    return max(abs(lo - base), abs(hi - base))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +150,22 @@ def test_coefficient_signs_on_the_crowded_side():
             assert c.a3 < 0.0
             assert c.Psi < 0.0
             assert ddelta_u_dh_closed(h, p) > 0.0
+
+
+# zeta = (a + b) / (-(sigma - 1) G) with a + b > 0 the share denominator of
+# the wage map and G = G_poly > 0, so it is negative on the whole open
+# bracket, both halves; at the examples it runs from -0.27 to -0.66.
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    sigma=st.floats(1.05, 6.0),
+    phi=st.floats(0.02, 0.98),
+    h=st.floats(0.01, 0.99),
+)
+@example(sigma=2.5, phi=0.1, h=0.9)
+@example(sigma=2.5, phi=0.5, h=0.7)
+@example(sigma=2.5, phi=0.9, h=0.55)
+def test_zeta_is_negative_on_the_open_bracket(sigma, phi, h):
+    assert stability_coefficients(h, ModelParams(sigma=sigma, phi=phi)).zeta < 0.0
 
 
 # ---------------------------------------------------------------------------
