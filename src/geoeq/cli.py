@@ -301,10 +301,12 @@ def run_equilibria(opts: dict) -> int:
         checks.append({"h_star": eq.h_star, "fd_slope": eq.slope,
                        "closed_form_slope": closed,
                        "abs_gap": abs(closed - eq.slope)})
+    slope_half, display = ddelta_u_dh_closed(0.5, params), dispersion_slope(params)
     convention = {
-        "utility_slope_at_half": ddelta_u_dh_closed(0.5, params),
-        "symmetric_display_form": dispersion_slope(params),
-        "ratio": ddelta_u_dh_closed(0.5, params) / dispersion_slope(params),
+        "utility_slope_at_half": slope_half,
+        "symmetric_display_form": display,
+        # the display form underflows to 0 when ((1+phi)/2)**kappa does
+        "ratio": slope_half / display if display != 0.0 else math.nan,
     }
     doc = {
         "command": "equilibria",

@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import (ModelParams, SingularityError, SolverError, _share_raw, _share_terms,
-                    solve_wage)
-from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t
+from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
+                    _share_raw, _share_terms, solve_wage)
+from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
 from .welfare import FD_STEP, _delta_u_at, delta_u, dispersion_slope
 
 __all__ = [
@@ -141,10 +141,9 @@ def delta_V(h, params: ModelParams, spec: PenaltySpec):
     return delta_u(h, params) - delta_t(h, spec)
 
 
-def _slope_delta_V(h: float, params: ModelParams, spec: PenaltySpec,
-                   step: float = FD_STEP) -> float:
+def _slope_delta_V(h: float, params: ModelParams, spec: PenaltySpec) -> float:
     """Central finite-difference slope of delta_V at an interior share."""
-    step = min(step, 0.5 * h, 0.5 * (1.0 - h))
+    step = min(FD_STEP, 0.5 * h, 0.5 * (1.0 - h))
     up = delta_V(h + step, params, spec)
     dn = delta_V(h - step, params, spec)
     return float((up - dn) / (2.0 * step))
@@ -196,17 +195,30 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
         w = np.append(np.repeat(w[:-1], k) + frac * np.repeat(np.diff(w), k), w[-1])
 
 
+def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
+    """Roots of f along an ordered grid x with values fx = f(x), in grid order.
+
+    A node where fx is exactly zero is a root as it stands; a cell whose end
+    values have opposite signs gets one bracketed root find to ``xtol``.
+    """
+    zero = fx == 0.0
+    change = np.append(fx[:-1] * fx[1:] < 0.0, False)
+    return [float(x[i]) if zero[i]
+            else float(brentq(f, float(x[i]), float(x[i + 1]), xtol=xtol, maxiter=200))
+            for i in np.flatnonzero(zero | change)]
+
+
 def _interior_equilibrium(h_star: float, w: float, params: ModelParams,
-                          spec: PenaltySpec, residual_tol: float) -> Equilibrium:
+                          spec: PenaltySpec) -> Equilibrium:
     residual = abs(float(delta_V(h_star, params, spec)))
     slope = _slope_delta_V(h_star, params, spec)
     # Backward-error acceptance: near the boundary an unbounded penalty's
     # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
     # precision in h grows with it.  Scaling by the local slope keeps the
     # criterion "h is right", not "delta_V is flat".
-    if residual > residual_tol * max(1.0, abs(slope)):
+    if residual > RESIDUAL_TOL * max(1.0, abs(slope)):
         raise SolverError(
-            f"rest-point residual {residual:.3e} exceeds {residual_tol:.0e} at h={h_star}"
+            f"rest-point residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at h={h_star}"
         )
     kind = KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL else KIND_PARTIAL
     return Equilibrium(h_star=h_star, w=w, kind=kind,
@@ -239,8 +251,7 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
 
 
 def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
-                    grid_points: int = GRID_POINTS,
-                    residual_tol: float = RESIDUAL_TOL) -> list[Equilibrium]:
+                    grid_points: int = GRID_POINTS) -> list[Equilibrium]:
     """All rest points of the migration dynamics, sorted by location.
 
     Brackets sign changes of delta_V on a scan of the upper half
@@ -277,12 +288,7 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
             roots.append((r, w))
 
     f = lambda x: float(_delta_V_wage(x, params, spec))
-
-    def polish(lo: float, hi: float) -> None:
-        w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
-        add_root(float(_share_raw(w, params)), w)
-
-    sym = _interior_equilibrium(0.5, 1.0, params, spec, residual_tol)
+    sym = _interior_equilibrium(0.5, 1.0, params, spec)
     # First cell: delta_V(1/2) = 0 by antisymmetry, so the sign-change test
     # is blind there.  A non-marginal symmetric slope whose sign differs from
     # the first node's means the curve re-crosses inside the cell.  Halve
@@ -292,18 +298,13 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
         hi = float(nodes[1])
         while (lo := 0.5 * (1.0 + hi)) > 1.0:
             if f(lo) * values[1] <= 0.0:
-                polish(lo, hi)
+                w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
+                add_root(float(_share_raw(w, params)), w)
                 break
             hi = lo
-
-    inner = values[1:]
-    zero = inner == 0.0
-    change = np.append(inner[:-1] * inner[1:] < 0.0, False)
-    for i in np.flatnonzero(zero | change) + 1:
-        if change[i - 1]:
-            polish(float(nodes[i]), float(nodes[i + 1]))
-        else:
-            add_root(float(_share_raw(nodes[i], params)), float(nodes[i]))
+    # The node at w = 1 is the symmetric point, zero by antisymmetry.
+    for w in _grid_roots(f, nodes[1:], values[1:], 1e-15):
+        add_root(float(_share_raw(w, params)), w)
 
     found = [sym]
     pinned: list[Equilibrium] = []
@@ -329,9 +330,9 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
                             slope=float("-inf"), residual=v_last),
             ]
     for r, w in sorted(roots):
-        eq = _interior_equilibrium(r, w, params, spec, residual_tol)
+        eq = _interior_equilibrium(r, w, params, spec)
         # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
-        mirror = _interior_equilibrium(1.0 - r, 1.0 / w, params, spec, residual_tol)
+        mirror = _interior_equilibrium(1.0 - r, 1.0 / w, params, spec)
         found.extend([mirror, eq])
     found.extend(pinned)
     found.extend(_boundary_equilibria(params, spec))
@@ -364,14 +365,11 @@ def mu_d(sigma: float, phi: float) -> float:
     Closed form (2 sigma - 1)(1 - phi) / ((sigma - 1)(2 sigma + phi - 1)),
     derived in the display convention where both the utility slope and the
     penalty slope at 1/2 are halved; the ratio, and hence the threshold,
-    is unaffected.  Exact for logarithmic utility curvature (theta = 1);
-    see :func:`dispersion_threshold` for the curvature-adjusted version.
+    is unaffected.  Exact for logarithmic utility curvature (theta = 1),
+    where it is :func:`dispersion_threshold` and is computed as such; that
+    function gives the curvature-adjusted version for other theta.
     """
-    if not (sigma > 1.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be a finite number > 1, got {sigma}")
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie strictly inside (0, 1), got {phi}")
-    return (2.0 * sigma - 1.0) * (1.0 - phi) / ((sigma - 1.0) * (2.0 * sigma + phi - 1.0))
+    return dispersion_threshold(ModelParams(sigma=sigma, phi=phi))
 
 
 def mu_p(w: float, sigma: float, phi: float) -> float:
@@ -381,17 +379,10 @@ def mu_p(w: float, sigma: float, phi: float) -> float:
     end of the wage bracket, so every weight below mu_d supports some
     asymmetric rest point.
     """
-    if not (sigma > 1.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be a finite number > 1, got {sigma}")
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie strictly inside (0, 1), got {phi}")
-    lo = phi ** (1.0 / sigma)
-    if not lo * (1.0 - 1e-12) <= w <= (1.0 + 1e-12) / lo:
-        raise ValueError(
-            f"wage {w} outside the admissible bracket [{lo:.6g}, {1.0 / lo:.6g}]"
-        )
+    params = ModelParams(sigma=sigma, phi=phi)
+    _check_bracket(w, params)
     X = w ** sigma
-    G = (2.0 * sigma - phi * phi - 1.0) * X - (sigma - 1.0) * phi * (1.0 + X * X)
+    G = G_poly(X, params)
     if not G > 0.0:
         raise SingularityError(f"threshold denominator vanished at w={w}")
     return (2.0 * sigma - 1.0) * (X - phi) * (1.0 - X * phi) / ((sigma - 1.0) * G)
@@ -426,27 +417,20 @@ def dispersion_threshold(params: ModelParams) -> float:
     return 0.5 * dispersion_slope(params)
 
 
-def threshold_phi_crossings(params: ModelParams, mu: float, *,
-                            scan_points: int = 1024) -> list[float]:
+def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
     """Freeness values where the symmetric point changes stability.
 
-    Numeric companion to :func:`phi_b`: scans dispersion_threshold(phi) -
-    mu for sign changes and polishes each.  Usually zero or one crossing;
-    strong curvature can in principle produce more, hence the list.
+    Numeric companion to :func:`phi_b`: evaluates dispersion_threshold(phi)
+    - mu on 1024 freeness values spanning [1e-6, 1 - 1e-6] and returns, in
+    increasing order, every node where it is exactly zero and one polished
+    root per sign change.  Usually zero or one crossing; strong curvature
+    can in principle produce more, hence the list.
     """
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    grid = np.linspace(1e-6, 1.0 - 1e-6, scan_points)
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 1024)
     g = lambda p: dispersion_threshold(params.with_phi(p)) - mu
-    vals = np.array([g(p) for p in grid])
-    crossings = []
-    for i in range(scan_points - 1):
-        if vals[i] == 0.0:
-            crossings.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            crossings.append(float(brentq(g, float(grid[i]), float(grid[i + 1]),
-                                          xtol=1e-14, maxiter=200)))
-    return crossings
+    return _grid_roots(g, grid, np.array([g(p) for p in grid]), 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +456,7 @@ def _third_derivative(f, x: float, step: float) -> float:
 
 
 def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
-                          spec: PenaltySpec, *,
-                          step: float = CRITICALITY_STEP) -> BifurcationPoint:
+                          spec: PenaltySpec) -> BifurcationPoint:
     """Classify the pitchfork at the symmetric point for a parameter value.
 
     The first and (by symmetry) second derivatives of delta_V vanish at
@@ -486,8 +469,8 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
     """
     p2, s2 = _with_parameter(parameter, value, params, spec)
     f = lambda x: float(delta_V(x, p2, s2))
-    coarse = _third_derivative(f, 0.5, step)
-    fine = _third_derivative(f, 0.5, 0.5 * step)
+    coarse = _third_derivative(f, 0.5, CRITICALITY_STEP)
+    fine = _third_derivative(f, 0.5, 0.5 * CRITICALITY_STEP)
     third = (4.0 * fine - coarse) / 3.0
     if abs(third) < CRITICALITY_FLOOR:
         crit = INDETERMINATE
@@ -504,11 +487,9 @@ def _sweep_step(job):
     parameter, value, params, spec, grid_points = job
     try:
         p2, s2 = _with_parameter(parameter, value, params, spec)
-        eqs = find_equilibria(p2, s2, grid_points=grid_points)
-        slope = _slope_delta_V(0.5, p2, s2)
-        return value, eqs, slope, None
+        return value, find_equilibria(p2, s2, grid_points=grid_points), None
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return value, [], float("nan"), f"{type(exc).__name__}: {exc}"
+        return value, [], f"{type(exc).__name__}: {exc}"
 
 
 def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
@@ -518,9 +499,13 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
 
     Every step re-scans from scratch on the same grid, so results are
     independent of traversal order and of how the steps are distributed
-    over worker processes.  Pitchforks of the symmetric point are located
-    by bracketing sign changes of its delta_V slope between consecutive
-    steps, then classified via :func:`pitchfork_criticality`.
+    over worker processes.  Pitchforks of the symmetric point sit where
+    its delta_V slope, 2 * dispersion_slope - delta_t_prime(1/2) in closed
+    form, changes sign: it is evaluated at every step, each sign change
+    between neighbouring steps is polished by a bracketed root find, and
+    each pitchfork is classified via :func:`pitchfork_criticality`.  The
+    slope needs no rest-point scan, so a step whose scan fails hides no
+    pitchfork next to it.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
@@ -548,37 +533,17 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
         chunk = max(1, steps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_step, jobs, chunksize=chunk))
+    samples = [(value, eqs) for value, eqs, _ in results]
+    diagnostics = [f"{parameter}={value!r}: {error}"
+                   for value, _, error in results if error is not None]
 
-    samples: list[tuple[float, list[Equilibrium]]] = []
-    slopes: list[float] = []
-    diagnostics: list[str] = []
-    for value, eqs, slope, error in results:
-        samples.append((value, eqs))
-        slopes.append(slope)
-        if error is not None:
-            diagnostics.append(f"{parameter}={value!r}: {error}")
-
-    bifurcations: list[BifurcationPoint] = []
-
-    def slope_at(p: float) -> float:
+    def symmetric_slope(p: float) -> float:
+        # the utility slope at 1/2 is exactly twice the display form
         p2, s2 = _with_parameter(parameter, p, params, spec)
-        return _slope_delta_V(0.5, p2, s2)
+        return 2.0 * dispersion_slope(p2) - delta_t_prime(0.5, s2)
 
-    for i in range(steps - 1):
-        si, sj = slopes[i], slopes[i + 1]
-        if math.isnan(si) or math.isnan(sj):
-            continue
-        if si == 0.0:
-            bifurcations.append(
-                pitchfork_criticality(parameter, float(values[i]), params, spec))
-        elif si * sj < 0.0:
-            p_star = brentq(slope_at, float(values[i]), float(values[i + 1]),
-                            xtol=1e-12, maxiter=200)
-            bifurcations.append(
-                pitchfork_criticality(parameter, float(p_star), params, spec))
-    if slopes and slopes[-1] == 0.0 and not math.isnan(slopes[-1]):
-        bifurcations.append(
-            pitchfork_criticality(parameter, float(values[-1]), params, spec))
-
+    slopes = np.array([symmetric_slope(v) for v in values])
+    bifurcations = [pitchfork_criticality(parameter, p, params, spec)
+                    for p in _grid_roots(symmetric_slope, values, slopes, 1e-12)]
     return Branch(parameter=parameter, samples=samples,
                   bifurcations=bifurcations, diagnostics=diagnostics)

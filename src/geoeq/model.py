@@ -113,11 +113,23 @@ class ModelParams:
         if (self.phi is None) == (self.tau is None):
             raise ValueError("supply exactly one of phi (freeness) or tau (iceberg cost)")
         if self.phi is None:
-            object.__setattr__(self, "phi", freeness_from_tau(self.tau, self.sigma))
+            phi = freeness_from_tau(self.tau, self.sigma)
+            if not 0.0 < phi < 1.0:
+                raise ValueError(
+                    f"iceberg cost tau={self.tau} at sigma={self.sigma} gives freeness "
+                    f"{phi!r}, which is not inside (0, 1) in double precision")
+            object.__setattr__(self, "phi", phi)
         else:
             if not (0.0 < self.phi < 1.0):
                 raise ValueError(f"phi must lie strictly inside (0, 1), got {self.phi}")
-            object.__setattr__(self, "tau", self.phi ** (1.0 / (1.0 - self.sigma)))
+            # Near sigma = 1 the implied iceberg cost exceeds every double: a
+            # Python float raises where a numpy float returns inf.
+            with np.errstate(over="ignore"):
+                try:
+                    tau = self.phi ** (1.0 / (1.0 - self.sigma))
+                except OverflowError:
+                    tau = math.inf
+            object.__setattr__(self, "tau", tau)
         if not (self.theta >= 0.0 and math.isfinite(self.theta)):
             raise ValueError(f"theta must be a finite number >= 0, got {self.theta}")
         if self.alpha is None:

@@ -28,6 +28,9 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _SIG_DIGITS = 12
 
+# Largest share jump that still links a rest point to one at the next sample.
+_LINK_TOL = 0.06
+
 
 def format_value(value) -> str:
     """Render one CSV cell: floats at 12 significant digits, rest as-is."""
@@ -203,7 +206,7 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
     return "\n".join(parts) + "\n"
 
 
-def branch_segments(branch: Branch, *, link_tol: float = 0.06) -> list[dict]:
+def branch_segments(branch: Branch) -> list[dict]:
     """Greedy nearest-neighbor linking of equilibria across sweep samples.
 
     Returns segments of constant stability, each a dict with keys
@@ -217,7 +220,7 @@ def branch_segments(branch: Branch, *, link_tol: float = 0.06) -> list[dict]:
         still_open: list[dict] = []
         for seg in open_segs:
             last_h = seg["points"][-1][1]
-            best_j, best_d = -1, link_tol
+            best_j, best_d = -1, _LINK_TOL
             for j, eq in enumerate(eqs):
                 if used[j] or eq.stability != seg["stability"]:
                     continue

@@ -86,8 +86,8 @@ def _delta_u_at(h, g, w, params: ModelParams):
     return eta / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
 
 
-def _delta_u_fd_slope(h: float, params: ModelParams, step: float) -> float:
-    step = min(step, 0.5 * h, 0.5 * (1.0 - h))
+def _delta_u_fd_slope(h: float, params: ModelParams) -> float:
+    step = min(FD_STEP, 0.5 * h, 0.5 * (1.0 - h))
     return (delta_u(h + step, params) - delta_u(h - step, params)) / (2.0 * step)
 
 
@@ -170,7 +170,7 @@ def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
     )
 
 
-def ddelta_u_dh(h_star: float, params: ModelParams, *, step: float = FD_STEP) -> float:
+def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
     """Slope of the utility differential in h at an interior share.
 
     Returns the closed form after verifying it against a central finite
@@ -181,7 +181,7 @@ def ddelta_u_dh(h_star: float, params: ModelParams, *, step: float = FD_STEP) ->
     if not 0.0 < h_star < 1.0:
         raise ValueError(f"interior share required, got {h_star}")
     closed = ddelta_u_dh_closed(h_star, params)
-    fd = _delta_u_fd_slope(h_star, params, step)
+    fd = _delta_u_fd_slope(h_star, params)
     scale = max(abs(closed), abs(fd), 1.0)
     if abs(closed - fd) > CLOSED_FORM_REL_TOL * scale:
         raise ArithmeticError(

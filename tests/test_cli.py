@@ -68,6 +68,9 @@ def test_solver_domain_failures_are_config_errors(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["shortrun", "--sigma", "2", "--phi", "0.5", "--tau", "2",
                  "--out", str(tmp_path)]) == 2
+    # the freeness tau**(1 - sigma) underflows to 0
+    assert main(["equilibria", "--sigma", "50", "--tau", "1e10",
+                 "--out", str(tmp_path)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,19 @@ def test_equilibria_shadow_checks_cross_validate_slopes(tmp_path):
     assert convention["ratio"] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", ["1", "0"])
+def test_equilibria_near_sigma_one_at_low_freeness(tmp_path, theta):
+    # the iceberg cost overflows to inf; at theta = 0 the symmetric slope
+    # underflows to 0, so the convention ratio is undefined
+    code = main(["equilibria", "--sigma", "1.0001", "--phi", "1e-5", "--theta", theta,
+                 "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "equilibria.json").read_text())
+    assert doc["config"]["effective_model"]["tau"] == math.inf
+    ratio = doc["shadow_checks"]["symmetric_slope_convention"]["ratio"]
+    assert math.isnan(ratio) if theta == "0" else ratio == pytest.approx(2.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -198,6 +214,7 @@ def test_sweep_csv_and_pitchfork_report(tmp_path, capsys):
     assert len(doc["results"]["bifurcations"]) == 1
     match = doc["shadow_checks"]["threshold_match"]["matches"][0]
     assert match["matched"] == "curvature_adjusted"
+    assert match["gap"] <= 1e-12
 
 
 def test_phi_sweep_needs_no_base_phi(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from geoeq import (
     Equilibrium,
     ModelParams,
     PenaltySpec,
+    SolverError,
     classify_stability,
     delta_V,
     dispersion_threshold,
@@ -24,6 +26,7 @@ from geoeq import (
     threshold_phi_crossings,
     wage_share,
 )
+from geoeq import equilibria
 from geoeq.equilibria import (
     DISPERSION_TOL,
     GRID_EDGE,
@@ -32,7 +35,6 @@ from geoeq.equilibria import (
     KIND_DISPERSION,
     KIND_PARTIAL,
     MARGINAL,
-    RESIDUAL_TOL,
     STABLE,
     SUPERCRITICAL,
     UNSTABLE,
@@ -220,7 +222,7 @@ def _share_scan_equilibria(params, spec, grid_points=GRID_POINTS):
         add_root(float(upper[-1]))
 
     def interior(h):
-        return _interior_equilibrium(h, solve_wage(h, params), params, spec, RESIDUAL_TOL)
+        return _interior_equilibrium(h, solve_wage(h, params), params, spec)
 
     found = [interior(0.5)]
     if not spec.bounded and values[-1] > 0.0:
@@ -431,6 +433,12 @@ def test_threshold_phi_crossings_match_closed_form_at_log_curvature():
     assert c0[0] == pytest.approx(0.710793585979, abs=1e-8)
 
 
+def test_threshold_phi_crossings_report_an_exact_zero_at_the_last_node():
+    p = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
+    last = 1.0 - 1e-6
+    assert threshold_phi_crossings(p, dispersion_threshold(p.with_phi(last))) == [last]
+
+
 # ---------------------------------------------------------------------------
 # bifurcations and sweeps
 
@@ -476,6 +484,77 @@ def test_phi_sweep_at_log_curvature_recovers_the_closed_form_threshold():
     assert len(branch.bifurcations) == 1
     assert branch.bifurcations[0].value == pytest.approx(0.75, abs=1e-9)
     assert branch.bifurcations[0].criticality == SUPERCRITICAL
+
+
+def _fd_slope_pitchforks(parameter, lo, hi, steps, params, spec):
+    """Pitchforks located by bracketing the central-FD symmetric slope.
+
+    Independent of the closed form the sweep brackets on: every slope is a
+    central finite difference of delta_V at 1/2 through two wage solves.
+    An exact zero at a step is a pitchfork as it stands; each sign change
+    between neighbouring steps is polished by brentq on the same slope.
+    """
+    def slope_at(v):
+        if parameter == "phi":
+            return _slope_delta_V(0.5, params.with_phi(v), spec)
+        return _slope_delta_V(0.5, params, replace(spec, mu=v))
+
+    values = [float(v) for v in np.linspace(lo, hi, steps)]
+    slopes = [slope_at(v) for v in values]
+    located = [v for v, s in zip(values, slopes) if s == 0.0]
+    located += [brentq(slope_at, a, b, xtol=1e-12, maxiter=200)
+                for a, b, sa, sb in zip(values, values[1:], slopes, slopes[1:])
+                if sa * sb < 0.0]
+    return [pitchfork_criticality(parameter, v, params, spec) for v in sorted(located)]
+
+
+def _half_square(x):
+    return 0.5 * x * x
+
+
+def _half_square_prime(x):
+    return x
+
+
+# (parameter, lo, hi, steps, base phi, penalty); each has one pitchfork in
+# range at sigma = 2 for every tested theta
+_PITCHFORK_SWEEPS = {
+    "mu-logit": ("mu", 0.1, 1.0, 10, 0.4, PenaltySpec(kind="logit", mu=0.2)),
+    "mu-linear": ("mu", 0.2, 2.0, 10, 0.4, PenaltySpec(kind="linear", mu=0.2)),
+    "phi-logit": ("phi", 0.02, 0.98, 13, 0.5, PenaltySpec(kind="logit", mu=0.2)),
+    "phi-linear": ("phi", 0.02, 0.98, 13, 0.5, PenaltySpec(kind="linear", mu=0.4)),
+    "phi-custom": ("phi", 0.02, 0.98, 13, 0.5,
+                   PenaltySpec(kind="custom", t=_half_square, t_prime=_half_square_prime)),
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0 - 1e-9, 1.0, 2.0])
+@pytest.mark.parametrize("case", sorted(_PITCHFORK_SWEEPS))
+def test_sweep_pitchforks_match_the_fd_slope_locator(case, theta):
+    parameter, lo, hi, steps, phi, spec = _PITCHFORK_SWEEPS[case]
+    params = ModelParams(sigma=2.0, phi=phi, theta=theta)
+    found = sweep(parameter, lo, hi, steps, params, spec).bifurcations
+    oracle = _fd_slope_pitchforks(parameter, lo, hi, steps, params, spec)
+    assert len(found) == len(oracle) >= 1
+    for b, o in zip(found, oracle):
+        assert b.criticality == o.criticality
+        assert b.value == pytest.approx(o.value, rel=1e-7)
+
+
+def test_a_failed_step_hides_no_pitchfork(monkeypatch):
+    # the pitchfork at phi = 0.75 lies between the steps 0.7 and 0.8
+    params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
+    scan = equilibria.find_equilibria
+
+    def failing_scan(p, spec, **kwargs):
+        if p.phi == 0.7:
+            raise SolverError("injected failure")
+        return scan(p, spec, **kwargs)
+
+    monkeypatch.setattr(equilibria, "find_equilibria", failing_scan)
+    branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
+    assert branch.diagnostics == ["phi=0.7: SolverError: injected failure"]
+    assert [b.value for b in branch.bifurcations] == [pytest.approx(0.75, abs=1e-12)]
 
 
 def test_sweep_with_workers_matches_serial():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def test_params_derive_the_missing_trade_parameter():
     assert by_tau.phi == pytest.approx(0.25, rel=1e-14)
 
 
+def test_params_near_sigma_one_carry_an_infinite_iceberg_cost():
+    # tau = phi**(1/(1 - sigma)) exceeds every double here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ModelParams(sigma=1.0001, phi=1e-5).tau == math.inf
+        assert ModelParams(sigma=1.0001, phi=np.float64(1e-5)).tau == math.inf
+
+
 def test_params_default_normalization():
     p = ModelParams(sigma=2.5, phi=0.3)
     assert p.alpha == pytest.approx(0.4)
@@ -71,6 +80,9 @@ def test_params_default_normalization():
     {"sigma": 2.0, "phi": 0.5, "theta": -0.1},
     {"sigma": 2.0, "phi": 0.5, "alpha": 0.0},
     {"sigma": 2.0, "phi": 0.5, "eta": 0.0},
+    # the derived freeness underflows to 0, resp. rounds to 1
+    {"sigma": 50.0, "tau": 1e10},
+    {"sigma": 1.0001, "tau": 1.0000000000000002},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
