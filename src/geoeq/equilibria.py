@@ -14,10 +14,17 @@ the symmetric point is always a root.  It walks the relative wage rather
 than the share: the upper half is the wage interval [1, w_hi), on which
 both shares are closed forms of w (:func:`geoeq.model._share_terms`), so
 scanning and polishing in w evaluate delta_V without any wage solve.
+The part of the scan that does not depend on the penalty (nodes, shares
+and utility gap) is kept for the most recent economy, so the steps of a
+penalty-weight sweep scan their economy once.  Each polished root already
+carries its wage, so finishing the rest points (residual, central-FD
+slope, mirror images) continues the wage from there by Newton steps, all
+shares in one batch, rather than solving for it share by share.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,9 +33,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
-                    _share_raw, _share_terms, solve_wage)
+                    _share_raw, _share_terms, _solve_wage_near, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
-from .welfare import FD_STEP, _delta_u_at, delta_u, dispersion_slope
+from .welfare import FD_STEP, _delta_u_at, _dispersion_slope_at, delta_u, dispersion_slope
 
 __all__ = [
     "Equilibrium",
@@ -141,36 +148,43 @@ def delta_V(h, params: ModelParams, spec: PenaltySpec):
     return delta_u(h, params) - delta_t(h, spec)
 
 
-def _slope_delta_V(h: float, params: ModelParams, spec: PenaltySpec) -> float:
-    """Central finite-difference slope of delta_V at an interior share."""
-    step = min(FD_STEP, 0.5 * h, 0.5 * (1.0 - h))
-    up = delta_V(h + step, params, spec)
-    dn = delta_V(h - step, params, spec)
-    return float((up - dn) / (2.0 * step))
-
-
 def _stability_from_slope(slope: float) -> str:
     if abs(slope) < MARGINAL_BAND:
         return MARGINAL
     return STABLE if slope < 0.0 else UNSTABLE
 
 
-def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
-    """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve.
+def _wage_terms(w, params: ModelParams):
+    """Shares h, g = 1 - h, log-odds ln(h/g) and delta_u at wages w in [1, w_hi).
 
-    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b), so
-    the logit differential mu*(ln h - ln(1-h)) is mu*(ln a - ln b) and
-    never forms 1 - h by subtraction.
+    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b), and
+    the log-odds is ln a - ln b, so nothing forms 1 - h by subtraction.
     """
     a, b = _share_terms(w, params)
     h, g = a / (a + b), b / (a + b)
+    return h, g, np.log(a) - np.log(b), _delta_u_at(h, g, w, params)
+
+
+def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
+    """delta_t at shares h, g = 1 - h whose log-odds ln(h/g) is given."""
     if spec.kind == LOGIT:
-        dt = spec.mu * (np.log(a) - np.log(b))
-    elif spec.kind == LINEAR:
-        dt = spec.mu * (h - g)
-    else:
-        dt = delta_t(h, spec)
-    return _delta_u_at(h, g, w, params) - dt
+        return spec.mu * log_odds
+    if spec.kind == LINEAR:
+        return spec.mu * (h - g)
+    return delta_t(h, spec)
+
+
+def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
+    """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
+    h, g, log_odds, du = _wage_terms(w, params)
+    return du - _penalty_gap(h, g, log_odds, spec)
+
+
+def _delta_V_near(h, h0, w0, params: ModelParams, spec: PenaltySpec):
+    """delta_V at shares h, the wages continued from nearby pairs (h0, w0)."""
+    h = np.asarray(h, dtype=float)
+    w = _solve_wage_near(h, h0, w0, params)
+    return _delta_u_at(h, 1.0 - h, w, params) - delta_t(h, spec)
 
 
 def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
@@ -195,6 +209,22 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
         w = np.append(np.repeat(w[:-1], k) + frac * np.repeat(np.diff(w), k), w[-1])
 
 
+@functools.lru_cache(maxsize=1)
+def _upper_scan(params: ModelParams, n_upper: int):
+    """The penalty-free part of the rest-point scan, kept for the last economy.
+
+    Returns the scan-edge wage solve_wage(1 - GRID_EDGE), the scan nodes
+    and, at every node, the two shares, the log-odds and delta_u, all
+    read-only.  A penalty-weight sweep moves none of them, so its steps
+    after the first reuse them.
+    """
+    nodes = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), n_upper, params)
+    terms = _wage_terms(nodes, params)
+    for arr in (nodes, *terms):
+        arr.setflags(write=False)
+    return (nodes, *terms)
+
+
 def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
     """Roots of f along an ordered grid x with values fx = f(x), in grid order.
 
@@ -208,22 +238,40 @@ def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
             for i in np.flatnonzero(zero | change)]
 
 
-def _interior_equilibrium(h_star: float, w: float, params: ModelParams,
-                          spec: PenaltySpec) -> Equilibrium:
-    residual = abs(float(delta_V(h_star, params, spec)))
-    slope = _slope_delta_V(h_star, params, spec)
+def _finish(h, w, params: ModelParams, spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
+    """|delta_V| and its central-FD slope at interior shares h, in one batch.
+
+    Every share h is evaluated together with h +- step, step =
+    min(FD_STEP, h/2, (1-h)/2); all wages are continued from the
+    market-clearing pairs (h, w) in a single Newton call.
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    step = np.minimum(np.minimum(FD_STEP, 0.5 * h), 0.5 * (1.0 - h))
+    v = _delta_V_near(np.stack([h, h + step, h - step]), h, w, params, spec)
+    return np.abs(v[0]), (v[1] - v[2]) / (2.0 * step)
+
+
+def _interior_equilibria(pairs: list[tuple[float, float]], params: ModelParams,
+                         spec: PenaltySpec) -> list[Equilibrium]:
+    """Interior rest points at market-clearing pairs (h*, w), finished in one batch."""
+    h, w = np.array(pairs, dtype=float).T
+    residual, slope = _finish(h, w, params, spec)
     # Backward-error acceptance: near the boundary an unbounded penalty's
     # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
     # precision in h grows with it.  Scaling by the local slope keeps the
     # criterion "h is right", not "delta_V is flat".
-    if residual > RESIDUAL_TOL * max(1.0, abs(slope)):
+    bad = np.flatnonzero(residual > RESIDUAL_TOL * np.maximum(1.0, np.abs(slope)))
+    if bad.size:
+        i = bad[0]
         raise SolverError(
-            f"rest-point residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at h={h_star}"
+            f"rest-point residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} at h={h[i]}"
         )
-    kind = KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL else KIND_PARTIAL
-    return Equilibrium(h_star=h_star, w=w, kind=kind,
-                       stability=_stability_from_slope(slope), slope=slope,
-                       residual=residual)
+    return [Equilibrium(h_star=h_star, w=w_star,
+                        kind=KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL
+                        else KIND_PARTIAL,
+                        stability=_stability_from_slope(sl), slope=sl, residual=res)
+            for (h_star, w_star), sl, res in zip(pairs, slope.tolist(), residual.tolist())]
 
 
 def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
@@ -265,6 +313,14 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     together than the scan resolution (about 1/grid_points) can be missed;
     raise ``grid_points`` to chase structure near a bifurcation.
 
+    The symmetric point, every root and every mirror are finished in one
+    batch: |delta_V| and its central-FD slope at h* +- min(FD_STEP, ...)
+    come from wages continued by Newton steps from each point's own wage,
+    with no wage solve per share.  The scan's nodes, shares and utility gap
+    depend on the economy alone and are kept for the most recent one, so
+    calls that change only the penalty, such as the steps of a mu-sweep,
+    scan once.
+
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is
     about exp(-delta_u(1)/mu) for the logit family).  When it falls inside
@@ -275,38 +331,27 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     """
     if grid_points < 16:
         raise ValueError("grid_points too small to bracket roots reliably")
-    h_edge = 1.0 - GRID_EDGE
-    nodes = _wage_nodes(solve_wage(h_edge, params), grid_points // 2 + 1, params)
-    values = _delta_V_wage(nodes, params, spec)
+    nodes, h, g, log_odds, du = _upper_scan(params, grid_points // 2 + 1)
+    values = du - _penalty_gap(h, g, log_odds, spec)
 
     roots: list[tuple[float, float]] = []
 
-    def add_root(r: float, w: float) -> None:
-        if r - 0.5 <= DISPERSION_TOL:
-            return
-        if all(abs(r - seen) > DISPERSION_TOL for seen, _ in roots):
+    def add_root(r: float, w: float) -> bool:
+        if r - 0.5 > DISPERSION_TOL and all(abs(r - seen) > DISPERSION_TOL
+                                            for seen, _ in roots):
             roots.append((r, w))
+            return True
+        return False
+
+    def mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
+        return [*pairs, *((1.0 - r, 1.0 / w) for r, w in pairs)]
 
     f = lambda x: float(_delta_V_wage(x, params, spec))
-    sym = _interior_equilibrium(0.5, 1.0, params, spec)
-    # First cell: delta_V(1/2) = 0 by antisymmetry, so the sign-change test
-    # is blind there.  A non-marginal symmetric slope whose sign differs from
-    # the first node's means the curve re-crosses inside the cell.  Halve
-    # toward w = 1 until delta_V takes the slope's sign to bracket the root;
-    # a fixed probe right next to 1/2 would read rounding noise.
-    if sym.stability != MARGINAL and sym.slope * values[1] < 0.0:
-        hi = float(nodes[1])
-        while (lo := 0.5 * (1.0 + hi)) > 1.0:
-            if f(lo) * values[1] <= 0.0:
-                w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
-                add_root(float(_share_raw(w, params)), w)
-                break
-            hi = lo
     # The node at w = 1 is the symmetric point, zero by antisymmetry.
     for w in _grid_roots(f, nodes[1:], values[1:], 1e-15):
         add_root(float(_share_raw(w, params)), w)
 
-    found = [sym]
     pinned: list[Equilibrium] = []
     if not spec.bounded and values[-1] > 0.0:
         # The net incentive still presses outward at the window edge, so the
@@ -318,7 +363,7 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
         h_last = float(np.nextafter(1.0, 0.0))
         v_last = f_h(h_last)
         if v_last <= 0.0:
-            r = h_last if v_last == 0.0 else brentq(f_h, h_edge, h_last,
+            r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
                                                      xtol=1e-16, maxiter=200)
             add_root(r, solve_wage(r, params))
         else:
@@ -329,13 +374,22 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
                 Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
                             slope=float("-inf"), residual=v_last),
             ]
-    for r, w in sorted(roots):
-        eq = _interior_equilibrium(r, w, params, spec)
-        # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
-        mirror = _interior_equilibrium(1.0 - r, 1.0 / w, params, spec)
-        found.extend([mirror, eq])
-    found.extend(pinned)
-    found.extend(_boundary_equilibria(params, spec))
+    sym, *found = _interior_equilibria([(0.5, 1.0), *mirrored(roots)], params, spec)
+    # First cell: delta_V(1/2) = 0 by antisymmetry, so the sign-change test
+    # is blind there.  A non-marginal symmetric slope whose sign differs from
+    # the first node's means the curve re-crosses inside the cell.  Halve
+    # toward w = 1 until delta_V takes the slope's sign to bracket the root;
+    # a fixed probe right next to 1/2 would read rounding noise.
+    if sym.stability != MARGINAL and sym.slope * values[1] < 0.0:
+        hi = float(nodes[1])
+        while (lo := 0.5 * (1.0 + hi)) > 1.0:
+            if f(lo) * values[1] <= 0.0:
+                w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
+                if add_root(r := float(_share_raw(w, params)), w):
+                    found += _interior_equilibria(mirrored([(r, w)]), params, spec)
+                break
+            hi = lo
+    found = [sym, *found, *pinned, *_boundary_equilibria(params, spec)]
     found.sort(key=lambda e: e.h_star)
     return found
 
@@ -352,7 +406,8 @@ def classify_stability(eq: Equilibrium, params: ModelParams, spec: PenaltySpec) 
         if v < -MARGINAL_BAND:
             return UNSTABLE
         return MARGINAL if abs(v) <= MARGINAL_BAND else STABLE
-    return _stability_from_slope(_slope_delta_V(eq.h_star, params, spec))
+    _, slope = _finish(eq.h_star, solve_wage(eq.h_star, params), params, spec)
+    return _stability_from_slope(float(slope[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +469,12 @@ def dispersion_threshold(params: ModelParams) -> float:
     adjustment factor is what the migration dynamics actually balance
     against the penalty slope 4 mu at h = 1/2.
     """
-    return 0.5 * dispersion_slope(params)
+    return _dispersion_threshold_at(params.phi, params)
+
+
+def _dispersion_threshold_at(phi, params: ModelParams):
+    """:func:`dispersion_threshold` at freeness phi (scalar or array), other primitives from params."""
+    return 0.5 * _dispersion_slope_at(phi, params)
 
 
 def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
@@ -429,8 +489,8 @@ def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     grid = np.linspace(1e-6, 1.0 - 1e-6, 1024)
-    g = lambda p: dispersion_threshold(params.with_phi(p)) - mu
-    return _grid_roots(g, grid, np.array([g(p) for p in grid]), 1e-14)
+    g = lambda p: _dispersion_threshold_at(p, params) - mu
+    return _grid_roots(g, grid, g(grid), 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +508,6 @@ def _with_parameter(parameter: str, value: float, params: ModelParams,
     raise ValueError(f"unknown sweep parameter {parameter!r}; use 'phi' or 'mu'")
 
 
-def _third_derivative(f, x: float, step: float) -> float:
-    """Five-point central stencil for f'''(x)."""
-    return (
-        -f(x - 2.0 * step) + 2.0 * f(x - step) - 2.0 * f(x + step) + f(x + 2.0 * step)
-    ) / (2.0 * step ** 3)
-
-
 def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
                           spec: PenaltySpec) -> BifurcationPoint:
     """Classify the pitchfork at the symmetric point for a parameter value.
@@ -468,9 +521,13 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
     are reported indeterminate.
     """
     p2, s2 = _with_parameter(parameter, value, params, spec)
-    f = lambda x: float(delta_V(x, p2, s2))
-    coarse = _third_derivative(f, 0.5, CRITICALITY_STEP)
-    fine = _third_derivative(f, 0.5, 0.5 * CRITICALITY_STEP)
+    steps = (CRITICALITY_STEP, 0.5 * CRITICALITY_STEP)
+    # five-point central stencil for the third derivative at 1/2, both
+    # steps' shares in one batch continued from the symmetric pair (1/2, 1)
+    shares = [0.5 + k * step for step in steps for k in (-2.0, -1.0, 1.0, 2.0)]
+    v = _delta_V_near(shares, 0.5, 1.0, p2, s2).tolist()
+    coarse, fine = ((-v[i] + 2.0 * v[i + 1] - 2.0 * v[i + 2] + v[i + 3]) / (2.0 * step ** 3)
+                    for i, step in zip((0, 4), steps))
     third = (4.0 * fine - coarse) / 3.0
     if abs(third) < CRITICALITY_FLOOR:
         crit = INDETERMINATE
@@ -497,9 +554,10 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
           grid_points: int = GRID_POINTS) -> Branch:
     """Trace the equilibrium set along one parameter.
 
-    Every step re-scans from scratch on the same grid, so results are
+    Every step finds its rest points on the same grid, so results are
     independent of traversal order and of how the steps are distributed
-    over worker processes.  Pitchforks of the symmetric point sit where
+    over worker processes; mu-steps share one economy, whose scan
+    :func:`find_equilibria` keeps and reuses.  Pitchforks of the symmetric point sit where
     its delta_V slope, 2 * dispersion_slope - delta_t_prime(1/2) in closed
     form, changes sign: it is evaluated at every step, each sign change
     between neighbouring steps is polished by a bracketed root find, and

@@ -12,7 +12,10 @@ wage bracket [phi**(1/sigma), phi**(-1/sigma)], so the inverse problem is a
 bracketed scalar root find.  Code that asks "what happens at share h"
 composes with :func:`solve_wage`; code free to choose where it looks, such
 as the rest-point scan in :mod:`geoeq.equilibria`, walks the wage instead
-and reads both shares off the closed form without solving anything.
+and reads both shares off the closed form without solving anything.  Code
+that already holds a market-clearing pair (h0, w0) and needs the wages at
+shares close by continues from it with a few Newton steps
+(``_solve_wage_near``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ WAGE_MAX_ITER = 200
 # Bisection sweeps for vectorized (grid) wage solves.  The bracket width is
 # at most a few units, so 90 halvings land well below double resolution.
 _GRID_BISECTIONS = 90
+
+# Newton continuation of the wage (_solve_wage_near): a step within this many
+# spacings of its wage counts as converged, and at most this many steps run.
+_NEWTON_ULPS = 4.0
+_NEWTON_MAX_ITER = 8
 
 # Relative slack admitted at the bracket endpoints before a wage is rejected
 # as out of domain; absorbs representation error of phi**(1/sigma).
@@ -378,6 +386,13 @@ def _check_bracket(w: float, params: ModelParams) -> None:
         )
 
 
+def _dw_dh_raw(w, params: ModelParams):
+    """dw/dh = D**2 / (X G) at wages w, without domain or singularity checks."""
+    X = w ** params.sigma
+    D = X * X - (w + 1.0) * params.phi * X + w
+    return D * D / (X * G_poly(X, params))
+
+
 def dw_dh(w: float, params: ModelParams) -> float:
     """Slope of the implicit wage in the population share, at wage w.
 
@@ -385,12 +400,43 @@ def dw_dh(w: float, params: ModelParams) -> float:
     raises its relative wage.
     """
     _check_bracket(w, params)
-    X = w ** params.sigma
-    G = G_poly(X, params)
-    if not G > 0.0:
+    if not G_poly(w ** params.sigma, params) > 0.0:
         raise SingularityError(f"wage-derivative denominator vanished at w={w}")
-    D = X * X - (w + 1.0) * params.phi * X + w
-    return D * D / (X * G)
+    return _dw_dh_raw(w, params)
+
+
+def _solve_wage_near(h, h0, w0, params: ModelParams):
+    """Wages at shares h, continued from nearby market-clearing pairs (h0, w0).
+
+    A continuation step, not a general solver: the tangent predictor
+    w0 + (h - h0) dw/dh(w0) is corrected by Newton steps on
+    ``_share_raw(w) - h``, clipped to the wage bracket, until every step is
+    within _NEWTON_ULPS spacings of its wage or _NEWTON_MAX_ITER steps are
+    taken.  Accepts scalars or matching arrays.
+
+    Raises:
+        SolverError: if a share misses :func:`solve_wage`'s residual
+            tolerance WAGE_RESIDUAL_TOL.
+    """
+    lo, hi = params.wage_bracket
+    h = np.asarray(h, dtype=float)
+    w = np.minimum(np.maximum(w0 + (h - h0) * _dw_dh_raw(w0, params), lo), hi)
+    for _ in range(_NEWTON_MAX_ITER):
+        w_next = w - (_share_raw(w, params) - h) * _dw_dh_raw(w, params)
+        w_next = np.minimum(np.maximum(w_next, lo), hi)
+        settled = (np.abs(w_next - w) <= _NEWTON_ULPS * np.spacing(w)).all()
+        w = w_next
+        if settled:
+            break
+    residual = np.abs(_share_raw(w, params) - h)
+    missed = ~(residual <= WAGE_RESIDUAL_TOL)  # a NaN residual misses too
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise SolverError(
+            f"wage continuation residual {residual.flat[i]:.3e} exceeds "
+            f"{WAGE_RESIDUAL_TOL:.0e} at h={h.flat[i]}"
+        )
+    return w
 
 
 def dw_dphi(w: float, params: ModelParams) -> float:

@@ -87,7 +87,7 @@ def penalty(x, spec: PenaltySpec):
     elif spec.kind == LINEAR:
         val = spec.mu * x_arr
     else:
-        val = np.array([spec.t(float(v)) for v in np.atleast_1d(x_arr)])
+        val = np.array([spec.t(float(v)) for v in x_arr.ravel()])
         val = val.reshape(x_arr.shape)
     return float(val) if scalar else val
 
@@ -134,7 +134,7 @@ def delta_t_prime(h, spec: PenaltySpec):
     elif spec.kind == LINEAR:
         val = np.full(h_arr.shape, 2.0 * spec.mu)
     else:
-        flat = np.atleast_1d(h_arr)
+        flat = h_arr.ravel()
         val = np.array([spec.t_prime(float(v)) + spec.t_prime(1.0 - float(v)) for v in flat])
         val = val.reshape(h_arr.shape)
     return float(val) if scalar else val

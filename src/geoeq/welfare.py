@@ -46,6 +46,12 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 CLOSED_FORM_REL_TOL = 1e-6
 
 
+def _utility_theta(params: ModelParams) -> float:
+    """The curvature every utility formula here evaluates: theta, or exactly
+    1 inside LOG_UTILITY_BAND, where delta_u takes the log-utility limit."""
+    return 1.0 if abs(params.theta - 1.0) < LOG_UTILITY_BAND else params.theta
+
+
 def delta_u(h, params: ModelParams):
     """Utility advantage of region L at population share h.
 
@@ -76,11 +82,11 @@ def _delta_u_at(h, g, w, params: ModelParams):
     No wage solve and no domain checks: callers that walk the wage supply
     both shares from the closed form of :func:`geoeq.model._share_terms`.
     """
-    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
+    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
     wm = w ** (1.0 - s)
     A = h * wm + g * p
     B = h * p * wm + g
-    if abs(th - 1.0) < LOG_UTILITY_BAND:
+    if th == 1.0:
         return eta * (np.log(w) + np.log(A / B) / (s - 1.0))
     kappa = (1.0 - th) / (s - 1.0)
     return eta / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
@@ -115,7 +121,7 @@ class StabilityCoefficients:
 
 
 def _coefficients(w: float, params: ModelParams) -> StabilityCoefficients:
-    s, p, th = params.sigma, params.phi, params.theta
+    s, p, th = params.sigma, params.phi, _utility_theta(params)
     X = w ** s
     D = X * X - (w + 1.0) * p * X + w
     denom = (s - 1.0) * (
@@ -158,7 +164,7 @@ def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
     """
     if not 0.0 < h_star < 1.0:
         raise ValueError(f"interior share required, got {h_star}")
-    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
+    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
     w = solve_wage(h_star, params)
     X = w ** s
     D = X * X - (w + 1.0) * p * X + w
@@ -204,11 +210,16 @@ def dispersion_slope(params: ModelParams) -> float:
     (``mu_d`` and friends) halve the penalty side by the same factor, so
     the pair stays consistent; see the equilibria module.
     """
-    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
-    kappa = (1.0 - th) / (s - 1.0)
+    return _dispersion_slope_at(params.phi, params)
+
+
+def _dispersion_slope_at(phi, params: ModelParams):
+    """:func:`dispersion_slope` at freeness phi (scalar or array), other primitives from params."""
+    s, eta = params.sigma, params.eta
+    kappa = (1.0 - _utility_theta(params)) / (s - 1.0)
     return eta * (
-        2.0 * (2.0 * s - 1.0) * (1.0 - p) * ((1.0 + p) / 2.0) ** kappa
-        / ((s - 1.0) * (2.0 * s + p - 1.0))
+        2.0 * (2.0 * s - 1.0) * (1.0 - phi) * ((1.0 + phi) / 2.0) ** kappa
+        / ((s - 1.0) * (2.0 * s + phi - 1.0))
     )
 
 
@@ -221,7 +232,7 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     """
     if not 0.5 < h_star < 1.0:
         raise ValueError(f"share in (1/2, 1) required, got {h_star}")
-    s, p, th, eta = params.sigma, params.phi, params.theta, params.eta
+    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
     w = solve_wage(h_star, params)
     X = w ** s
     D = X * X - (w + 1.0) * p * X + w

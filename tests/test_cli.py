@@ -141,6 +141,14 @@ def test_equilibria_shadow_checks_cross_validate_slopes(tmp_path):
         assert check["abs_gap"] <= 1e-5 * max(1.0, abs(check["closed_form_slope"]))
     convention = doc["shadow_checks"]["symmetric_slope_convention"]
     assert convention["ratio"] == pytest.approx(2.0, rel=1e-12)
+    # inside the log-utility band both slopes are the theta = 1 model's
+    for theta in ("0.999999999", "1.000000001"):
+        out = tmp_path / theta
+        main(["equilibria", "--sigma", "2.5", "--phi", "0.3", "--theta", theta,
+              "--mu", "0.2", "--out", str(out)])
+        doc = json.loads((out / "equilibria.json").read_text())
+        ratio = doc["shadow_checks"]["symmetric_slope_convention"]["ratio"]
+        assert ratio == pytest.approx(2.0, rel=1e-12), theta
 
 
 @pytest.mark.parametrize("theta", ["1", "0"])

@@ -35,16 +35,43 @@ from geoeq.equilibria import (
     KIND_DISPERSION,
     KIND_PARTIAL,
     MARGINAL,
+    RESIDUAL_TOL,
     STABLE,
     SUPERCRITICAL,
     UNSTABLE,
     _boundary_equilibria,
-    _interior_equilibrium,
-    _slope_delta_V,
+    _stability_from_slope,
     _wage_nodes,
 )
+from geoeq.welfare import FD_STEP
 
 LOGIT02 = PenaltySpec(kind="logit", mu=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: every delta_V evaluation through its own wage solve
+
+
+def _slope_delta_V(h, params, spec):
+    """Central finite-difference slope of delta_V at an interior share."""
+    step = min(FD_STEP, 0.5 * h, 0.5 * (1.0 - h))
+    up = delta_V(h + step, params, spec)
+    dn = delta_V(h - step, params, spec)
+    return float((up - dn) / (2.0 * step))
+
+
+def _interior_equilibrium(h_star, w, params, spec):
+    """One interior rest point finished share by share through solve_wage."""
+    residual = abs(float(delta_V(h_star, params, spec)))
+    slope = _slope_delta_V(h_star, params, spec)
+    if residual > RESIDUAL_TOL * max(1.0, abs(slope)):
+        raise SolverError(
+            f"rest-point residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} at h={h_star}"
+        )
+    kind = KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL else KIND_PARTIAL
+    return Equilibrium(h_star=h_star, w=w, kind=kind,
+                       stability=_stability_from_slope(slope), slope=slope,
+                       residual=residual)
 
 
 def _by_kind(eqs, kind):
@@ -376,6 +403,91 @@ def test_near_boundary_mirror_share_matches_a_high_precision_oracle(k, share):
 
 
 # ---------------------------------------------------------------------------
+# the batched finish against the scalar oracle
+
+
+def _random_configs(n, seed):
+    """(sigma, phi, theta, family) drawn over the scan's working range."""
+    rng = np.random.default_rng(seed)
+    families = [("logit", None), ("linear", None), ("custom", None)]
+    configs = []
+    for _ in range(n):
+        kind, _ = families[rng.integers(3)]
+        mu = float(rng.uniform(0.0, 1.2)) if kind != "custom" else None
+        theta = float(rng.choice([0.0, 1.0, 2.0])) if rng.random() < 0.3 else float(rng.uniform(0, 2))
+        configs.append((float(rng.uniform(1.05, 4.0)), float(rng.uniform(0.02, 0.98)),
+                        theta, (kind, mu)))
+    return configs
+
+
+# logit weights whose outer rest point sits within 1e-10 of the boundary
+# (inside the chase past the scan edge) at sigma = 2, phi = 0.4
+_NEAR_BOUNDARY = [(2.0, 0.4, theta, ("logit", mu)) for theta in (0.0, 1.0)
+                  for mu in (0.024, 0.026, 0.028, 0.03, 0.032)]
+# bounded penalties: linear weights and the zero logit weight keep h = 0, 1
+_BOUNDED = [(sigma, phi, theta, family) for sigma, phi in ((1.5, 0.2), (2.0, 0.5), (3.0, 0.9))
+            for theta in (0.0, 1.0)
+            for family in (("linear", 0.05), ("linear", 0.3), ("logit", 0.0))]
+_FINISH_CASES = {**_SCAN_CASES, "random-400": _random_configs(400, 5),
+                 "near-boundary": _NEAR_BOUNDARY, "bounded": _BOUNDED}
+
+
+@pytest.mark.parametrize("group", sorted(_FINISH_CASES))
+def test_batched_finish_matches_the_scalar_oracle(group):
+    closest = 1.0
+    for sigma, phi, theta, family in _FINISH_CASES[group]:
+        params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+        spec = _spec(family)
+        where = f"{group}: sigma={sigma} phi={phi} theta={theta} {family}"
+        for e in find_equilibria(params, spec):
+            if e.kind != KIND_BOUNDARY:
+                closest = min(closest, 1.0 - e.h_star)
+                o = _interior_equilibrium(e.h_star, e.w, params, spec)
+                assert (e.kind, e.stability) == (o.kind, o.stability), where
+                slope = o.slope
+            elif e.slope == -math.inf:  # pinned: no slope to compare
+                continue
+            else:
+                slope = (float(delta_V(1.0, params, spec))
+                         - float(delta_V(1.0 - FD_STEP, params, spec))) / FD_STEP
+            assert e.slope == pytest.approx(slope, rel=1e-6, abs=1e-9), where
+            assert classify_stability(e, params, spec) == e.stability, where
+    if group == "near-boundary":
+        assert closest < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the penalty-free scan, kept for the last economy
+
+
+def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeypatch):
+    params = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
+    equilibria._upper_scan.cache_clear()
+    cached = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
+    info = equilibria._upper_scan.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
+
+    scan = equilibria.find_equilibria
+
+    def fresh_scan(p, spec, **kwargs):
+        equilibria._upper_scan.cache_clear()
+        return scan(p, spec, **kwargs)
+
+    monkeypatch.setattr(equilibria, "find_equilibria", fresh_scan)
+    fresh = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
+    assert repr(cached.samples) == repr(fresh.samples)
+    assert repr(cached.bifurcations) == repr(fresh.bifurcations)
+
+
+def test_cached_scan_arrays_are_read_only():
+    arrays = equilibria._upper_scan(ModelParams(sigma=2.0, phi=0.4), GRID_POINTS // 2 + 1)
+    assert len(arrays) == 5
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # thresholds
 
 
@@ -431,6 +543,31 @@ def test_threshold_phi_crossings_match_closed_form_at_log_curvature():
     c0 = threshold_phi_crossings(p.with_theta(0.0), 0.2)
     assert len(c0) == 1
     assert c0[0] == pytest.approx(0.710793585979, abs=1e-8)
+
+
+def _per_phi_crossings(params, mu):
+    """threshold_phi_crossings by one ModelParams and one closed form per freeness."""
+    grid = [float(p) for p in np.linspace(1e-6, 1.0 - 1e-6, 1024)]
+    g = lambda p: dispersion_threshold(params.with_phi(p)) - mu
+    values = [g(p) for p in grid]
+    found = [(p, p) for p, v in zip(grid, values) if v == 0.0]
+    found += [(a, brentq(g, a, b, xtol=1e-14, maxiter=200))
+              for a, b, va, vb in zip(grid, grid[1:], values, values[1:]) if va * vb < 0.0]
+    return [root for _, root in sorted(found)]
+
+
+def test_threshold_phi_crossings_match_the_per_phi_oracle():
+    rng = np.random.default_rng(11)
+    crossed = 0
+    for _ in range(400):
+        params = ModelParams(sigma=float(rng.uniform(1.05, 4.0)), phi=0.5,
+                             theta=float(rng.uniform(0.0, 2.0)), eta=float(rng.uniform(0.5, 2.0)))
+        # weights up to 1.2x the largest threshold, so most draws cross
+        mu = float(rng.uniform(0.0, 1.2)) * dispersion_threshold(params.with_phi(1e-6))
+        found = threshold_phi_crossings(params, mu)
+        assert repr(found) == repr(_per_phi_crossings(params, mu))
+        crossed += bool(found)
+    assert crossed > 200
 
 
 def test_threshold_phi_crossings_report_an_exact_zero_at_the_last_node():
@@ -539,6 +676,18 @@ def test_sweep_pitchforks_match_the_fd_slope_locator(case, theta):
     for b, o in zip(found, oracle):
         assert b.criticality == o.criticality
         assert b.value == pytest.approx(o.value, rel=1e-7)
+
+
+@pytest.mark.parametrize("theta", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_log_band_pitchfork_sits_where_the_delta_V_slope_turns(theta):
+    # inside LOG_UTILITY_BAND delta_u is the theta = 1 model, and so must be
+    # the closed-form slope the sweep brackets
+    parameter, lo, hi, steps, phi, spec = _PITCHFORK_SWEEPS["mu-logit"]
+    params = ModelParams(sigma=2.0, phi=phi, theta=theta)
+    found = sweep(parameter, lo, hi, steps, params, spec).bifurcations
+    oracle = _fd_slope_pitchforks(parameter, lo, hi, steps, params, spec)
+    assert len(found) == len(oracle) == 1
+    assert found[0].value == pytest.approx(oracle[0].value, rel=1e-10)
 
 
 def test_a_failed_step_hides_no_pitchfork(monkeypatch):

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoeq import (
     G_poly,
     ModelParams,
+    SolverError,
     consumption,
     demand,
     dw_dh,
@@ -20,6 +21,8 @@ from geoeq import (
     solve_wage,
     wage_share,
 )
+from geoeq.model import WAGE_RESIDUAL_TOL, _dw_dh_raw, _share_raw, _solve_wage_near
+from geoeq.welfare import FD_STEP
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
 PHIS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -296,3 +299,71 @@ def test_wage_derivatives_reject_out_of_bracket_wages():
         dw_dh(0.5, p)
     with pytest.raises(ValueError):
         dw_dphi(2.0, p)
+
+
+# ---------------------------------------------------------------------------
+# wage continuation from a nearby pair
+
+
+def _near_edge_share(k, low):
+    """The share k spacings of doubles above 0 (low) or below 1."""
+    h = 0.0 if low else 1.0
+    for _ in range(k):
+        h = float(np.nextafter(h, 1.0 if low else 0.0))
+    return h
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    sigma=st.floats(1.01, 20.0),
+    phi=st.floats(1e-6, 1.0 - 1e-6),
+    centre=st.one_of(
+        st.floats(1e-300, 1.0, exclude_max=True),
+        st.builds(_near_edge_share, st.integers(1, 8), st.booleans()),
+    ),
+)
+def test_wage_continuation_meets_the_wage_residual_tolerance(sigma, phi, centre):
+    # the shares the rest-point finish asks for: the centre and its central
+    # FD neighbours, continued from the centre's market-clearing wage
+    params = ModelParams(sigma=sigma, phi=phi)
+    step = min(FD_STEP, 0.5 * centre, 0.5 * (1.0 - centre))
+    h = np.array([centre, centre + step, centre - step])
+    # as phi nears 1 the bracket narrows until one spacing of doubles in w
+    # moves h by more than the tolerance; no wage solver can meet it there
+    try:
+        w0 = solve_wage(centre, params)
+        solve_wage(h, params)
+        for x in h:
+            solve_wage(float(x), params)
+    except SolverError:
+        assume(False)
+    w = _solve_wage_near(h, centre, w0, params)
+    lo, hi = params.wage_bracket
+    assert np.all((lo <= w) & (w <= hi))
+    assert np.abs(_share_raw(w, params) - h).max() <= WAGE_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("sigma,phi", [(2.0, 0.4), (20.0, 0.5), (4.0, 0.999)])
+def test_wage_continuation_from_the_symmetric_point(sigma, phi):
+    params = ModelParams(sigma=sigma, phi=phi)
+    stencil = 0.5 + np.array([-0.02, -0.01, 0.01, 0.02])
+    w = _solve_wage_near(stencil, 0.5, 1.0, params)
+    assert np.abs(_share_raw(w, params) - stencil).max() <= WAGE_RESIDUAL_TOL
+    # w(1 - h) = 1/w(h)
+    assert w[::-1] * w == pytest.approx(1.0, rel=1e-14)
+
+
+def test_wage_continuation_reports_a_missed_tolerance():
+    # one spacing of doubles in w moves h by ~4e-10 at this freeness
+    with pytest.raises(SolverError, match="wage continuation residual"):
+        _solve_wage_near(0.49, 0.5, 1.0, ModelParams(sigma=2.0, phi=1.0 - 1e-6))
+    # a start that is not a number never passes as converged
+    with pytest.raises(SolverError):
+        _solve_wage_near(np.array([0.9]), 0.5, float("nan"), ModelParams(sigma=2.0, phi=0.4))
+
+
+def test_dw_dh_is_its_unchecked_formula_inside_the_bracket():
+    params = ModelParams(sigma=2.5, phi=0.3)
+    lo, hi = params.wage_bracket
+    w = np.linspace(lo, hi, 33).tolist()
+    assert [dw_dh(x, params) for x in w] == [_dw_dh_raw(x, params) for x in w]

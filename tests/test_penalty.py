@@ -109,3 +109,10 @@ def test_differential_antisymmetry_and_slope_symmetry(h, mu, kind):
     assert delta_t_prime(h, spec) == pytest.approx(delta_t_prime(1.0 - h, spec),
                                                    rel=1e-9, abs=1e-12)
     assert delta_t_prime(h, spec) >= 0.0
+
+
+def test_custom_family_keeps_the_shape_of_a_2d_array():
+    h = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    assert delta_t(h, CUSTOM).shape == (3, 4)
+    assert np.max(np.abs(delta_t(h, CUSTOM) - (2.0 * h - 1.0))) <= 1e-15
+    assert np.max(np.abs(delta_t_prime(h, CUSTOM) - 2.0)) <= 1e-15
