@@ -30,10 +30,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
-                    _share_raw, _share_terms, _solve_wage_near, solve_wage)
+                    _share_raw, _share_terms, _solve_wage_near, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
 from .welfare import FD_STEP, _delta_u_at, _dispersion_slope_at, delta_u, dispersion_slope
 

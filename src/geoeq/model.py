@@ -9,22 +9,24 @@ At a fixed spatial distribution h, market clearing pins the relative wage
 down implicitly.  The map from wages to the population share supporting
 them is a cheap closed form and is strictly increasing on the admissible
 wage bracket [phi**(1/sigma), phi**(-1/sigma)], so the inverse problem is a
-bracketed scalar root find.  Code that asks "what happens at share h"
-composes with :func:`solve_wage`; code free to choose where it looks, such
-as the rest-point scan in :mod:`geoeq.equilibria`, walks the wage instead
-and reads both shares off the closed form without solving anything.  Code
-that already holds a market-clearing pair (h0, w0) and needs the wages at
-shares close by continues from it with a few Newton steps
-(``_solve_wage_near``).
+bracketed scalar root find.  The module's own Brent solver (``brentq``)
+does it: the iteration of ``scipy.optimize.brentq``, root for root, without
+scipy's import cost, so the package needs numpy only.  Code that asks "what
+happens at share h" composes with :func:`solve_wage`; code free to choose
+where it looks, such as the rest-point scan in :mod:`geoeq.equilibria`,
+walks the wage instead and reads both shares off the closed form without
+solving anything.  Code that already holds a market-clearing pair (h0, w0)
+and needs the wages at shares close by continues from it with a few Newton
+steps (``_solve_wage_near``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ModelParams",
@@ -68,6 +70,63 @@ class SingularityError(ArithmeticError):
 
 class SolverError(RuntimeError):
     """A root-finder failed to meet its residual tolerance."""
+
+
+def brentq(f, a, b, *, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
+    """Root of f between a and b by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the iteration of ``scipy.optimize.brentq``: the same
+    bracket bookkeeping, the same test for accepting a secant or inverse
+    quadratic step over bisection, and the same stopping rule
+    ``|sbis| < (xtol + rtol*|x|)/2``, so both return the same float.  An
+    exact zero at either end is returned as that end.
+
+    Raises:
+        ValueError: if f(a) and f(b) have the same sign, or f returns NaN.
+        SolverError: if maxiter iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre != fpre or fcur != fcur:
+        raise ValueError(f"f is NaN at a bracket end [{xpre!r}, {xcur!r}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is tried and accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:  # scipy's C loop gets an inf/NaN step here: it bisects
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError(f"f is NaN at x={xcur!r}")
+    raise SolverError(f"brentq did not converge in {maxiter} iterations, last x={xcur!r}")
 
 
 def freeness_from_tau(tau: float, sigma: float) -> float:
@@ -240,10 +299,10 @@ def wage_share(w, params: ModelParams):
 def solve_wage(h, params: ModelParams):
     """Relative wage clearing markets at population share h.
 
-    Scalar inputs use bracketed root finding with interpolation
-    acceleration on the wage bracket; array inputs use vectorized
-    bisection.  Endpoint and midpoint wages are returned in closed form
-    (``phi**(1/sigma)``, 1, ``phi**(-1/sigma)``).
+    Scalar inputs use Brent's bracketed method (this module's ``brentq``)
+    on the wage bracket; array inputs use vectorized bisection.  Endpoint
+    and midpoint wages are returned in closed form (``phi**(1/sigma)``, 1,
+    ``phi**(-1/sigma)``).
 
     Raises:
         ValueError: if any h lies outside [0, 1].
@@ -270,14 +329,8 @@ def solve_wage(h, params: ModelParams):
         return lo
     if _share_raw(hi, params) - h <= 0.0:
         return hi
-    w = brentq(
-        lambda x: _share_raw(x, params) - h,
-        lo,
-        hi,
-        xtol=1e-15,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=WAGE_MAX_ITER,
-    )
+    w = brentq(lambda x: _share_raw(x, params) - h, lo, hi, xtol=1e-15,
+               maxiter=WAGE_MAX_ITER)
     residual = abs(_share_raw(w, params) - h)
     if residual > WAGE_RESIDUAL_TOL:
         raise SolverError(

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,34 @@ def _read_csv(path):
     rows = [line.split(",") for line in lines[1:]]
     assert all(len(r) == len(header) for r in rows)
     return header, rows
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the CLI still imports, writes two figures (fig6-right is a freeness
+    # sweep) and runs the equilibria and thresholds reports
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import geoeq.cli
+        runs = [["figure", "fig6-right", "--steps", "11"], ["figure", "fig5"],
+                ["equilibria", "--sigma", "2", "--phi", "0.4", "--penalty", "linear"],
+                ["thresholds", "--sigma", "2", "--phi", "0.4", "--mu", "0.2"]]
+        for i, argv in enumerate(runs):
+            code = geoeq.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}"])
+            if code != 0:
+                raise SystemExit(f"{argv} exited {code}")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

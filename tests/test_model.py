@@ -1,10 +1,12 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from geoeq import (
     G_poly,
@@ -21,7 +23,7 @@ from geoeq import (
     solve_wage,
     wage_share,
 )
-from geoeq.model import WAGE_RESIDUAL_TOL, _dw_dh_raw, _share_raw, _solve_wage_near
+from geoeq.model import WAGE_RESIDUAL_TOL, _dw_dh_raw, _share_raw, _solve_wage_near, brentq
 from geoeq.welfare import FD_STEP
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
@@ -367,3 +369,112 @@ def test_dw_dh_is_its_unchecked_formula_inside_the_bracket():
     lo, hi = params.wage_bracket
     w = np.linspace(lo, hi, 33).tolist()
     assert [dw_dh(x, params) for x in w] == [_dw_dh_raw(x, params) for x in w]
+
+
+# ---------------------------------------------------------------------------
+# bracketed root finder (scipy's brentq is the oracle)
+
+XTOLS = [1e-16, 1e-15, 1e-12, 1e-14]
+
+
+def _outcome(solver, f, a, b, xtol):
+    """The root as its exact bit pattern, or which kind of failure."""
+    try:
+        return float(solver(f, a, b, xtol=xtol)).hex()
+    except ValueError:
+        return "ValueError"
+    except RuntimeError:
+        return "no convergence"
+
+
+def _cubic(c0, c1, c2, c3):
+    return lambda x: ((c3 * x + c2) * x + c1) * x + c0
+
+
+def _changes_sign(f, a, b):
+    fa, fb = f(a), f(b)
+    return fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    coef=st.tuples(*[st.floats(-100.0, 100.0)] * 4),
+    a=st.floats(-10.0, 10.0),
+    width=st.floats(1e-9, 20.0),
+    xtol=st.sampled_from(XTOLS),
+)
+def test_brentq_matches_scipy_on_cubics(coef, a, width, xtol):
+    f, b = _cubic(*coef), a + width
+    assume(_changes_sign(f, a, b))
+    assert _outcome(brentq, f, a, b, xtol) == _outcome(optimize.brentq, f, a, b, xtol)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    sigma=st.floats(1.01, 20.0),
+    phi=st.floats(1e-6, 1.0 - 1e-6),
+    h=st.floats(1e-300, 1.0, exclude_max=True),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    xtol=st.sampled_from(XTOLS),
+)
+def test_brentq_matches_scipy_on_the_wage_equation(sigma, phi, h, ends, xtol):
+    params = ModelParams(sigma=sigma, phi=phi)
+    lo, hi = params.wage_bracket
+    a, b = (lo + t * (hi - lo) for t in sorted(ends))
+    f = lambda w: _share_raw(w, params) - h
+    assume(_changes_sign(f, a, b))
+    assert _outcome(brentq, f, a, b, xtol) == _outcome(optimize.brentq, f, a, b, xtol)
+
+
+def test_brentq_matches_scipy_on_seeded_brackets():
+    # On cubics the step-acceptance test seldom lands near its threshold;
+    # flat odd powers |x - r|**n and exponentials put it there often enough
+    # that a port with a slightly different bound (2.9 for 3 in
+    # 3|sbis| - delta) already disagrees with scipy on a few of these cases
+    rng = random.Random(20240404)
+    families = [
+        lambda: _cubic(*(rng.uniform(-100.0, 100.0) for _ in range(4))),
+        lambda: (lambda r, n: lambda x: math.copysign(abs(x - r) ** n, x - r))(
+            rng.uniform(-5.0, 5.0), rng.choice([0.5, 3.0, 5.0, 9.0])),
+        lambda: (lambda k, c: lambda x: math.expm1(k * x) - c)(
+            rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0)),
+    ]
+    cases = mismatched = 0
+    while cases < 3000:
+        f = rng.choice(families)()
+        a = rng.uniform(-10.0, 10.0)
+        b = a + rng.uniform(1e-6, 20.0)
+        if not _changes_sign(f, a, b):
+            continue
+        xtol = rng.choice(XTOLS)
+        cases += 1
+        mismatched += _outcome(brentq, f, a, b, xtol) != _outcome(optimize.brentq, f, a, b, xtol)
+    assert mismatched == 0
+
+
+def test_brentq_returns_an_exact_zero_at_either_end():
+    f = lambda x: x * x - 1.0
+    assert brentq(f, 1.0, 3.0) == 1.0
+    assert brentq(f, 0.0, 1.0) == 1.0
+    # even where the other end's sign would not bracket a root
+    assert brentq(f, -1.0, 5.0) == -1.0
+
+
+def test_brentq_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    # same sign even where the product of the end values underflows to zero
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: 1e-200, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+
+def test_brentq_reports_running_out_of_iterations():
+    f = lambda x: x ** 3 - 2.0
+    with pytest.raises(SolverError, match="did not converge in 2 iterations"):
+        brentq(f, 0.0, 4.0, maxiter=2)
+    # scipy gives up at the same point; its error was a bare RuntimeError
+    with pytest.raises(RuntimeError):
+        optimize.brentq(f, 0.0, 4.0, maxiter=2)
+    assert brentq(f, 0.0, 4.0) == optimize.brentq(f, 0.0, 4.0)
