@@ -23,7 +23,6 @@ steps (``_solve_wage_near``).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,9 @@ _NEWTON_MAX_ITER = 8
 # as out of domain; absorbs representation error of phi**(1/sigma).
 _BRACKET_SLACK = 1e-12
 
+# Relative part of brentq's stopping tolerance, scipy's floor for it.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+
 
 class SingularityError(ArithmeticError):
     """A derivative formula hit a vanishing denominator."""
@@ -72,13 +74,13 @@ class SolverError(RuntimeError):
     """A root-finder failed to meet its residual tolerance."""
 
 
-def brentq(f, a, b, *, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
+def brentq(f, a, b, *, xtol, maxiter):
     """Root of f between a and b by Brent's method (Brent 1973, ch. 4).
 
     Step for step the iteration of ``scipy.optimize.brentq``: the same
     bracket bookkeeping, the same test for accepting a secant or inverse
     quadratic step over bisection, and the same stopping rule
-    ``|sbis| < (xtol + rtol*|x|)/2``, so both return the same float.  An
+    ``|sbis| < (xtol + 4*eps*|x|)/2``, so both return the same float.  An
     exact zero at either end is returned as that end.
 
     Raises:
@@ -103,7 +105,7 @@ def brentq(f, a, b, *, xtol=2e-12, rtol=4.0 * sys.float_info.epsilon, maxiter=10
         if abs(fblk) < abs(fcur):  # keep the better end at xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

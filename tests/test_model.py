@@ -375,12 +375,13 @@ def test_dw_dh_is_its_unchecked_formula_inside_the_bracket():
 # bracketed root finder (scipy's brentq is the oracle)
 
 XTOLS = [1e-16, 1e-15, 1e-12, 1e-14]
+MAXITER = 100  # scipy's default
 
 
 def _outcome(solver, f, a, b, xtol):
     """The root as its exact bit pattern, or which kind of failure."""
     try:
-        return float(solver(f, a, b, xtol=xtol)).hex()
+        return float(solver(f, a, b, xtol=xtol, maxiter=MAXITER)).hex()
     except ValueError:
         return "ValueError"
     except RuntimeError:
@@ -454,27 +455,29 @@ def test_brentq_matches_scipy_on_seeded_brackets():
 
 def test_brentq_returns_an_exact_zero_at_either_end():
     f = lambda x: x * x - 1.0
-    assert brentq(f, 1.0, 3.0) == 1.0
-    assert brentq(f, 0.0, 1.0) == 1.0
+    assert brentq(f, 1.0, 3.0, xtol=2e-12, maxiter=MAXITER) == 1.0
+    assert brentq(f, 0.0, 1.0, xtol=2e-12, maxiter=MAXITER) == 1.0
     # even where the other end's sign would not bracket a root
-    assert brentq(f, -1.0, 5.0) == -1.0
+    assert brentq(f, -1.0, 5.0, xtol=2e-12, maxiter=MAXITER) == -1.0
 
 
 def test_brentq_rejects_a_bracket_without_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=2e-12, maxiter=MAXITER)
     # same sign even where the product of the end values underflows to zero
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: 1e-200, 0.0, 1.0)
+        brentq(lambda x: 1e-200, 0.0, 1.0, xtol=2e-12, maxiter=MAXITER)
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, xtol=2e-12,
+               maxiter=MAXITER)
 
 
 def test_brentq_reports_running_out_of_iterations():
     f = lambda x: x ** 3 - 2.0
     with pytest.raises(SolverError, match="did not converge in 2 iterations"):
-        brentq(f, 0.0, 4.0, maxiter=2)
+        brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=2)
     # scipy gives up at the same point; its error was a bare RuntimeError
     with pytest.raises(RuntimeError):
         optimize.brentq(f, 0.0, 4.0, maxiter=2)
-    assert brentq(f, 0.0, 4.0) == optimize.brentq(f, 0.0, 4.0)
+    assert (brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER)
+            == optimize.brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER))
