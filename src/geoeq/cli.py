@@ -15,6 +15,7 @@ failure, 4 i/o failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ from .model import (
     ModelParams,
     SingularityError,
     SolverError,
+    firm_counts,
     price_indices,
     solve_wage,
     wage_share,
@@ -50,8 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-FIGURES = ("fig1", "fig2", "fig5", "fig6-left", "fig6-right")
 
 _MODEL_DEFAULTS = {
     "sigma": None, "phi": None, "tau": None, "theta": 1.0,
@@ -253,8 +253,7 @@ def run_shortrun(opts: dict) -> int:
     w = solve_wage(h, params)
     P_L, P_R = price_indices(h, w, params)
     C_L, C_R = w / P_L, 1.0 / P_R
-    scale = 1.0 / (params.sigma * params.alpha)
-    n_L, n_R = h * scale, (1.0 - h) * scale
+    n_L, n_R = firm_counts(h, params)
 
     lo, hi = params.wage_bracket
     shadow = {
@@ -588,37 +587,33 @@ def _figure_fig5(opts: dict) -> None:
     _emit(opts, "fig5", header=header, rows=rows, document=doc, svg=svg)
 
 
-def _figure_fig6(opts: dict, side: str) -> None:
+def _figure_fig6(opts: dict, name: str, parameter: str, lo: float, hi: float, phi: float,
+                 title: str, x_label: str) -> None:
     steps = int(opts["steps"] or 181)
-    sigma, theta = 2.0, 0.0
-    if side == "left":
-        params = ModelParams(sigma=sigma, phi=0.4, theta=theta)
-        spec = PenaltySpec(kind=LOGIT, mu=0.2)
-        _run_branch(opts, "fig6-left", "mu", 0.0, 1.0, steps, params, spec,
-                    2048, "Equilibria against the penalty weight",
-                    "penalty weight")
-    else:
-        params = ModelParams(sigma=sigma, phi=0.5, theta=theta)
-        spec = PenaltySpec(kind=LOGIT, mu=0.2)
-        _run_branch(opts, "fig6-right", "phi", 0.02, 0.98, steps, params, spec,
-                    2048, "Equilibria against the freeness of trade",
-                    "freeness of trade")
+    params = ModelParams(sigma=2.0, phi=phi, theta=0.0)
+    _run_branch(opts, name, parameter, lo, hi, steps, params, PenaltySpec(kind=LOGIT, mu=0.2),
+                2048, title, x_label)
+
+
+# Figure name -> builder; the two fig6 panels are presets of one builder.
+FIGURES = {
+    "fig1": _figure_fig1,
+    "fig2": _figure_fig2,
+    "fig5": _figure_fig5,
+    "fig6-left": functools.partial(
+        _figure_fig6, name="fig6-left", parameter="mu", lo=0.0, hi=1.0, phi=0.4,
+        title="Equilibria against the penalty weight", x_label="penalty weight"),
+    "fig6-right": functools.partial(
+        _figure_fig6, name="fig6-right", parameter="phi", lo=0.02, hi=0.98, phi=0.5,
+        title="Equilibria against the freeness of trade", x_label="freeness of trade"),
+}
 
 
 def run_figure(opts: dict) -> int:
-    name = opts["name"]
-    if name == "fig1":
-        _figure_fig1(opts)
-    elif name == "fig2":
-        _figure_fig2(opts)
-    elif name == "fig5":
-        _figure_fig5(opts)
-    elif name == "fig6-left":
-        _figure_fig6(opts, "left")
-    elif name == "fig6-right":
-        _figure_fig6(opts, "right")
-    else:
-        raise ValueError(f"unknown figure {name!r}")
+    figure = FIGURES.get(opts["name"])
+    if figure is None:
+        raise ValueError(f"unknown figure {opts['name']!r}")
+    figure(opts)
     return EXIT_OK
 
 

@@ -16,10 +16,9 @@ both shares are closed forms of w (:func:`geoeq.model._share_terms`), so
 scanning and polishing in w evaluate delta_V without any wage solve.
 The part of the scan that does not depend on the penalty (nodes, shares
 and utility gap) is kept for the most recent economy, so the steps of a
-penalty-weight sweep scan their economy once.  Each polished root already
-carries its wage, so finishing the rest points (residual, central-FD
-slope, mirror images) continues the wage from there by Newton steps, all
-shares in one batch, rather than solving for it share by share.
+penalty-weight sweep scan their economy once.  Finishing the rest points
+(residual, central-FD slope, mirror images) takes one delta_V call on all
+their shares together, so one vectorised wage solve serves them all.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
-                    _share_raw, _share_terms, _solve_wage_near, brentq, solve_wage)
+                    _share_raw, _share_terms, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
 from .welfare import FD_STEP, _delta_u_at, _dispersion_slope_at, delta_u, dispersion_slope
 
@@ -179,13 +178,6 @@ def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
     return du - _penalty_gap(h, g, log_odds, spec)
 
 
-def _delta_V_near(h, h0, w0, params: ModelParams, spec: PenaltySpec):
-    """delta_V at shares h, the wages continued from nearby pairs (h0, w0)."""
-    h = np.asarray(h, dtype=float)
-    w = _solve_wage_near(h, h0, w0, params)
-    return _delta_u_at(h, 1.0 - h, w, params) - delta_t(h, spec)
-
-
 def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
     """Scan wages on [1, w_edge], no coarser in the share than a uniform scan.
 
@@ -237,25 +229,23 @@ def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
             for i in np.flatnonzero(zero | change)]
 
 
-def _finish(h, w, params: ModelParams, spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
+def _finish(h, params: ModelParams, spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
     """|delta_V| and its central-FD slope at interior shares h, in one batch.
 
     Every share h is evaluated together with h +- step, step =
-    min(FD_STEP, h/2, (1-h)/2); all wages are continued from the
-    market-clearing pairs (h, w) in a single Newton call.
+    min(FD_STEP, h/2, (1-h)/2), in a single delta_V call.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
     step = np.minimum(np.minimum(FD_STEP, 0.5 * h), 0.5 * (1.0 - h))
-    v = _delta_V_near(np.stack([h, h + step, h - step]), h, w, params, spec)
+    v = delta_V(np.stack([h, h + step, h - step]), params, spec)
     return np.abs(v[0]), (v[1] - v[2]) / (2.0 * step)
 
 
 def _interior_equilibria(pairs: list[tuple[float, float]], params: ModelParams,
                          spec: PenaltySpec) -> list[Equilibrium]:
     """Interior rest points at market-clearing pairs (h*, w), finished in one batch."""
-    h, w = np.array(pairs, dtype=float).T
-    residual, slope = _finish(h, w, params, spec)
+    h = np.array([h_star for h_star, _ in pairs])
+    residual, slope = _finish(h, params, spec)
     # Backward-error acceptance: near the boundary an unbounded penalty's
     # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
     # precision in h grows with it.  Scaling by the local slope keeps the
@@ -314,11 +304,10 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
 
     The symmetric point, every root and every mirror are finished in one
     batch: |delta_V| and its central-FD slope at h* +- min(FD_STEP, ...)
-    come from wages continued by Newton steps from each point's own wage,
-    with no wage solve per share.  The scan's nodes, shares and utility gap
-    depend on the economy alone and are kept for the most recent one, so
-    calls that change only the penalty, such as the steps of a mu-sweep,
-    scan once.
+    come from a single delta_V call on all those shares.  The scan's nodes,
+    shares and utility gap depend on the economy alone and are kept for the
+    most recent one, so calls that change only the penalty, such as the
+    steps of a mu-sweep, scan once.
 
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is
@@ -405,7 +394,7 @@ def classify_stability(eq: Equilibrium, params: ModelParams, spec: PenaltySpec) 
         if v < -MARGINAL_BAND:
             return UNSTABLE
         return MARGINAL if abs(v) <= MARGINAL_BAND else STABLE
-    _, slope = _finish(eq.h_star, solve_wage(eq.h_star, params), params, spec)
+    _, slope = _finish(eq.h_star, params, spec)
     return _stability_from_slope(float(slope[0]))
 
 
@@ -522,9 +511,9 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
     p2, s2 = _with_parameter(parameter, value, params, spec)
     steps = (CRITICALITY_STEP, 0.5 * CRITICALITY_STEP)
     # five-point central stencil for the third derivative at 1/2, both
-    # steps' shares in one batch continued from the symmetric pair (1/2, 1)
-    shares = [0.5 + k * step for step in steps for k in (-2.0, -1.0, 1.0, 2.0)]
-    v = _delta_V_near(shares, 0.5, 1.0, p2, s2).tolist()
+    # steps' shares in one batch
+    shares = np.array([0.5 + k * step for step in steps for k in (-2.0, -1.0, 1.0, 2.0)])
+    v = delta_V(shares, p2, s2).tolist()
     coarse, fine = ((-v[i] + 2.0 * v[i + 1] - 2.0 * v[i + 2] + v[i + 3]) / (2.0 * step ** 3)
                     for i, step in zip((0, 4), steps))
     third = (4.0 * fine - coarse) / 3.0

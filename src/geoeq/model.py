@@ -8,16 +8,22 @@ which maps iceberg costs in (1, inf) onto (0, 1).
 At a fixed spatial distribution h, market clearing pins the relative wage
 down implicitly.  The map from wages to the population share supporting
 them is a cheap closed form and is strictly increasing on the admissible
-wage bracket [phi**(1/sigma), phi**(-1/sigma)], so the inverse problem is a
-bracketed scalar root find.  The module's own Brent solver (``brentq``)
-does it: the iteration of ``scipy.optimize.brentq``, root for root, without
-scipy's import cost, so the package needs numpy only.  Code that asks "what
-happens at share h" composes with :func:`solve_wage`; code free to choose
-where it looks, such as the rest-point scan in :mod:`geoeq.equilibria`,
-walks the wage instead and reads both shares off the closed form without
-solving anything.  Code that already holds a market-clearing pair (h0, w0)
-and needs the wages at shares close by continues from it with a few Newton
-steps (``_solve_wage_near``).
+wage bracket [phi**(1/sigma), phi**(-1/sigma)].  Its inverse is explicit
+up to one scalar equation in the log-odds: with X = w**sigma and
+u = ln((X - phi)/(1 - phi X)),
+
+    X = (phi + e**u)/(1 + phi e**u),   ln(h/(1 - h)) = u + c ln X(u),
+
+c = (sigma - 1)/sigma.  The right-hand side has slope in [1, 2) in u, so
+Newton's method started at u = ln(h/(1 - h)) contracts on every share
+without a bracket; :func:`solve_wage` runs it for scalars and arrays
+alike.  Code that asks "what happens at share h" composes with
+:func:`solve_wage`; code free to choose where it looks, such as the
+rest-point scan in :mod:`geoeq.equilibria`, walks the wage instead and
+reads both shares off the closed form without solving anything.  The
+bracketed root finds of :mod:`geoeq.equilibria` use the module's own Brent
+solver (``brentq``): the iteration of ``scipy.optimize.brentq``, root for
+root, without scipy's import cost, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -45,25 +51,24 @@ __all__ = [
     "short_run_state",
 ]
 
-# Residual tolerance on h for the implicit-wage solve, and the iteration cap.
+# Residual tolerance on h for the implicit-wage solve.  Where one spacing of
+# doubles in w moves h by more than this (freeness near 1), the solve is
+# held to _WAGE_ULPS spacings of w instead: a backward error in the wage.
 WAGE_RESIDUAL_TOL = 1e-12
-WAGE_MAX_ITER = 200
 
-# Bisection sweeps for vectorized (grid) wage solves.  The bracket width is
-# at most a few units, so 90 halvings land well below double resolution.
-_GRID_BISECTIONS = 90
+# Spacings of w a solved wage may be off by in the backward-error check.
+_WAGE_ULPS = 4.0
 
-# Newton continuation of the wage (_solve_wage_near): a step within this many
-# spacings of its wage counts as converged, and at most this many steps run.
-_NEWTON_ULPS = 4.0
-_NEWTON_MAX_ITER = 8
+# Cap on Newton steps per share; the iteration is a contraction, and from
+# its start it takes two to four.
+_WAGE_STEPS = 32
 
 # Relative slack admitted at the bracket endpoints before a wage is rejected
 # as out of domain; absorbs representation error of phi**(1/sigma).
 _BRACKET_SLACK = 1e-12
 
 # Relative part of brentq's stopping tolerance, scipy's floor for it.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 class SingularityError(ArithmeticError):
@@ -298,66 +303,95 @@ def wage_share(w, params: ModelParams):
     return float(h) if np.ndim(w) == 0 else h
 
 
+def _log_power(u, phi):
+    """ln X and its slope d(ln X)/du at log-odds u, X = (phi + e**u)/(1 + phi e**u).
+
+    Written in t = e**-|u| and the odd symmetry ln X(-u) = -ln X(u), so
+    nothing overflows, and through log1p so ln X keeps its relative
+    accuracy as u -> 0.
+    """
+    a = -np.abs(u)
+    t = np.exp(a)
+    pt = phi + t
+    ln_x = np.copysign(np.log1p((phi - 1.0) * np.expm1(a) / pt), u)
+    return ln_x, (1.0 - phi * phi) * t / ((1.0 + phi * t) * pt)
+
+
 def solve_wage(h, params: ModelParams):
     """Relative wage clearing markets at population share h.
 
-    Scalar inputs use Brent's bracketed method (this module's ``brentq``)
-    on the wage bracket; array inputs use vectorized bisection.  Endpoint
-    and midpoint wages are returned in closed form (``phi**(1/sigma)``, 1,
-    ``phi**(-1/sigma)``).
+    Solves ln(h/(1 - h)) = u + c ln X(u) for the log-odds u of X = w**sigma
+    (see the module docstring) by Newton's method.  The equation's slope
+    lies in [1, 1 + c(1 - phi)/(1 + phi)], inside [1, 2), so from any start
+    every Newton step shrinks the error and no bracket or fallback is
+    needed; from a start that replaces ln X by its tangent at u = 0, cut
+    off at +-ln(1/phi), two to four steps reach double precision.  Each share
+    stops on its own, so it gets the same wage alone as inside any array.
+    The wage is X**(1/sigma), clipped to the wage bracket.  It is exact at
+    h = 1/2, where u = 0, and the bracket ends are returned at h = 0 and 1.
+    Accepts scalars or arrays.
 
     Raises:
         ValueError: if any h lies outside [0, 1].
-        SolverError: if the residual tolerance cannot be met.
+        SolverError: if a wage misses its backward-error check: |h(w) - h|
+            may not exceed WAGE_RESIDUAL_TOL or, where one spacing of w
+            moves h by more, _WAGE_ULPS such spacings.
     """
-    if np.ndim(h) > 0:
-        return _solve_wage_grid(np.asarray(h, dtype=float), params)
-
-    h = float(h)
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"population share must lie in [0, 1], got {h}")
+    x = np.asarray(h, dtype=float)[()]  # a numpy scalar for scalar input: cheap arithmetic
+    inside = (x >= 0.0) & (x <= 1.0)  # NaN is outside
+    if np.count_nonzero(inside) != np.size(x):
+        bad = np.ravel(x)[~np.ravel(inside)][0]
+        raise ValueError(f"population share must lie in [0, 1], got {bad!r}")
+    s, phi = params.sigma, params.phi
+    c = (s - 1.0) / s
     lo, hi = params.wage_bracket
-    if h == 0.0:
-        return lo
-    if h == 1.0:
-        return hi
-    if h == 0.5:
-        return 1.0
-    # Roundoff at the bracket ends leaves a share of order 1e-16 (resp.
-    # 1 - 1e-16), so a tinier h has no representable preimage; the nearest
-    # endpoint is the correctly rounded answer and brentq would reject the
-    # equal-signed bracket.
-    if _share_raw(lo, params) - h >= 0.0:
-        return lo
-    if _share_raw(hi, params) - h <= 0.0:
-        return hi
-    w = brentq(lambda x: _share_raw(x, params) - h, lo, hi, xtol=1e-15,
-               maxiter=WAGE_MAX_ITER)
-    residual = abs(_share_raw(w, params) - h)
-    if residual > WAGE_RESIDUAL_TOL:
+    ends = (x == 0.0) | (x == 1.0)
+    has_ends = np.count_nonzero(ends)
+    x_in = np.where(ends, 0.5, x)[()] if has_ends else x
+    target = np.log(x_in) - np.log1p(-x_in)
+    # Start from the root with ln X(u) replaced by its tangent at 0,
+    # g0 u, cut off at its limits +-ln(1/phi).
+    g0, lim = (1.0 - phi) / (1.0 + phi), -math.log(phi)
+    u = target - c * np.minimum(np.maximum(target * (g0 / (1.0 + c * g0)), -lim), lim)
+    # The equation's slope is at least 1 and its curvature at most 1/4, so a
+    # Newton step s leaves an error of at most s**2/2: once s**2 is within a
+    # spacing of the target (|u| <= |target| at the root), the step just
+    # taken is the last one needed.
+    tol = np.sqrt(np.spacing(np.abs(target)))
+    active = target != 0.0
+    for _ in range(_WAGE_STEPS):
+        if not np.count_nonzero(active):
+            break
+        ln_x, slope = _log_power(u, phi)
+        step = (u - target + c * ln_x) / (1.0 + c * slope)
+        u = u - step * active  # converged shares stay put: their step is finite
+        active = active & (np.abs(step) > tol)
+    # np.power, not **: on numpy scalars ** takes libm's pow, which can round
+    # differently from the array loop
+    t = np.exp(-np.abs(u))
+    w = np.minimum(np.maximum(np.power((1.0 + phi * t) / (phi + t), np.copysign(1.0 / s, u)),
+                              lo), hi)
+    if has_ends:
+        w = np.where(ends, np.where(x == 0.0, lo, hi), w)[()]
+    # backward error: |h(w) - h| against WAGE_RESIDUAL_TOL or, where that is
+    # missed, _WAGE_ULPS spacings of w times
+    # dh/dw = sigma ((1 - phi**2) X**2 + c a b/w)/(a + b)**2
+    a, b = _share_terms(w, params)
+    residual = np.abs(a / (a + b) - x)
+    allowed = WAGE_RESIDUAL_TOL
+    missed = ~(residual <= allowed)  # a NaN residual misses too
+    if np.count_nonzero(missed):
+        x_ab, a_ab, b_ab = w ** s / (a + b), a / (a + b), b / (a + b)
+        dh_dw = s * ((1.0 - phi * phi) * x_ab * x_ab + c * a_ab * b_ab / w)
+        allowed = np.maximum(allowed, _WAGE_ULPS * np.spacing(w) * dh_dw)
+        missed = ~(residual <= allowed)
+    if np.count_nonzero(missed):
+        i = int(np.argmax(missed))
         raise SolverError(
-            f"wage solve residual {residual:.3e} exceeds {WAGE_RESIDUAL_TOL:.0e} at h={h}"
+            f"wage solve residual {np.ravel(residual)[i]:.3e} exceeds "
+            f"{np.ravel(allowed)[i]:.1e} at h={np.ravel(x)[i]!r}"
         )
-    return float(w)
-
-
-def _solve_wage_grid(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Vectorized bisection for a whole grid of population shares."""
-    if np.any((h < 0.0) | (h > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
-    lo_w, hi_w = params.wage_bracket
-    lo = np.full(h.shape, lo_w)
-    hi = np.full(h.shape, hi_w)
-    for _ in range(_GRID_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = _share_raw(mid, params) < h
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    w = 0.5 * (lo + hi)
-    w = np.where(h == 0.0, lo_w, w)
-    w = np.where(h == 0.5, 1.0, w)
-    w = np.where(h == 1.0, hi_w, w)
-    return w
+    return float(w) if np.ndim(h) == 0 else w
 
 
 def price_indices(h, w, params: ModelParams):
@@ -441,57 +475,20 @@ def _check_bracket(w: float, params: ModelParams) -> None:
         )
 
 
-def _dw_dh_raw(w, params: ModelParams):
-    """dw/dh = D**2 / (X G) at wages w, without domain or singularity checks."""
-    X = w ** params.sigma
-    D = X * X - (w + 1.0) * params.phi * X + w
-    return D * D / (X * G_poly(X, params))
-
-
 def dw_dh(w: float, params: ModelParams) -> float:
     """Slope of the implicit wage in the population share, at wage w.
 
+    dw/dh = D**2 / (X G) with X = w**sigma and D = X**2 - (w + 1) phi X + w.
     Strictly positive on the bracket: attracting consumers to a region
     raises its relative wage.
     """
     _check_bracket(w, params)
-    if not G_poly(w ** params.sigma, params) > 0.0:
+    X = w ** params.sigma
+    G = G_poly(X, params)
+    if not G > 0.0:
         raise SingularityError(f"wage-derivative denominator vanished at w={w}")
-    return _dw_dh_raw(w, params)
-
-
-def _solve_wage_near(h, h0, w0, params: ModelParams):
-    """Wages at shares h, continued from nearby market-clearing pairs (h0, w0).
-
-    A continuation step, not a general solver: the tangent predictor
-    w0 + (h - h0) dw/dh(w0) is corrected by Newton steps on
-    ``_share_raw(w) - h``, clipped to the wage bracket, until every step is
-    within _NEWTON_ULPS spacings of its wage or _NEWTON_MAX_ITER steps are
-    taken.  Accepts scalars or matching arrays.
-
-    Raises:
-        SolverError: if a share misses :func:`solve_wage`'s residual
-            tolerance WAGE_RESIDUAL_TOL.
-    """
-    lo, hi = params.wage_bracket
-    h = np.asarray(h, dtype=float)
-    w = np.minimum(np.maximum(w0 + (h - h0) * _dw_dh_raw(w0, params), lo), hi)
-    for _ in range(_NEWTON_MAX_ITER):
-        w_next = w - (_share_raw(w, params) - h) * _dw_dh_raw(w, params)
-        w_next = np.minimum(np.maximum(w_next, lo), hi)
-        settled = (np.abs(w_next - w) <= _NEWTON_ULPS * np.spacing(w)).all()
-        w = w_next
-        if settled:
-            break
-    residual = np.abs(_share_raw(w, params) - h)
-    missed = ~(residual <= WAGE_RESIDUAL_TOL)  # a NaN residual misses too
-    if missed.any():
-        i = int(np.argmax(missed))
-        raise SolverError(
-            f"wage continuation residual {residual.flat[i]:.3e} exceeds "
-            f"{WAGE_RESIDUAL_TOL:.0e} at h={h.flat[i]}"
-        )
-    return w
+    D = X * X - (w + 1.0) * params.phi * X + w
+    return D * D / (X * G)
 
 
 def dw_dphi(w: float, params: ModelParams) -> float:

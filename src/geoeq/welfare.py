@@ -67,13 +67,9 @@ def delta_u(h, params: ModelParams):
     As theta -> 1 this degenerates to eta * (ln w + ln(A/B)/(sigma-1)),
     which is used inside LOG_UTILITY_BAND to keep the crossover smooth.
     """
-    scalar = np.ndim(h) == 0
     h_arr = np.asarray(h, dtype=float)
-    if np.any((h_arr < 0.0) | (h_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
-    w = solve_wage(h_arr, params) if not scalar else solve_wage(float(h), params)
-    val = _delta_u_at(h_arr, 1.0 - h_arr, np.asarray(w, dtype=float), params)
-    return float(val) if scalar else val
+    val = _delta_u_at(h_arr, 1.0 - h_arr, solve_wage(h_arr, params), params)
+    return float(val) if np.ndim(h) == 0 else val
 
 
 def _delta_u_at(h, g, w, params: ModelParams):

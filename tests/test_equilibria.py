@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -350,28 +350,43 @@ def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi
     assert gaps.max() <= (0.5 - GRID_EDGE) / (n_upper - 1)
 
 
+def _mp_incentive(sigma, phi, theta, mu):
+    """delta_V under the logit penalty as a function of the wage, in mpmath.
+
+    Returns (terms, incentive): terms(w) gives the two share weights a, b
+    with h = a/(a + b), and incentive(w) is delta_V at that share.  Both
+    shares are explicit in w, so no double-precision wage solve or share
+    subtraction is involved.  Call inside an mpmath precision context.
+    """
+    s, p, th, mu = (mpmath.mpf(v) for v in (sigma, phi, theta, mu))
+
+    def terms(w):
+        X = w ** s
+        return X * (X - p), w * (1 - p * X)
+
+    def incentive(w):
+        a, b = terms(w)
+        h, g = a / (a + b), b / (a + b)
+        A = h * w ** (1 - s) + g * p
+        B = h * p * w ** (1 - s) + g
+        if th == 1:
+            gap = mpmath.log(w) + mpmath.log(A / B) / (s - 1)
+        else:
+            kappa = (1 - th) / (s - 1)
+            gap = (w ** (1 - th) * A ** kappa - B ** kappa) / (1 - th)
+        return gap - mu * (mpmath.log(a) - mpmath.log(b))
+
+    return terms, incentive
+
+
 def _mp_mirror_share(sigma, phi, theta, mu):
     """The share 1 - h* of the outermost logit rest point, to 50 digits.
 
-    Bisects delta_V along the wage, where both shares are explicit, so no
-    double-precision wage solve or share subtraction is involved.
+    Bisects delta_V along the wage (:func:`_mp_incentive`).
     """
     with mpmath.workdps(50):
-        s, p, th, mu = (mpmath.mpf(v) for v in (sigma, phi, theta, mu))
-        kappa = (1 - th) / (s - 1)
-
-        def terms(w):
-            X = w ** s
-            return X * (X - p), w * (1 - p * X)
-
-        def incentive(w):
-            a, b = terms(w)
-            h, g = a / (a + b), b / (a + b)
-            A = h * w ** (1 - s) + g * p
-            B = h * p * w ** (1 - s) + g
-            gap = (w ** (1 - th) * A ** kappa - B ** kappa) / (1 - th)
-            return gap - mu * (mpmath.log(a) - mpmath.log(b))
-
+        terms, incentive = _mp_incentive(sigma, phi, theta, mu)
+        p, s = mpmath.mpf(phi), mpmath.mpf(sigma)
         lo, hi = mpmath.mpf("1.000001"), p ** (-1 / s) * (1 - mpmath.mpf(10) ** -40)
         for _ in range(200):
             mid = (lo + hi) / 2
@@ -400,6 +415,37 @@ def test_near_boundary_mirror_share_matches_a_high_precision_oracle(k, share):
     # the mirror is formed as 1 - h*, so a spacing of doubles just below 1
     # (2**-53) per unit of error in h* is the floor; allow two of them
     assert abs(lower.h_star - truth) <= 2.3e-16
+
+
+@pytest.mark.parametrize("phi", [0.9999, 0.999999])
+def test_rest_points_at_freeness_near_one_match_an_mpmath_oracle(phi):
+    # here one spacing of doubles in w moves h by more than
+    # WAGE_RESIDUAL_TOL, so the wage solve is held to a backward error in w
+    params = ModelParams(sigma=2.0, phi=phi)
+    eqs = find_equilibria(params, LOGIT02)
+    with mpmath.workdps(50):
+        terms, incentive = _mp_incentive(2.0, phi, 1.0, 0.2)
+        w_hi = mpmath.mpf(phi) ** (-mpmath.mpf(1) / 2)
+        # delta_V keeps one sign on the upper half: 1/2 is the only rest point
+        wages = [1 + (w_hi - 1) * k / 2001 for k in range(1, 2001)]
+        signs = {incentive(w) < 0 for w in wages}
+        share = lambda w: (lambda a, b: a / (a + b))(*terms(w))
+        slope = mpmath.diff(incentive, 1) / mpmath.diff(share, 1)
+    assert signs == {True}
+    assert [(e.h_star, e.w, e.kind, e.stability) for e in eqs] == \
+        [(0.5, 1.0, KIND_DISPERSION, STABLE)]
+    assert eqs[0].slope == pytest.approx(float(slope), rel=1e-7)
+
+
+def test_fig6_left_records_carry_python_floats():
+    branch = sweep("mu", 0.0, 1.0, 181, ModelParams(sigma=2.0, phi=0.4, theta=0.0), LOGIT02)
+    records = [e for _, eqs in branch.samples for e in eqs]
+    assert any(1.0 - e.h_star < GRID_EDGE for e in records if e.kind == KIND_PARTIAL)
+    for e in records:
+        for field in fields(e):
+            value = getattr(e, field.name)
+            if not isinstance(value, str):
+                assert type(value) is float, (field.name, e)
 
 
 # ---------------------------------------------------------------------------

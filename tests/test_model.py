@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,8 @@ from geoeq import (
     solve_wage,
     wage_share,
 )
-from geoeq.model import WAGE_RESIDUAL_TOL, _dw_dh_raw, _share_raw, _solve_wage_near, brentq
+from geoeq import model
+from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
 from geoeq.welfare import FD_STEP
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
@@ -304,7 +306,7 @@ def test_wage_derivatives_reject_out_of_bracket_wages():
 
 
 # ---------------------------------------------------------------------------
-# wage continuation from a nearby pair
+# the wage solver against a 50-digit wage
 
 
 def _near_edge_share(k, low):
@@ -313,6 +315,88 @@ def _near_edge_share(k, low):
     for _ in range(k):
         h = float(np.nextafter(h, 1.0 if low else 0.0))
     return h
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _mp_wage(h, sigma, phi):
+    """The wage at share h to 50 digits, bisecting the explicit share map in w."""
+    with mpmath.workdps(50):
+        s, p, h = mpmath.mpf(sigma), mpmath.mpf(phi), mpmath.mpf(h)
+        lo, hi = p ** (1 / s), p ** (-1 / s)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            X = mid ** s
+            a, b = X * (X - p), mid * (1 - p * X)
+            lo, hi = (mid, hi) if a / (a + b) < h else (lo, mid)
+        return (lo + hi) / 2
+
+
+def _wage_error_in_eps(h, sigma, phi):
+    """|solve_wage - 50-digit wage| / wage, in units of machine epsilon."""
+    w = solve_wage(h, ModelParams(sigma=sigma, phi=phi))
+    truth = _mp_wage(h, sigma, phi)
+    return float(abs(mpmath.mpf(w) - truth) / truth) / EPS
+
+# shares where h or 1 - h is tiny: 1e-9 from either end, k subnormal
+# spacings above 0 and k spacings below 1
+_EDGE_SHARES = [lambda k: 1e-9, lambda k: 1.0 - 1e-9, lambda k: k * 5e-324,
+                lambda k: 1.0 - k * 2.0 ** -53]
+
+
+def test_solve_wage_is_within_8_eps_of_a_50_digit_wage_on_seeded_cases():
+    rng = random.Random(20261018)
+    # a share at which Newton steps run to the last bit end in a two-cycle
+    # one spacing wide
+    worst = _wage_error_in_eps(1.0 - 1e-9, 2.0, 1e-6)
+    for i in range(200):
+        sigma, phi = rng.uniform(1.01, 20.0), rng.uniform(1e-6, 1.0 - 1e-6)
+        if i % 2:  # log-uniform freeness as well, for phi near 1e-6
+            phi = 10.0 ** rng.uniform(-6.0, 0.0)
+            phi = min(phi, 1.0 - 1e-6)
+        share = _EDGE_SHARES[i % 4](rng.randint(1, 8)) if i % 5 else rng.random()
+        worst = max(worst, _wage_error_in_eps(share, sigma, phi))
+    assert worst <= 8.0
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    sigma=st.floats(1.01, 20.0),
+    phi=st.floats(1e-6, 1.0 - 1e-6),
+    share=st.one_of(
+        st.floats(0.0, 1.0),
+        st.builds(lambda f, k: f(k), st.sampled_from(_EDGE_SHARES), st.integers(1, 8)),
+    ),
+    others=st.lists(st.floats(0.0, 1.0), max_size=6),
+    where=st.integers(0, 6),
+)
+def test_solve_wage_is_accurate_and_the_same_alone_or_in_an_array(sigma, phi, share, others,
+                                                                  where):
+    params = ModelParams(sigma=sigma, phi=phi)
+    lo, hi = params.wage_bracket
+    assert (solve_wage(0.0, params), solve_wage(0.5, params), solve_wage(1.0, params)) \
+        == (lo, 1.0, hi)
+    if share not in (0.0, 0.5, 1.0):
+        assert _wage_error_in_eps(share, sigma, phi) <= 8.0
+    # one code path: a scalar gets the same bits as inside any array
+    shares = np.array(others[:where] + [share] + others[where:] + [0.0, 0.5, 1.0])
+    grid = solve_wage(shares, params)
+    assert grid[min(where, len(others))].hex() == solve_wage(share, params).hex()
+    assert [solve_wage(float(x), params).hex() for x in shares] == [x.hex() for x in grid]
+
+
+@pytest.mark.parametrize("phi", [0.9999, 0.999999])
+def test_solve_wage_at_freeness_near_one(phi):
+    # one spacing of doubles in w moves h by more than WAGE_RESIDUAL_TOL
+    # here, so the solve is held to a backward error in w instead
+    for share in (1e-9, 0.01, 0.3, 0.49, 0.51, 0.9, 1.0 - 1e-9):
+        assert _wage_error_in_eps(share, 2.0, phi) <= 8.0
+
+
+def _backward_error_bound(w, params):
+    dh_dw = np.array([1.0 / dw_dh(float(x), params) for x in w])
+    return np.maximum(WAGE_RESIDUAL_TOL, _WAGE_ULPS * np.spacing(w) * dh_dw)
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -324,51 +408,51 @@ def _near_edge_share(k, low):
         st.builds(_near_edge_share, st.integers(1, 8), st.booleans()),
     ),
 )
-def test_wage_continuation_meets_the_wage_residual_tolerance(sigma, phi, centre):
+def test_solve_wage_meets_its_backward_error_on_finite_difference_shares(sigma, phi, centre):
     # the shares the rest-point finish asks for: the centre and its central
-    # FD neighbours, continued from the centre's market-clearing wage
+    # FD neighbours
     params = ModelParams(sigma=sigma, phi=phi)
     step = min(FD_STEP, 0.5 * centre, 0.5 * (1.0 - centre))
     h = np.array([centre, centre + step, centre - step])
-    # as phi nears 1 the bracket narrows until one spacing of doubles in w
-    # moves h by more than the tolerance; no wage solver can meet it there
-    try:
-        w0 = solve_wage(centre, params)
-        solve_wage(h, params)
-        for x in h:
-            solve_wage(float(x), params)
-    except SolverError:
-        assume(False)
-    w = _solve_wage_near(h, centre, w0, params)
+    w = solve_wage(h, params)
     lo, hi = params.wage_bracket
     assert np.all((lo <= w) & (w <= hi))
-    assert np.abs(_share_raw(w, params) - h).max() <= WAGE_RESIDUAL_TOL
+    assert np.all(np.abs(_share_raw(w, params) - h) <= _backward_error_bound(w, params))
 
 
 @pytest.mark.parametrize("sigma,phi", [(2.0, 0.4), (20.0, 0.5), (4.0, 0.999)])
-def test_wage_continuation_from_the_symmetric_point(sigma, phi):
+def test_solve_wage_on_the_criticality_stencil(sigma, phi):
     params = ModelParams(sigma=sigma, phi=phi)
     stencil = 0.5 + np.array([-0.02, -0.01, 0.01, 0.02])
-    w = _solve_wage_near(stencil, 0.5, 1.0, params)
+    w = solve_wage(stencil, params)
     assert np.abs(_share_raw(w, params) - stencil).max() <= WAGE_RESIDUAL_TOL
     # w(1 - h) = 1/w(h)
     assert w[::-1] * w == pytest.approx(1.0, rel=1e-14)
 
 
-def test_wage_continuation_reports_a_missed_tolerance():
-    # one spacing of doubles in w moves h by ~4e-10 at this freeness
-    with pytest.raises(SolverError, match="wage continuation residual"):
-        _solve_wage_near(0.49, 0.5, 1.0, ModelParams(sigma=2.0, phi=1.0 - 1e-6))
-    # a start that is not a number never passes as converged
-    with pytest.raises(SolverError):
-        _solve_wage_near(np.array([0.9]), 0.5, float("nan"), ModelParams(sigma=2.0, phi=0.4))
+def test_solve_wage_reports_a_missed_tolerance(monkeypatch):
+    params = ModelParams(sigma=2.0, phi=0.4)
+    monkeypatch.setattr(model, "_WAGE_STEPS", 0)
+    # the start alone misses the root
+    with pytest.raises(SolverError, match="wage solve residual"):
+        solve_wage(0.8, params)
+    with pytest.raises(SolverError, match="wage solve residual"):
+        solve_wage(np.array([0.5, 0.8]), params)
+    # the closed forms need no step
+    lo, hi = params.wage_bracket
+    assert solve_wage(np.array([0.0, 0.5, 1.0]), params).tolist() == [lo, 1.0, hi]
+    with pytest.raises(ValueError, match="population share"):
+        solve_wage(np.array([0.5, math.nan]), params)
 
 
 def test_dw_dh_is_its_unchecked_formula_inside_the_bracket():
     params = ModelParams(sigma=2.5, phi=0.3)
     lo, hi = params.wage_bracket
     w = np.linspace(lo, hi, 33).tolist()
-    assert [dw_dh(x, params) for x in w] == [_dw_dh_raw(x, params) for x in w]
+    # dw/dh = D**2/(X G) with X = w**sigma and D = X**2 - (w + 1) phi X + w
+    formula = [(X * X - (x + 1.0) * params.phi * X + x) ** 2 / (X * G_poly(X, params))
+               for x in w for X in [x ** params.sigma]]
+    assert [dw_dh(x, params) for x in w] == formula
 
 
 # ---------------------------------------------------------------------------
