@@ -15,10 +15,18 @@ than the share: the upper half is the wage interval [1, w_hi), on which
 both shares are closed forms of w (:func:`geoeq.model._share_terms`), so
 scanning and polishing in w evaluate delta_V without any wage solve.
 The part of the scan that does not depend on the penalty (nodes, shares
-and utility gap) is kept for the most recent economy, so the steps of a
-penalty-weight sweep scan their economy once.  Finishing the rest points
-(residual, central-FD slope, mirror images) takes one delta_V call on all
-their shares together, so one vectorised wage solve serves them all.
+and utility gap) is kept for the most recent economy, and the utility gap
+at the boundary probes for the last few, so the steps of a
+penalty-weight sweep scan and probe their economy once.
+
+Solving is split in two phases.  The locate phase runs per economy: scan,
+brackets, polish, near-boundary chase, pinned and boundary checks.  The
+finish phase takes the located rest points of any number of economies
+that differ only in freeness and penalty weight, and computes |delta_V|
+and its central-FD slope for the symmetric point, every root and every
+mirror in one delta_V call, each share at its own economy's freeness and
+weight.  :func:`find_equilibria` is the one-economy case; :func:`sweep`
+finishes all its steps at once.
 """
 
 from __future__ import annotations
@@ -136,14 +144,18 @@ class Branch:
     diagnostics: list[str]
 
 
-def delta_V(h, params: ModelParams, spec: PenaltySpec):
+def delta_V(h, params: ModelParams, spec: PenaltySpec, *, phi=None, mu=None):
     """Net migration incentive toward region L at share h.
 
     Positive values push population into L.  Antisymmetric about 1/2;
     carries the signed infinities of an unbounded penalty differential at
-    the endpoints rather than raising.
+    the endpoints rather than raising.  ``phi`` and ``mu``, if given, are
+    a per-element freeness and penalty weight broadcast against h in place
+    of ``params.phi`` and ``spec.mu``, so one call serves shares of
+    economies that differ only in them, each share getting its own
+    economy's value.
     """
-    return delta_u(h, params) - delta_t(h, spec)
+    return delta_u(h, params, phi=phi) - delta_t(h, spec, mu=mu)
 
 
 def _stability_from_slope(slope: float) -> str:
@@ -152,13 +164,13 @@ def _stability_from_slope(slope: float) -> str:
     return STABLE if slope < 0.0 else UNSTABLE
 
 
-def _wage_terms(w, params: ModelParams):
+def _wage_terms(w, a, b, params: ModelParams):
     """Shares h, g = 1 - h, log-odds ln(h/g) and delta_u at wages w in [1, w_hi).
 
-    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b), and
-    the log-odds is ln a - ln b, so nothing forms 1 - h by subtraction.
+    a and b are the share terms of w (:func:`geoeq.model._share_terms`):
+    both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b),
+    and the log-odds is ln a - ln b, so nothing forms 1 - h by subtraction.
     """
-    a, b = _share_terms(w, params)
     h, g = a / (a + b), b / (a + b)
     return h, g, np.log(a) - np.log(b), _delta_u_at(h, g, w, params)
 
@@ -174,11 +186,11 @@ def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
 
 def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
     """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
-    h, g, log_odds, du = _wage_terms(w, params)
+    h, g, log_odds, du = _wage_terms(w, *_share_terms(w, params), params)
     return du - _penalty_gap(h, g, log_odds, spec)
 
 
-def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
+def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams):
     """Scan wages on [1, w_edge], no coarser in the share than a uniform scan.
 
     Neighbouring nodes support shares no further apart than a uniform
@@ -186,14 +198,17 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
     from linear in the wage (a uniform wage grid leaves share gaps up to
     ~20x too wide at low freeness), so each cell whose share gap is too
     wide is split evenly in w into ceil(gap/target) pieces, repeated until
-    every gap fits.  The node count stays below about 2*n_upper.
+    every gap fits.  The node count stays below about 2*n_upper.  Returns
+    the nodes and their share terms a, b (:func:`geoeq.model._share_terms`),
+    which the last gap test evaluated.
     """
     target = (0.5 - GRID_EDGE) / (n_upper - 1)
     w = np.linspace(1.0, w_edge, n_upper)
     while True:
-        pieces = np.ceil(np.diff(_share_raw(w, params)) / target)
+        a, b = _share_terms(w, params)
+        pieces = np.ceil(np.diff(a / (a + b)) / target)
         if pieces.max() <= 1.0:
-            return w
+            return w, a, b
         k = np.maximum(pieces, 1.0).astype(int)
         first = np.repeat(np.cumsum(k) - k, k)
         frac = (np.arange(k.sum()) - first) / np.repeat(k, k)
@@ -204,16 +219,28 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams) -> np.ndarray:
 def _upper_scan(params: ModelParams, n_upper: int):
     """The penalty-free part of the rest-point scan, kept for the last economy.
 
-    Returns the scan-edge wage solve_wage(1 - GRID_EDGE), the scan nodes
-    and, at every node, the two shares, the log-odds and delta_u, all
-    read-only.  A penalty-weight sweep moves none of them, so its steps
-    after the first reuse them.
+    Returns the scan nodes on [1, solve_wage(1 - GRID_EDGE)] and, at every
+    node, the two shares, the log-odds and delta_u, all read-only.  A
+    penalty-weight sweep moves none of them, so its steps after the first
+    reuse them.
     """
-    nodes = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), n_upper, params)
-    terms = _wage_terms(nodes, params)
+    nodes, a, b = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), n_upper, params)
+    terms = _wage_terms(nodes, a, b, params)
     for arr in (nodes, *terms):
         arr.setflags(write=False)
     return (nodes, *terms)
+
+
+@functools.lru_cache(maxsize=4)
+def _edge_delta_u(h: float, params: ModelParams) -> float:
+    """delta_u at a fixed probe share next to the boundary, kept for the
+    last few: every step of a penalty-weight sweep probes the same shares."""
+    return delta_u(h, params)
+
+
+def _edge_incentive(h: float, params: ModelParams, spec: PenaltySpec) -> float:
+    """delta_V at a boundary probe share, its utility gap from the cache."""
+    return _edge_delta_u(h, params) - delta_t(h, spec)
 
 
 def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
@@ -229,23 +256,23 @@ def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
             for i in np.flatnonzero(zero | change)]
 
 
-def _finish(h, params: ModelParams, spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
-    """|delta_V| and its central-FD slope at interior shares h, in one batch.
+def _incentive_and_slope(h, params: ModelParams, spec: PenaltySpec, phi=None, mu=None):
+    """|delta_V| and its central-FD slope at interior shares h, in one delta_V call.
 
     Every share h is evaluated together with h +- step, step =
-    min(FD_STEP, h/2, (1-h)/2), in a single delta_V call.
+    min(FD_STEP, h/2, (1-h)/2).  ``phi`` and ``mu``, if given, are each
+    share's freeness and penalty weight (see :func:`delta_V`).
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     step = np.minimum(np.minimum(FD_STEP, 0.5 * h), 0.5 * (1.0 - h))
-    v = delta_V(np.stack([h, h + step, h - step]), params, spec)
+    v = delta_V(np.stack([h, h + step, h - step]), params, spec, phi=phi, mu=mu)
     return np.abs(v[0]), (v[1] - v[2]) / (2.0 * step)
 
 
-def _interior_equilibria(pairs: list[tuple[float, float]], params: ModelParams,
-                         spec: PenaltySpec) -> list[Equilibrium]:
-    """Interior rest points at market-clearing pairs (h*, w), finished in one batch."""
-    h = np.array([h_star for h_star, _ in pairs])
-    residual, slope = _finish(h, params, spec)
+def _interior_equilibria(pairs: list[tuple[float, float]], residual: np.ndarray,
+                         slope: np.ndarray) -> list[Equilibrium]:
+    """Interior rest points at market-clearing pairs (h*, w), given |delta_V|
+    and its slope at each."""
     # Backward-error acceptance: near the boundary an unbounded penalty's
     # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
     # precision in h grows with it.  Scaling by the local slope keeps the
@@ -254,13 +281,52 @@ def _interior_equilibria(pairs: list[tuple[float, float]], params: ModelParams,
     if bad.size:
         i = bad[0]
         raise SolverError(
-            f"rest-point residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} at h={h[i]}"
+            f"rest-point residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} at h={pairs[i][0]}"
         )
     return [Equilibrium(h_star=h_star, w=w_star,
                         kind=KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL
                         else KIND_PARTIAL,
                         stability=_stability_from_slope(sl), slope=sl, residual=res)
             for (h_star, w_star), sl, res in zip(pairs, slope.tolist(), residual.tolist())]
+
+
+def _per_share(values: list[float], counts: list[int]):
+    """Each value repeated for its economy's shares, or None if all are equal."""
+    if all(v == values[0] for v in values):
+        return None
+    return np.repeat(values, counts)
+
+
+def _finish_batch(jobs) -> list:
+    """Interior rest points of several economies from one delta_V call.
+
+    ``jobs`` holds (params, spec, pairs) per economy, the economies alike
+    but for freeness and penalty weight.  Returns, per job, its Equilibrium
+    list or the exception its finish raised.  If the batch as a whole
+    raises, every job is finished on its own, so a failure stays with its
+    economy and carries the text that a one-economy call gives.
+    """
+    if not jobs:
+        return []
+    counts = [len(pairs) for _, _, pairs in jobs]
+    h = np.array([h_star for _, _, pairs in jobs for h_star, _ in pairs])
+    params, spec, _ = jobs[0]
+    try:
+        residual, slope = _incentive_and_slope(
+            h, params, spec, phi=_per_share([p.phi for p, _, _ in jobs], counts),
+            mu=_per_share([s.mu for _, s, _ in jobs], counts))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        if len(jobs) == 1:
+            return [exc]
+        return [result for job in jobs for result in _finish_batch([job])]
+    results = []
+    for (_, _, pairs), end in zip(jobs, np.cumsum(counts).tolist()):
+        part = slice(end - len(pairs), end)
+        try:
+            results.append(_interior_equilibria(pairs, residual[part], slope[part]))
+        except SolverError as exc:
+            results.append(exc)
+    return results
 
 
 def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
@@ -272,12 +338,12 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
     """
     if not spec.bounded:
         return []
-    v_full = float(delta_V(1.0, params, spec))
+    v_full = _edge_incentive(1.0, params, spec)
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
     step = FD_STEP
-    slope_full = (v_full - float(delta_V(1.0 - step, params, spec))) / step
+    slope_full = (v_full - _edge_incentive(1.0 - step, params, spec)) / step
     lo, hi = params.wage_bracket
     return [
         Equilibrium(h_star=0.0, w=lo, kind=KIND_BOUNDARY, stability=stability,
@@ -285,6 +351,130 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
         Equilibrium(h_star=1.0, w=hi, kind=KIND_BOUNDARY, stability=stability,
                     slope=slope_full, residual=abs(v_full)),
     ]
+
+
+@dataclass
+class _Located:
+    """One economy's rest points as the locate phase leaves them.
+
+    ``roots`` are the upper-half rest points (h*, w), not yet finished;
+    ``edge`` the pinned or boundary rest points, final as they stand;
+    ``first`` the first scan node past w = 1 and delta_V there, for the
+    first-cell test that needs the finished symmetric slope.
+    """
+
+    params: ModelParams
+    spec: PenaltySpec
+    roots: list[tuple[float, float]]
+    edge: list[Equilibrium]
+    first: tuple[float, float]
+
+
+def _add_root(roots: list[tuple[float, float]], r: float, w: float) -> bool:
+    """Record an upper-half rest point unless it is the symmetric one or already known."""
+    if r - 0.5 > DISPERSION_TOL and all(abs(r - seen) > DISPERSION_TOL for seen, _ in roots):
+        roots.append((r, w))
+        return True
+    return False
+
+
+def _mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The pairs followed by their mirror images across 1/2."""
+    # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
+    return [*pairs, *((1.0 - r, 1.0 / w) for r, w in pairs)]
+
+
+def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int) -> _Located:
+    """The locate phase of :func:`find_equilibria`: everything but the finish."""
+    if grid_points < 16:
+        raise ValueError("grid_points too small to bracket roots reliably")
+    nodes, h, g, log_odds, du = _upper_scan(params, grid_points // 2 + 1)
+    values = du - _penalty_gap(h, g, log_odds, spec)
+
+    roots: list[tuple[float, float]] = []
+    f = lambda x: float(_delta_V_wage(x, params, spec))
+    # The node at w = 1 is the symmetric point, zero by antisymmetry.
+    for w in _grid_roots(f, nodes[1:], values[1:], 1e-15):
+        _add_root(roots, float(_share_raw(w, params)), w)
+
+    pinned: list[Equilibrium] = []
+    if not spec.bounded and values[-1] > 0.0:
+        # The net incentive still presses outward at the window edge, so the
+        # outermost rest point lies between 1 - GRID_EDGE and 1.  Chase it
+        # through the last representable shares; if even the closest double
+        # to 1 still flows outward, the rest point is below the resolution
+        # of the floating-point grid and is reported pinned at the boundary.
+        f_h = lambda x: float(delta_V(x, params, spec))
+        h_last = float(np.nextafter(1.0, 0.0))
+        v_last = _edge_incentive(h_last, params, spec)
+        if v_last <= 0.0:
+            r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
+                                                     xtol=1e-16, maxiter=200)
+            _add_root(roots, r, solve_wage(r, params))
+        else:
+            lo_w, hi_w = params.wage_bracket
+            pinned = [
+                Equilibrium(h_star=0.0, w=lo_w, kind=KIND_BOUNDARY, stability=STABLE,
+                            slope=float("-inf"), residual=v_last),
+                Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
+                            slope=float("-inf"), residual=v_last),
+            ]
+    return _Located(params, spec, roots, [*pinned, *_boundary_equilibria(params, spec)],
+                    (float(nodes[1]), float(values[1])))
+
+
+def _first_cell_root(loc: _Located) -> tuple[float, float] | None:
+    """A new rest point (h*, w) inside the first scan cell, or None.
+
+    delta_V(1/2) = 0 by antisymmetry, so the sign-change test is blind in
+    the first cell; the caller asks here when the symmetric slope's sign
+    differs from delta_V's at the first node, i.e. the curve re-crosses
+    inside the cell.  Halve toward w = 1 until delta_V takes the slope's
+    sign to bracket the root; a fixed probe right next to 1/2 would read
+    rounding noise.
+    """
+    hi, value = loc.first
+    f = lambda x: float(_delta_V_wage(x, loc.params, loc.spec))
+    while (lo := 0.5 * (1.0 + hi)) > 1.0:
+        if f(lo) * value <= 0.0:
+            w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
+            r = float(_share_raw(w, loc.params))
+            return (r, w) if _add_root(loc.roots, r, w) else None
+        hi = lo
+    return None
+
+
+def _finish(located: list[_Located]) -> list:
+    """The finish phase of :func:`find_equilibria` for any number of economies.
+
+    The symmetric point, every located root and every mirror of every
+    economy get |delta_V| and the central-FD slope from one delta_V call
+    (:func:`_finish_batch`); a first-cell root found afterwards is
+    finished the same way.  Returns, per economy, its rest points sorted
+    by location or the exception that stopped it.
+    """
+    results = _finish_batch([(loc.params, loc.spec, [(0.5, 1.0), *_mirrored(loc.roots)])
+                             for loc in located])
+    extra = []
+    for i, (loc, found) in enumerate(zip(located, results)):
+        if isinstance(found, Exception):
+            continue
+        sym = found[0]
+        if sym.stability != MARGINAL and sym.slope * loc.first[1] < 0.0:
+            try:
+                pair = _first_cell_root(loc)
+            except (ValueError, ArithmeticError, RuntimeError) as exc:
+                results[i] = exc
+                continue
+            if pair is not None:
+                extra.append((i, (loc.params, loc.spec, _mirrored([pair]))))
+    for (i, _), more in zip(extra, _finish_batch([job for _, job in extra])):
+        results[i] = more if isinstance(more, Exception) else results[i] + more
+    for loc, found in zip(located, results):
+        if not isinstance(found, Exception):
+            found += loc.edge
+            found.sort(key=lambda e: e.h_star)
+    return results
 
 
 def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
@@ -302,12 +492,15 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     together than the scan resolution (about 1/grid_points) can be missed;
     raise ``grid_points`` to chase structure near a bifurcation.
 
-    The symmetric point, every root and every mirror are finished in one
-    batch: |delta_V| and its central-FD slope at h* +- min(FD_STEP, ...)
-    come from a single delta_V call on all those shares.  The scan's nodes,
-    shares and utility gap depend on the economy alone and are kept for the
-    most recent one, so calls that change only the penalty, such as the
-    steps of a mu-sweep, scan once.
+    The work splits into a locate phase (scan, brackets, polish, and the
+    near-boundary, pinned and boundary checks) and a finish phase: the
+    symmetric point, every root and every mirror get |delta_V| and its
+    central-FD slope at h* +- min(FD_STEP, ...) from a single delta_V call
+    on all those shares.  This is the one-economy case of :func:`sweep`,
+    which finishes all its steps in one such call.  The scan's nodes,
+    shares and utility gap depend on the economy alone and are kept for
+    the most recent one, so calls that change only the penalty, such as
+    the steps of a mu-sweep, scan once.
 
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is
@@ -317,68 +510,9 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     stable, slope -inf, with ``residual`` carrying the outward incentive at
     the closest representable interior share.
     """
-    if grid_points < 16:
-        raise ValueError("grid_points too small to bracket roots reliably")
-    nodes, h, g, log_odds, du = _upper_scan(params, grid_points // 2 + 1)
-    values = du - _penalty_gap(h, g, log_odds, spec)
-
-    roots: list[tuple[float, float]] = []
-
-    def add_root(r: float, w: float) -> bool:
-        if r - 0.5 > DISPERSION_TOL and all(abs(r - seen) > DISPERSION_TOL
-                                            for seen, _ in roots):
-            roots.append((r, w))
-            return True
-        return False
-
-    def mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        # w(1 - h) = 1/w(h): the wage map is reciprocal about the midpoint.
-        return [*pairs, *((1.0 - r, 1.0 / w) for r, w in pairs)]
-
-    f = lambda x: float(_delta_V_wage(x, params, spec))
-    # The node at w = 1 is the symmetric point, zero by antisymmetry.
-    for w in _grid_roots(f, nodes[1:], values[1:], 1e-15):
-        add_root(float(_share_raw(w, params)), w)
-
-    pinned: list[Equilibrium] = []
-    if not spec.bounded and values[-1] > 0.0:
-        # The net incentive still presses outward at the window edge, so the
-        # outermost rest point lies between 1 - GRID_EDGE and 1.  Chase it
-        # through the last representable shares; if even the closest double
-        # to 1 still flows outward, the rest point is below the resolution
-        # of the floating-point grid and is reported pinned at the boundary.
-        f_h = lambda x: float(delta_V(x, params, spec))
-        h_last = float(np.nextafter(1.0, 0.0))
-        v_last = f_h(h_last)
-        if v_last <= 0.0:
-            r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
-                                                     xtol=1e-16, maxiter=200)
-            add_root(r, solve_wage(r, params))
-        else:
-            lo_w, hi_w = params.wage_bracket
-            pinned = [
-                Equilibrium(h_star=0.0, w=lo_w, kind=KIND_BOUNDARY, stability=STABLE,
-                            slope=float("-inf"), residual=v_last),
-                Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
-                            slope=float("-inf"), residual=v_last),
-            ]
-    sym, *found = _interior_equilibria([(0.5, 1.0), *mirrored(roots)], params, spec)
-    # First cell: delta_V(1/2) = 0 by antisymmetry, so the sign-change test
-    # is blind there.  A non-marginal symmetric slope whose sign differs from
-    # the first node's means the curve re-crosses inside the cell.  Halve
-    # toward w = 1 until delta_V takes the slope's sign to bracket the root;
-    # a fixed probe right next to 1/2 would read rounding noise.
-    if sym.stability != MARGINAL and sym.slope * values[1] < 0.0:
-        hi = float(nodes[1])
-        while (lo := 0.5 * (1.0 + hi)) > 1.0:
-            if f(lo) * values[1] <= 0.0:
-                w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
-                if add_root(r := float(_share_raw(w, params)), w):
-                    found += _interior_equilibria(mirrored([(r, w)]), params, spec)
-                break
-            hi = lo
-    found = [sym, *found, *pinned, *_boundary_equilibria(params, spec)]
-    found.sort(key=lambda e: e.h_star)
+    found, = _finish([_locate(params, spec, grid_points)])
+    if isinstance(found, Exception):
+        raise found
     return found
 
 
@@ -394,7 +528,7 @@ def classify_stability(eq: Equilibrium, params: ModelParams, spec: PenaltySpec) 
         if v < -MARGINAL_BAND:
             return UNSTABLE
         return MARGINAL if abs(v) <= MARGINAL_BAND else STABLE
-    _, slope = _finish(eq.h_star, params, spec)
+    _, slope = _incentive_and_slope(eq.h_star, params, spec)
     return _stability_from_slope(float(slope[0]))
 
 
@@ -527,14 +661,23 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
                             criticality=crit, third_derivative=third)
 
 
-def _sweep_step(job):
-    """One sweep sample; module level so process pools can pickle it."""
-    parameter, value, params, spec, grid_points = job
-    try:
-        p2, s2 = _with_parameter(parameter, value, params, spec)
-        return value, find_equilibria(p2, s2, grid_points=grid_points), None
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return value, [], f"{type(exc).__name__}: {exc}"
+def _sweep_chunk(job):
+    """Locate a run of sweep steps one by one, then finish them all at once.
+
+    Returns (value, rest points, diagnostic or None) per step; module level
+    so process pools can pickle it.
+    """
+    parameter, values, params, spec, grid_points = job
+    steps = []
+    for value in values:
+        try:
+            steps.append(_locate(*_with_parameter(parameter, value, params, spec), grid_points))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            steps.append(exc)
+    finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
+    results = [s if isinstance(s, Exception) else next(finished) for s in steps]
+    return [(value, [], f"{type(r).__name__}: {r}") if isinstance(r, Exception)
+            else (value, r, None) for value, r in zip(values, results)]
 
 
 def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
@@ -542,16 +685,25 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
           grid_points: int = GRID_POINTS) -> Branch:
     """Trace the equilibrium set along one parameter.
 
-    Every step finds its rest points on the same grid, so results are
-    independent of traversal order and of how the steps are distributed
-    over worker processes; mu-steps share one economy, whose scan
-    :func:`find_equilibria` keeps and reuses.  Pitchforks of the symmetric point sit where
-    its delta_V slope, 2 * dispersion_slope - delta_t_prime(1/2) in closed
-    form, changes sign: it is evaluated at every step, each sign change
-    between neighbouring steps is polished by a bracketed root find, and
-    each pitchfork is classified via :func:`pitchfork_criticality`.  The
-    slope needs no rest-point scan, so a step whose scan fails hides no
-    pitchfork next to it.
+    Each step's sample is exactly what :func:`find_equilibria` returns
+    there.  Every step runs the locate phase on its own, on the same grid;
+    mu-steps share one economy, whose scan and boundary probes are kept
+    and reused.  Then the finish phase takes all the steps together: the
+    symmetric point, roots and mirrors of every step get |delta_V| and
+    its slope from one delta_V call, each share at its own step's freeness
+    or penalty weight.  A step whose locate or finish raises is recorded
+    in ``diagnostics`` with the text find_equilibria would raise, and the
+    other steps keep their rest points.  With workers > 1 the steps are
+    split into one contiguous run per worker process, and each worker
+    finishes its run at once; the results do not depend on the split.
+
+    Pitchforks of the symmetric point sit where its delta_V slope,
+    2 * dispersion_slope - delta_t_prime(1/2) in closed form, changes
+    sign: it is evaluated on all steps in one array expression, each sign
+    change between neighbouring steps is polished by a bracketed root find
+    on the scalar form, and each pitchfork is classified via
+    :func:`pitchfork_criticality`.  The slope needs no rest-point scan, so
+    a step whose scan fails hides no pitchfork next to it.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
@@ -572,13 +724,13 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     values = np.linspace(lo, hi, steps)
-    jobs = [(parameter, float(v), params, spec, grid_points) for v in values]
+    jobs = [(parameter, run.tolist(), params, spec, grid_points)
+            for run in np.array_split(values, min(workers, steps))]
     if workers == 1:
-        results = [_sweep_step(job) for job in jobs]
+        results = _sweep_chunk(jobs[0])
     else:
-        chunk = max(1, steps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_step, jobs, chunksize=chunk))
+            results = [r for run in pool.map(_sweep_chunk, jobs) for r in run]
     samples = [(value, eqs) for value, eqs, _ in results]
     diagnostics = [f"{parameter}={value!r}: {error}"
                    for value, _, error in results if error is not None]
@@ -588,7 +740,10 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
         p2, s2 = _with_parameter(parameter, p, params, spec)
         return 2.0 * dispersion_slope(p2) - delta_t_prime(0.5, s2)
 
-    slopes = np.array([symmetric_slope(v) for v in values])
+    if parameter == "phi":
+        slopes = 2.0 * _dispersion_slope_at(values, params) - delta_t_prime(0.5, spec)
+    else:
+        slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
     bifurcations = [pitchfork_criticality(parameter, p, params, spec)
                     for p in _grid_roots(symmetric_slope, values, slopes, 1e-12)]
     return Branch(parameter=parameter, samples=samples,

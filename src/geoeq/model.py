@@ -256,7 +256,7 @@ class ShortRunState:
     n_R: float
 
 
-def _share_terms(w, params: ModelParams):
+def _share_terms(w, params: ModelParams, phi=None):
     """The two non-negative weights whose ratio gives the share at wage w.
 
     The textbook ratio subtracts ``phi`` from ``w**sigma`` top and bottom,
@@ -269,11 +269,13 @@ def _share_terms(w, params: ModelParams):
     ``a`` vanishes cleanly at the lower end (h -> 0) and ``b`` at the upper
     end (h -> 1), so both shares come out without cancellation.  Roundoff
     can push either term a hair below zero at its bracket end; it is
-    clipped there.
+    clipped there.  ``phi``, if given, is a per-element freeness broadcast
+    against w in place of ``params.phi``.
     """
+    phi = params.phi if phi is None else phi
     X = w ** params.sigma
-    a = X * (X - params.phi)
-    b = w * (1.0 - params.phi * X)
+    a = X * (X - phi)
+    b = w * (1.0 - phi * X)
     return np.maximum(a, 0.0), np.maximum(b, 0.0)
 
 
@@ -317,7 +319,26 @@ def _log_power(u, phi):
     return ln_x, (1.0 - phi * phi) * t / ((1.0 + phi * t) * pt)
 
 
-def solve_wage(h, params: ModelParams):
+def _freeness_terms(phi, shape, params: ModelParams):
+    """phi, the wage-bracket ends and ln(1/phi): params' scalars, or per element.
+
+    A per-element freeness is broadcast to ``shape``.  Each distinct value
+    gets its bracket from the scalar expression of
+    :attr:`ModelParams.wage_bracket`, not from numpy's array power, which
+    can round differently, so a share of a mixed array meets the same
+    bracket as in its own economy's call.
+    """
+    if phi is None:
+        lo, hi = params.wage_bracket
+        return params.phi, lo, hi, -math.log(params.phi)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), shape)
+    distinct, where = np.unique(phi, return_inverse=True)
+    lo = np.array([p ** (1.0 / params.sigma) for p in distinct.tolist()])
+    lim = np.array([-math.log(p) for p in distinct.tolist()])
+    return phi, lo[where], (1.0 / lo)[where], lim[where]
+
+
+def solve_wage(h, params: ModelParams, *, phi=None):
     """Relative wage clearing markets at population share h.
 
     Solves ln(h/(1 - h)) = u + c ln X(u) for the log-odds u of X = w**sigma
@@ -329,7 +350,10 @@ def solve_wage(h, params: ModelParams):
     stops on its own, so it gets the same wage alone as inside any array.
     The wage is X**(1/sigma), clipped to the wage bracket.  It is exact at
     h = 1/2, where u = 0, and the bracket ends are returned at h = 0 and 1.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  ``phi``, if given, is a per-element
+    freeness broadcast against h in place of ``params.phi``, so one call
+    serves shares of economies that differ only in it; each share gets the
+    same wage as in its own economy's call.
 
     Raises:
         ValueError: if any h lies outside [0, 1].
@@ -342,16 +366,16 @@ def solve_wage(h, params: ModelParams):
     if np.count_nonzero(inside) != np.size(x):
         bad = np.ravel(x)[~np.ravel(inside)][0]
         raise ValueError(f"population share must lie in [0, 1], got {bad!r}")
-    s, phi = params.sigma, params.phi
+    s = params.sigma
     c = (s - 1.0) / s
-    lo, hi = params.wage_bracket
+    phi, lo, hi, lim = _freeness_terms(phi, np.shape(x), params)
     ends = (x == 0.0) | (x == 1.0)
     has_ends = np.count_nonzero(ends)
     x_in = np.where(ends, 0.5, x)[()] if has_ends else x
     target = np.log(x_in) - np.log1p(-x_in)
     # Start from the root with ln X(u) replaced by its tangent at 0,
     # g0 u, cut off at its limits +-ln(1/phi).
-    g0, lim = (1.0 - phi) / (1.0 + phi), -math.log(phi)
+    g0 = (1.0 - phi) / (1.0 + phi)
     u = target - c * np.minimum(np.maximum(target * (g0 / (1.0 + c * g0)), -lim), lim)
     # The equation's slope is at least 1 and its curvature at most 1/4, so a
     # Newton step s leaves an error of at most s**2/2: once s**2 is within a
@@ -376,7 +400,7 @@ def solve_wage(h, params: ModelParams):
     # backward error: |h(w) - h| against WAGE_RESIDUAL_TOL or, where that is
     # missed, _WAGE_ULPS spacings of w times
     # dh/dw = sigma ((1 - phi**2) X**2 + c a b/w)/(a + b)**2
-    a, b = _share_terms(w, params)
+    a, b = _share_terms(w, params, phi)
     residual = np.abs(a / (a + b) - x)
     allowed = WAGE_RESIDUAL_TOL
     missed = ~(residual <= allowed)  # a NaN residual misses too

@@ -92,47 +92,59 @@ def penalty(x, spec: PenaltySpec):
     return float(val) if scalar else val
 
 
-def delta_t(h, spec: PenaltySpec):
+def _weights(spec: PenaltySpec, mu) -> np.ndarray:
+    """Per-element penalty weights, which only the named families take."""
+    if spec.kind not in (LOGIT, LINEAR):
+        raise ValueError("per-element weights require a named penalty family")
+    return np.asarray(mu, dtype=float)
+
+
+def delta_t(h, spec: PenaltySpec, *, mu=None):
     """Penalty differential t(h) - t(1 - h); antisymmetric about 1/2.
 
     For the logit family this is mu * (ln h - ln(1 - h)), which runs to
     -inf at h = 0 and +inf at h = 1; those signed infinities are returned
     rather than raised, so the migration balance stays well defined at the
-    endpoints.
+    endpoints.  A zero logit weight gives exactly zero everywhere.  ``mu``,
+    if given, is a per-element weight broadcast against h in place of
+    ``spec.mu`` (named families only).
     """
-    scalar = np.ndim(h) == 0
+    scalar = np.ndim(h) == 0 and (mu is None or np.ndim(mu) == 0)
     h_arr = np.asarray(h, dtype=float)
     if np.any((h_arr < 0.0) | (h_arr > 1.0)):
         raise ValueError("population shares must lie in [0, 1]")
+    weight = spec.mu if mu is None else _weights(spec, mu)
     if spec.kind == LOGIT:
-        if spec.mu == 0.0:
-            val = np.zeros_like(h_arr)
-        else:
-            with np.errstate(divide="ignore"):
-                val = spec.mu * (np.log(h_arr) - np.log1p(-h_arr))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = weight * (np.log(h_arr) - np.log1p(-h_arr))
+        if mu is not None or spec.mu == 0.0:
+            # a zero weight gives exactly zero, also where a log is infinite
+            val = np.where(weight == 0.0, 0.0, val)
     elif spec.kind == LINEAR:
-        val = spec.mu * (2.0 * h_arr - 1.0)
+        val = weight * (2.0 * h_arr - 1.0)
     else:
         val = penalty(h_arr, spec) - penalty(1.0 - h_arr, spec)
     return float(val) if scalar else val
 
 
-def delta_t_prime(h, spec: PenaltySpec):
+def delta_t_prime(h, spec: PenaltySpec, *, mu=None):
     """Slope of the penalty differential: t'(h) + t'(1 - h).
 
     Symmetric about 1/2 and, for convex t, minimized there; for the logit
-    family the closed form is mu / (h (1 - h)) with minimum 4*mu.
+    family the closed form is mu / (h (1 - h)) with minimum 4*mu.  ``mu``
+    is a per-element weight as in :func:`delta_t`.
     """
-    scalar = np.ndim(h) == 0
+    scalar = np.ndim(h) == 0 and (mu is None or np.ndim(mu) == 0)
     h_arr = np.asarray(h, dtype=float)
     if np.any((h_arr <= 0.0) | (h_arr >= 1.0)) and spec.kind == LOGIT:
         raise ValueError("logit penalty slope requires shares strictly inside (0, 1)")
     if np.any((h_arr < 0.0) | (h_arr > 1.0)):
         raise ValueError("population shares must lie in [0, 1]")
+    weight = spec.mu if mu is None else _weights(spec, mu)
     if spec.kind == LOGIT:
-        val = spec.mu / (h_arr * (1.0 - h_arr))
+        val = weight / (h_arr * (1.0 - h_arr))
     elif spec.kind == LINEAR:
-        val = np.full(h_arr.shape, 2.0 * spec.mu)
+        val = 2.0 * weight * np.ones_like(h_arr)
     else:
         flat = h_arr.ravel()
         val = np.array([spec.t_prime(float(v)) + spec.t_prime(1.0 - float(v)) for v in flat])

@@ -52,11 +52,13 @@ def _utility_theta(params: ModelParams) -> float:
     return 1.0 if abs(params.theta - 1.0) < LOG_UTILITY_BAND else params.theta
 
 
-def delta_u(h, params: ModelParams):
+def delta_u(h, params: ModelParams, *, phi=None):
     """Utility advantage of region L at population share h.
 
     Antisymmetric about h = 1/2 and zero there.  Accepts scalars or
     arrays; each point is evaluated at its own market-clearing wage.
+    ``phi``, if given, is a per-element freeness broadcast against h in
+    place of ``params.phi``, as in :func:`geoeq.model.solve_wage`.
 
     With curvature ``theta != 1`` the value is
 
@@ -68,17 +70,19 @@ def delta_u(h, params: ModelParams):
     which is used inside LOG_UTILITY_BAND to keep the crossover smooth.
     """
     h_arr = np.asarray(h, dtype=float)
-    val = _delta_u_at(h_arr, 1.0 - h_arr, solve_wage(h_arr, params), params)
+    val = _delta_u_at(h_arr, 1.0 - h_arr, solve_wage(h_arr, params, phi=phi), params, phi)
     return float(val) if np.ndim(h) == 0 else val
 
 
-def _delta_u_at(h, g, w, params: ModelParams):
+def _delta_u_at(h, g, w, params: ModelParams, phi=None):
     """delta_u from shares h and g = 1 - h and the wage w that supports them.
 
     No wage solve and no domain checks: callers that walk the wage supply
     both shares from the closed form of :func:`geoeq.model._share_terms`.
+    ``phi``, if given, is a per-element freeness in place of ``params.phi``.
     """
-    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
+    s, th, eta = params.sigma, _utility_theta(params), params.eta
+    p = params.phi if phi is None else phi
     wm = w ** (1.0 - s)
     A = h * wm + g * p
     B = h * p * wm + g

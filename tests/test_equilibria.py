@@ -43,6 +43,7 @@ from geoeq.equilibria import (
     _stability_from_slope,
     _wage_nodes,
 )
+from geoeq.model import _share_terms
 from geoeq.welfare import FD_STEP
 
 LOGIT02 = PenaltySpec(kind="logit", mu=0.2)
@@ -342,7 +343,8 @@ def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi
     params = ModelParams(sigma=sigma, phi=phi)
     n_upper = GRID_POINTS // 2 + 1
     w_edge = solve_wage(1.0 - GRID_EDGE, params)
-    nodes = _wage_nodes(w_edge, n_upper, params)
+    nodes, a, b = _wage_nodes(w_edge, n_upper, params)
+    assert all(np.array_equal(x, y) for x, y in zip((a, b), _share_terms(nodes, params)))
     assert nodes[0] == 1.0 and nodes[-1] == w_edge
     assert np.all(np.diff(nodes) > 0.0)
     assert len(nodes) <= 2 * n_upper
@@ -513,13 +515,14 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
     info = equilibria._upper_scan.cache_info()
     assert (info.misses, info.hits) == (1, 12)
 
-    scan = equilibria.find_equilibria
+    locate = equilibria._locate
 
-    def fresh_scan(p, spec, **kwargs):
+    def fresh_scan(p, spec, grid_points):
         equilibria._upper_scan.cache_clear()
-        return scan(p, spec, **kwargs)
+        equilibria._edge_delta_u.cache_clear()
+        return locate(p, spec, grid_points)
 
-    monkeypatch.setattr(equilibria, "find_equilibria", fresh_scan)
+    monkeypatch.setattr(equilibria, "_locate", fresh_scan)
     fresh = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
     assert repr(cached.samples) == repr(fresh.samples)
     assert repr(cached.bifurcations) == repr(fresh.bifurcations)
@@ -739,14 +742,14 @@ def test_log_band_pitchfork_sits_where_the_delta_V_slope_turns(theta):
 def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     # the pitchfork at phi = 0.75 lies between the steps 0.7 and 0.8
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
-    scan = equilibria.find_equilibria
+    locate = equilibria._locate
 
-    def failing_scan(p, spec, **kwargs):
+    def failing_scan(p, spec, grid_points):
         if p.phi == 0.7:
             raise SolverError("injected failure")
-        return scan(p, spec, **kwargs)
+        return locate(p, spec, grid_points)
 
-    monkeypatch.setattr(equilibria, "find_equilibria", failing_scan)
+    monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
     assert branch.diagnostics == ["phi=0.7: SolverError: injected failure"]
     assert [b.value for b in branch.bifurcations] == [pytest.approx(0.75, abs=1e-12)]
@@ -759,6 +762,110 @@ def test_sweep_with_workers_matches_serial():
     assert serial.samples == parallel.samples
     assert serial.bifurcations == parallel.bifurcations
     assert serial.diagnostics == parallel.diagnostics
+
+
+def _assert_sweep_is_the_per_step_solve(parameter, lo, hi, steps, params, spec, workers=1):
+    """Each sample of a sweep equals find_equilibria at its step, exactly,
+    and a step that find_equilibria fails on carries its text."""
+    branch = sweep(parameter, lo, hi, steps, params, spec, workers=workers)
+    diagnostics = []
+    for value, (sample_value, eqs) in zip(np.linspace(lo, hi, steps).tolist(), branch.samples):
+        p2, s2 = (params.with_phi(value), spec) if parameter == "phi" \
+            else (params, replace(spec, mu=value))
+        try:
+            expected = find_equilibria(p2, s2)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            expected = []
+            diagnostics.append(f"{parameter}={value!r}: {type(exc).__name__}: {exc}")
+        assert (sample_value, eqs) == (value, expected)
+    assert branch.diagnostics == diagnostics
+    return branch
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    sigma=st.floats(1.05, 4.0),
+    phi=st.floats(0.05, 0.95),
+    theta=st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]),
+    kind=st.sampled_from(["logit", "linear"]),
+    sweep_range=st.sampled_from(["phi", "mu-from-0", "mu-near-0"]),
+    workers=st.sampled_from([1, 2]),
+)
+def test_sweep_samples_equal_the_per_step_solve(sigma, phi, theta, kind, sweep_range, workers):
+    # mu ranges starting at 0 and at 1e-3 of the threshold take in zero
+    # weights, near-boundary chases and pinned rest points
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    threshold = dispersion_threshold(params)
+    spec = PenaltySpec(kind=kind, mu=threshold)
+    if sweep_range == "phi":
+        _assert_sweep_is_the_per_step_solve("phi", 0.05, 0.95, 7, params, spec, workers)
+    else:
+        lo = 0.0 if sweep_range == "mu-from-0" else 1e-3 * threshold
+        _assert_sweep_is_the_per_step_solve("mu", lo, 2.0 * threshold, 7, params, spec, workers)
+
+
+@pytest.mark.parametrize("parameter,lo,hi,spec", [
+    # pitchfork at mu = 0.370588: rest points inside the first scan cell
+    ("mu", 0.370588235 - 4e-8, 0.370588235 + 4e-8, LOGIT02),
+    # fig6-left's smallest weights: boundary points, pinned and chased rest points
+    ("mu", 0.0, 0.05, LOGIT02),
+    ("mu", 0.0, 1.0, PenaltySpec(kind="linear", mu=0.2)),
+    ("phi", 0.02, 0.98, LOGIT02),
+    ("phi", 0.02, 0.98, PenaltySpec(kind="custom", t=_square, t_prime=_square_prime)),
+])
+def test_sweep_samples_equal_the_per_step_solve_on_fig6_economies(parameter, lo, hi, spec):
+    params = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
+    branch = _assert_sweep_is_the_per_step_solve(parameter, lo, hi, 41, params, spec)
+    # (kind, pinned, chased past the scan edge)
+    kinds = {(e.kind, e.slope == -math.inf, 0.0 < 1.0 - e.h_star < GRID_EDGE)
+             for _, eqs in branch.samples for e in eqs}
+    if parameter == "mu" and spec.kind == "logit" and lo == 0.0:
+        assert {(KIND_BOUNDARY, False, False), (KIND_BOUNDARY, True, False),
+                (KIND_PARTIAL, False, True)} <= kinds
+
+
+def test_delta_V_of_mixed_economies_matches_each_economys_own_call():
+    params = ModelParams(sigma=2.0, phi=0.4, theta=0.5)
+    h = np.linspace(0.0, 1.0, 9)
+    economies = [(phi, mu) for phi in (0.1, 0.4, 0.9) for mu in (0.0, 0.05, 0.3)]
+    for kind in ("logit", "linear"):
+        spec = PenaltySpec(kind=kind, mu=0.2)
+        mixed = delta_V(np.tile(h, len(economies)), params, spec,
+                        phi=np.repeat([p for p, _ in economies], h.size),
+                        mu=np.repeat([m for _, m in economies], h.size))
+        alone = np.concatenate([delta_V(h, params.with_phi(p), replace(spec, mu=m))
+                                for p, m in economies])
+        assert [x.hex() for x in mixed] == [x.hex() for x in alone], kind
+
+
+def _bumped_incentive(monkeypatch, fail):
+    """Make delta_V at freeness 0.7 fail: ``fail`` 'residual' lifts it off
+    zero, 'raise' raises from the call that carries such a share."""
+    incentive = equilibria.delta_V
+
+    def bumped(h, params, spec, *, phi=None, mu=None):
+        v = incentive(h, params, spec, phi=phi, mu=mu)
+        at = np.broadcast_to(params.phi if phi is None else phi, np.shape(v)) == 0.7
+        if fail == "raise" and at.any():
+            raise SolverError("injected failure")
+        return v + 1e-6 * at
+
+    monkeypatch.setattr(equilibria, "delta_V", bumped)
+
+
+@pytest.mark.parametrize("fail", ["residual", "raise"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_step_whose_finish_fails_keeps_its_text_and_spares_the_others(monkeypatch,
+                                                                       fail, workers):
+    params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
+    clean = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
+    _bumped_incentive(monkeypatch, fail)
+    branch = _assert_sweep_is_the_per_step_solve("phi", 0.6, 0.9, 4, params, LOGIT02, workers)
+    assert len(branch.diagnostics) == 1 and branch.diagnostics[0].startswith(
+        "phi=0.7: SolverError: " + ("rest-point residual" if fail == "residual"
+                                    else "injected failure"))
+    assert [eqs for _, eqs in branch.samples] == [
+        [] if value == 0.7 else eqs for value, eqs in clean.samples]
 
 
 def test_high_weight_sweep_keeps_dispersion_stable_everywhere():

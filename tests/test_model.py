@@ -26,7 +26,7 @@ from geoeq import (
 )
 from geoeq import model
 from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
-from geoeq.welfare import FD_STEP
+from geoeq.welfare import FD_STEP, delta_u
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
 PHIS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -384,6 +384,32 @@ def test_solve_wage_is_accurate_and_the_same_alone_or_in_an_array(sigma, phi, sh
     grid = solve_wage(shares, params)
     assert grid[min(where, len(others))].hex() == solve_wage(share, params).hex()
     assert [solve_wage(float(x), params).hex() for x in shares] == [x.hex() for x in grid]
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    sigma=st.floats(1.01, 20.0),
+    theta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    economies=st.lists(
+        st.tuples(st.floats(1e-6, 1.0 - 1e-6), st.lists(st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
+            st.builds(lambda f, k: f(k), st.sampled_from(_EDGE_SHARES), st.integers(1, 8)),
+        ), min_size=1, max_size=5)),
+        min_size=2, max_size=5),
+)
+def test_wage_and_utility_gap_of_mixed_economies_match_each_economys_own_call(sigma, theta,
+                                                                             economies):
+    # one array holding shares of economies that differ only in phi, with
+    # each share's phi given per element, gives every share the bits of its
+    # own economy's call, also broadcast against a stack of such arrays
+    params = ModelParams(sigma=sigma, phi=economies[0][0], theta=theta)
+    h = np.concatenate([shares for _, shares in economies])
+    phi = np.repeat([p for p, _ in economies], [len(shares) for _, shares in economies])
+    for fn in (solve_wage, delta_u):
+        alone = [x.hex() for p, shares in economies
+                 for x in fn(np.array(shares), params.with_phi(p))]
+        for row in fn(np.stack([h, h]), params, phi=phi):
+            assert [x.hex() for x in row] == alone, fn.__name__
 
 
 @pytest.mark.parametrize("phi", [0.9999, 0.999999])
