@@ -15,6 +15,7 @@ failure, 4 i/o failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -53,12 +54,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_MODEL_DEFAULTS = {
-    "sigma": None, "phi": None, "tau": None, "theta": 1.0,
-    "alpha": None, "beta": None, "eta": 1.0,
-}
+_MODEL_DEFAULTS = {"sigma": None, "phi": None, "tau": None, "theta": 1.0}
 _PENALTY_DEFAULTS = {"penalty": "logit", "mu": 0.2}
-_OUTPUT_DEFAULTS = {"out": "out", "format": "csv,json", "workers": 1}
+_OUTPUT_DEFAULTS = {"out": "out", "format": "csv,json"}
 
 _DEFAULTS = {
     "shortrun": _MODEL_DEFAULTS | {"grid": 512} | _OUTPUT_DEFAULTS,
@@ -67,7 +65,7 @@ _DEFAULTS = {
     "thresholds": _MODEL_DEFAULTS | {"mu": None} | _OUTPUT_DEFAULTS,
     "sweep": _MODEL_DEFAULTS | _PENALTY_DEFAULTS
     | {"param": None, "min": None, "max": None, "steps": 101, "grid_points": 2048}
-    | _OUTPUT_DEFAULTS,
+    | _OUTPUT_DEFAULTS | {"workers": 1},
     "figure": {"name": None, "grid": None, "steps": None, "out": "out",
                "format": "csv,json,svg", "workers": 1},
 }
@@ -88,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--phi", type=float, help="freeness of trade in (0, 1)")
         sp.add_argument("--tau", type=float, help="iceberg trade cost (> 1); alternative to --phi")
         sp.add_argument("--theta", type=float, help="utility curvature (default 1)")
-        sp.add_argument("--alpha", type=float, help="fixed input requirement")
-        sp.add_argument("--beta", type=float, help="variable input requirement")
-        sp.add_argument("--eta", type=float, help="utility scale (default 1)")
 
     def add_penalty(sp):
         sp.add_argument("--penalty", choices=("logit", "linear"),
@@ -101,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
         sp.add_argument("--format", metavar="LIST",
                         help=f"comma-separated subset of csv,json,svg (default {formats})")
-        sp.add_argument("--workers", type=int, help="worker processes (default 1)")
+
+    def add_workers(sp):
+        sp.add_argument("--workers", type=int, help="sweep worker processes (default 1)")
 
     sp = sub.add_parser("shortrun", help="market-clearing wages, prices and "
                                          "consumption over a grid of shares")
@@ -132,12 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int, dest="grid_points",
                     help="scan resolution per step (default 2048)")
     add_output(sp)
+    add_workers(sp)
 
     sp = sub.add_parser("figure", help="emit a canonical figure as data + rendering")
     sp.add_argument("name", choices=FIGURES, help="which figure to produce")
     sp.add_argument("--grid", type=int, help="override the share-grid density")
     sp.add_argument("--steps", type=int, help="override the sweep step count")
     add_output(sp, formats="csv,json,svg")
+    add_workers(sp)
 
     return parser
 
@@ -178,9 +177,7 @@ def _params_from(opts: dict) -> ModelParams:
     if opts.get("sigma") is None:
         raise ValueError("--sigma is required (or set sigma in the config file)")
     return ModelParams(sigma=opts["sigma"], phi=opts.get("phi"), tau=opts.get("tau"),
-                       theta=opts.get("theta", 1.0),
-                       alpha=opts.get("alpha"), beta=opts.get("beta"),
-                       eta=opts.get("eta", 1.0))
+                       theta=opts.get("theta", 1.0))
 
 
 def _penalty_from(opts: dict) -> PenaltySpec:
@@ -201,11 +198,8 @@ def _echo(opts: dict, params: ModelParams | None = None,
           spec: PenaltySpec | None = None) -> dict:
     echo = {k: v for k, v in opts.items() if k != "command"}
     if params is not None:
-        echo["effective_model"] = {
-            "sigma": params.sigma, "phi": params.phi, "tau": params.tau,
-            "theta": params.theta, "alpha": params.alpha, "beta": params.beta,
-            "eta": params.eta,
-        }
+        echo["effective_model"] = {f.name: getattr(params, f.name)
+                                   for f in dataclasses.fields(params)}
     if spec is not None:
         echo["effective_penalty"] = {"kind": spec.kind, "mu": spec.mu}
     return echo
@@ -375,8 +369,9 @@ def run_thresholds(opts: dict) -> int:
     }
 
     phis = np.linspace(0.01, 0.99, 197)
-    curve = [dispersion_threshold(params.with_phi(p)) for p in phis]
-    series = [Series("stability threshold", list(zip(phis.tolist(), curve)), PALETTE[0])]
+    curve = dispersion_threshold(params, phi=phis)
+    series = [Series("stability threshold", list(zip(phis.tolist(), curve.tolist())),
+                     PALETTE[0])]
     if mu is not None:
         series.append(Series(f"mu = {mu:g}", [(0.01, mu), (0.99, mu)], PALETTE[1],
                              dash="6,4"))

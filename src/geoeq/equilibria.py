@@ -41,7 +41,7 @@ import numpy as np
 from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
                     _share_raw, _share_terms, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
-from .welfare import FD_STEP, _delta_u_at, _dispersion_slope_at, delta_u, dispersion_slope
+from .welfare import FD_STEP, _delta_u_at, delta_u, dispersion_slope
 
 __all__ = [
     "Equilibrium",
@@ -580,23 +580,20 @@ def phi_b(sigma: float, mu: float) -> float | None:
     return val if 0.0 < val < 1.0 else None
 
 
-def dispersion_threshold(params: ModelParams) -> float:
+def dispersion_threshold(params: ModelParams, *, phi=None):
     """Curvature-adjusted logit weight where the symmetric point turns.
 
     Half the display-convention symmetric slope, i.e.
 
-        eta * mu_d(sigma, phi) * ((1 + phi)/2)**((1 - theta)/(sigma - 1)).
+        mu_d(sigma, phi) * ((1 + phi)/2)**((1 - theta)/(sigma - 1)).
 
-    Coincides with mu_d at theta = 1 and eta = 1; for other curvatures the
+    Coincides with mu_d at theta = 1; for other curvatures the
     adjustment factor is what the migration dynamics actually balance
-    against the penalty slope 4 mu at h = 1/2.
+    against the penalty slope 4 mu at h = 1/2.  ``phi``, if given, is a
+    freeness (scalar or array) in place of ``params.phi``, as in
+    :func:`geoeq.welfare.dispersion_slope`.
     """
-    return _dispersion_threshold_at(params.phi, params)
-
-
-def _dispersion_threshold_at(phi, params: ModelParams):
-    """:func:`dispersion_threshold` at freeness phi (scalar or array), other primitives from params."""
-    return 0.5 * _dispersion_slope_at(phi, params)
+    return 0.5 * dispersion_slope(params, phi=phi)
 
 
 def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
@@ -611,7 +608,7 @@ def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     grid = np.linspace(1e-6, 1.0 - 1e-6, 1024)
-    g = lambda p: _dispersion_threshold_at(p, params) - mu
+    g = lambda p: dispersion_threshold(params, phi=p) - mu
     return _grid_roots(g, grid, g(grid), 1e-14)
 
 
@@ -741,7 +738,7 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
         return 2.0 * dispersion_slope(p2) - delta_t_prime(0.5, s2)
 
     if parameter == "phi":
-        slopes = 2.0 * _dispersion_slope_at(values, params) - delta_t_prime(0.5, spec)
+        slopes = 2.0 * dispersion_slope(params, phi=values) - delta_t_prime(0.5, spec)
     else:
         slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
     bifurcations = [pitchfork_criticality(parameter, p, params, spec)

@@ -161,12 +161,12 @@ class ModelParams:
     must be supplied; the other is derived from ``phi = tau**(1 - sigma)``.
     Freeness is canonical internally; tau is an input convenience.
 
-    ``alpha`` (fixed input requirement) and ``beta`` (variable input
-    requirement) default to the normalization ``alpha * sigma = 1`` and
-    ``(sigma - 1) / (sigma * beta) = 1``, under which firm counts equal
-    population shares, mill prices equal wages, and the utility scale
-    ``eta`` is 1.  ``eta`` stays a visible field so the utility prefactor
-    is explicit in the welfare formulas.
+    Input requirements are normalised: mill prices equal wages and each
+    region hosts as many firms as it has residents.  Other input
+    requirements or a utility scale would only multiply the utility
+    differential by a positive constant, which a rescaled penalty weight
+    reproduces, so the economy is (sigma, phi | tau, theta) and the
+    penalty weight mu carries every utility scale.
 
     ``theta`` is the curvature of the isoelastic sub-utility; it amplifies
     consumption gaps into utility gaps (``theta = 0`` linear, ``theta = 1``
@@ -177,9 +177,6 @@ class ModelParams:
     phi: float | None = None
     tau: float | None = None
     theta: float = 1.0
-    alpha: float | None = None
-    beta: float | None = None
-    eta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.sigma > 1.0 and math.isfinite(self.sigma)):
@@ -206,24 +203,6 @@ class ModelParams:
             object.__setattr__(self, "tau", tau)
         if not (self.theta >= 0.0 and math.isfinite(self.theta)):
             raise ValueError(f"theta must be a finite number >= 0, got {self.theta}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", 1.0 / self.sigma)
-        elif not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta is None:
-            object.__setattr__(self, "beta", (self.sigma - 1.0) / self.sigma)
-        elif not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-
-    @property
-    def normalized(self) -> bool:
-        """Whether the default input-requirement normalization holds."""
-        return (
-            abs(self.alpha * self.sigma - 1.0) < 1e-12
-            and abs((self.sigma - 1.0) / (self.sigma * self.beta) - 1.0) < 1e-12
-        )
 
     @property
     def wage_bracket(self) -> tuple[float, float]:
@@ -233,13 +212,11 @@ class ModelParams:
 
     def with_phi(self, phi: float) -> "ModelParams":
         """Copy of these parameters at a different freeness of trade."""
-        return ModelParams(sigma=self.sigma, phi=phi, theta=self.theta,
-                           alpha=self.alpha, beta=self.beta, eta=self.eta)
+        return ModelParams(sigma=self.sigma, phi=phi, theta=self.theta)
 
     def with_theta(self, theta: float) -> "ModelParams":
         """Copy of these parameters at a different utility curvature."""
-        return ModelParams(sigma=self.sigma, phi=self.phi, theta=theta,
-                           alpha=self.alpha, beta=self.beta, eta=self.eta)
+        return ModelParams(sigma=self.sigma, phi=self.phi, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -421,10 +398,7 @@ def solve_wage(h, params: ModelParams, *, phi=None):
 def price_indices(h, w, params: ModelParams):
     """Regional CES price indices at distribution h and relative wage w.
 
-    Implemented with the mill-price markup ``beta*sigma/(sigma-1)`` and the
-    firm-mass scale ``1/(sigma*alpha)`` written out, so non-normalized
-    input requirements are honored; under the default normalization both
-    factors are 1 and the expression collapses to
+    Mill prices equal wages under the normalised input requirements, so
 
         P_L = [h w**(1-sigma) + (1-h) phi]**(1/(1-sigma)),
         P_R = [h phi w**(1-sigma) + (1-h)]**(1/(1-sigma)).
@@ -439,12 +413,10 @@ def price_indices(h, w, params: ModelParams):
     if np.any(w_arr <= 0.0):
         raise ValueError("wages must be positive")
     s = params.sigma
-    mill = params.beta * s / (s - 1.0)
-    scale = 1.0 / (s * params.alpha)
     ex = 1.0 / (1.0 - s)
     local = h_arr * w_arr ** (1.0 - s)
-    P_L = mill * (scale * (local + (1.0 - h_arr) * params.phi)) ** ex
-    P_R = mill * (scale * (params.phi * local + (1.0 - h_arr))) ** ex
+    P_L = (local + (1.0 - h_arr) * params.phi) ** ex
+    P_R = (params.phi * local + (1.0 - h_arr)) ** ex
     if scalar:
         return float(P_L), float(P_R)
     return P_L, P_R
@@ -458,15 +430,14 @@ def consumption(h, params: ModelParams):
 
 
 def firm_counts(h, params: ModelParams):
-    """Firm masses (n_L, n_R); they sum to 1/(sigma*alpha)."""
-    h_arr = np.asarray(h, dtype=float)
+    """Firm masses (n_L, n_R) = (h, 1 - h): under the normalised input
+    requirements each region hosts as many firms as it has residents."""
+    h_arr = np.array(h, dtype=float)
     if np.any((h_arr < 0.0) | (h_arr > 1.0)):
         raise ValueError("population shares must lie in [0, 1]")
-    scale = 1.0 / (params.sigma * params.alpha)
-    n_L = h_arr * scale
     if np.ndim(h) == 0:
-        return float(n_L), float((1.0 - h_arr) * scale)
-    return n_L, (1.0 - h_arr) * scale
+        return float(h_arr), float(1.0 - h_arr)
+    return h_arr, 1.0 - h_arr
 
 
 def demand(w_i: float, p_ij: float, P_i: float, sigma: float) -> float:

@@ -62,11 +62,11 @@ def delta_u(h, params: ModelParams, *, phi=None):
 
     With curvature ``theta != 1`` the value is
 
-        eta/(1-theta) * (w**(1-theta) A**kappa - B**kappa),
+        1/(1-theta) * (w**(1-theta) A**kappa - B**kappa),
         kappa = (1-theta)/(sigma-1),
 
-    where A and B are the (normalized) price-index brackets of L and R.
-    As theta -> 1 this degenerates to eta * (ln w + ln(A/B)/(sigma-1)),
+    where A and B are the price-index brackets of L and R.  As theta -> 1
+    this degenerates to ln w + ln(A/B)/(sigma-1),
     which is used inside LOG_UTILITY_BAND to keep the crossover smooth.
     """
     h_arr = np.asarray(h, dtype=float)
@@ -81,15 +81,15 @@ def _delta_u_at(h, g, w, params: ModelParams, phi=None):
     both shares from the closed form of :func:`geoeq.model._share_terms`.
     ``phi``, if given, is a per-element freeness in place of ``params.phi``.
     """
-    s, th, eta = params.sigma, _utility_theta(params), params.eta
+    s, th = params.sigma, _utility_theta(params)
     p = params.phi if phi is None else phi
     wm = w ** (1.0 - s)
     A = h * wm + g * p
     B = h * p * wm + g
     if th == 1.0:
-        return eta * (np.log(w) + np.log(A / B) / (s - 1.0))
+        return np.log(w) + np.log(A / B) / (s - 1.0)
     kappa = (1.0 - th) / (s - 1.0)
-    return eta / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
+    return 1.0 / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
 
 
 def _delta_u_fd_slope(h: float, params: ModelParams) -> float:
@@ -107,7 +107,7 @@ class StabilityCoefficients:
     times the positive G_poly, so the bracketed utility factor carries the
     sign of the slope); ``a1``/``a2``/``a3`` assemble the slope
     in the freeness of trade, with ``a3 < 0`` whenever w > 1, and ``Psi``
-    is the freeness slope stripped of the positive factor eta*w: Psi < 0
+    is the freeness slope stripped of the positive factor w: Psi < 0
     means freer trade erodes the attraction of the crowded region.
     """
 
@@ -164,14 +164,14 @@ def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
     """
     if not 0.0 < h_star < 1.0:
         raise ValueError(f"interior share required, got {h_star}")
-    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
+    s, p, th = params.sigma, params.phi, _utility_theta(params)
     w = solve_wage(h_star, params)
     X = w ** s
     D = X * X - (w + 1.0) * p * X + w
     c = _coefficients(w, params)
     kappa = (1.0 - th) / (s - 1.0)
     core = (1.0 - p * p) * w / D
-    return eta * c.zeta * (
+    return c.zeta * (
         (c.varphi * w ** (s * (1.0 - th) / (s - 1.0)) + c.psi / w) * core ** kappa
     )
 
@@ -197,29 +197,27 @@ def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
     return closed
 
 
-def dispersion_slope(params: ModelParams) -> float:
+def dispersion_slope(params: ModelParams, *, phi=None):
     """Symmetric-point slope expression in the display convention.
 
     Closed form at h = 1/2 (where w = 1):
 
-        eta * 2(2 sigma - 1)(1 - phi) ((1+phi)/2)**kappa
+        2(2 sigma - 1)(1 - phi) ((1+phi)/2)**kappa
             / ((sigma - 1)(2 sigma + phi - 1)).
 
     Note the convention: this display equals exactly half of the true
     derivative ``ddelta_u_dh(1/2)``.  Threshold formulas built from it
     (``mu_d`` and friends) halve the penalty side by the same factor, so
-    the pair stays consistent; see the equilibria module.
+    the pair stays consistent; see the equilibria module.  ``phi``, if
+    given, is a freeness (scalar or array) in place of ``params.phi``, as
+    in :func:`delta_u`; a float freeness is evaluated with Python's ``**``.
     """
-    return _dispersion_slope_at(params.phi, params)
-
-
-def _dispersion_slope_at(phi, params: ModelParams):
-    """:func:`dispersion_slope` at freeness phi (scalar or array), other primitives from params."""
-    s, eta = params.sigma, params.eta
+    s = params.sigma
+    p = params.phi if phi is None else phi
     kappa = (1.0 - _utility_theta(params)) / (s - 1.0)
-    return eta * (
-        2.0 * (2.0 * s - 1.0) * (1.0 - phi) * ((1.0 + phi) / 2.0) ** kappa
-        / ((s - 1.0) * (2.0 * s + phi - 1.0))
+    return (
+        2.0 * (2.0 * s - 1.0) * (1.0 - p) * ((1.0 + p) / 2.0) ** kappa
+        / ((s - 1.0) * (2.0 * s + p - 1.0))
     )
 
 
@@ -232,7 +230,7 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     """
     if not 0.5 < h_star < 1.0:
         raise ValueError(f"share in (1/2, 1) required, got {h_star}")
-    s, p, th, eta = params.sigma, params.phi, _utility_theta(params), params.eta
+    s, p, th = params.sigma, params.phi, _utility_theta(params)
     w = solve_wage(h_star, params)
     X = w ** s
     D = X * X - (w + 1.0) * p * X + w
@@ -240,5 +238,5 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     e = (th + s - 2.0) / (s - 1.0)
     A_core = (1.0 - p * p) * w * X / D
     B_core = (1.0 - p * p) * w / D
-    return eta * (-(w / c.a3) * (c.a1 * A_core ** (-e) + c.a2 * B_core ** (-e)))
+    return -(w / c.a3) * (c.a1 * A_core ** (-e) + c.a2 * B_core ** (-e))
 

@@ -302,6 +302,50 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "gird" in capsys.readouterr().err
 
 
+_MODEL_ARGV = {
+    "shortrun": ["shortrun"],
+    "equilibria": ["equilibria"],
+    "thresholds": ["thresholds"],
+    "sweep": ["sweep", "--param", "mu", "--min", "0.1", "--max", "0.5"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--eta"])
+@pytest.mark.parametrize("command", sorted(_MODEL_ARGV))
+def test_model_flags_are_only_sigma_phi_tau_theta(tmp_path, command, flag):
+    # input requirements are normalised and mu carries every utility scale
+    with pytest.raises(SystemExit) as exc:
+        main([*_MODEL_ARGV[command], "--sigma", "2", "--phi", "0.5", flag, "3",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["shortrun", "equilibria", "thresholds"])
+def test_workers_is_offered_only_where_a_sweep_runs(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*_MODEL_ARGV[command], "--sigma", "2", "--phi", "0.5", "--workers", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["alpha", "eta", "workers"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sigma": 2.0, "phi": 0.5, key: 1}))
+    code = main(["--config", str(config), "equilibria", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"unknown config keys for equilibria: {key}" in capsys.readouterr().err
+
+
+def test_effective_model_echoes_every_model_field(tmp_path):
+    assert main(["thresholds", "--sigma", "2", "--tau", "2.5", "--theta", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "thresholds.json").read_text())
+    model = doc["config"]["effective_model"]
+    assert list(model) == ["sigma", "phi", "tau", "theta"]
+    assert model == {"sigma": 2.0, "phi": 0.4, "tau": 2.5, "theta": 0.5}
+
+
 def test_malformed_config_is_rejected(tmp_path):
     config = tmp_path / "run.json"
     config.write_text("{not json")

@@ -610,7 +610,7 @@ def test_threshold_phi_crossings_match_the_per_phi_oracle():
     crossed = 0
     for _ in range(400):
         params = ModelParams(sigma=float(rng.uniform(1.05, 4.0)), phi=0.5,
-                             theta=float(rng.uniform(0.0, 2.0)), eta=float(rng.uniform(0.5, 2.0)))
+                             theta=float(rng.uniform(0.0, 2.0)))
         # weights up to 1.2x the largest threshold, so most draws cross
         mu = float(rng.uniform(0.0, 1.2)) * dispersion_threshold(params.with_phi(1e-6))
         found = threshold_phi_crossings(params, mu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -71,22 +72,13 @@ def test_params_near_sigma_one_carry_an_infinite_iceberg_cost():
         assert ModelParams(sigma=1.0001, phi=np.float64(1e-5)).tau == math.inf
 
 
-def test_params_default_normalization():
-    p = ModelParams(sigma=2.5, phi=0.3)
-    assert p.alpha == pytest.approx(0.4)
-    assert p.beta == pytest.approx(0.6)
-    assert p.normalized
-    q = ModelParams(sigma=2.5, phi=0.3, alpha=1.0)
-    assert not q.normalized
-
-
 @pytest.mark.parametrize("kwargs", [
     {"sigma": 1.0, "phi": 0.5},
     {"sigma": 2.0, "phi": 0.0},
     {"sigma": 2.0, "phi": 1.0},
     {"sigma": 2.0, "phi": 0.5, "theta": -0.1},
-    {"sigma": 2.0, "phi": 0.5, "alpha": 0.0},
-    {"sigma": 2.0, "phi": 0.5, "eta": 0.0},
+    {"sigma": 2.0, "phi": 0.5, "theta": math.inf},
+    {"sigma": 2.0, "phi": math.nan},
     # the derived freeness underflows to 0, resp. rounds to 1
     {"sigma": 50.0, "tau": 1e10},
     {"sigma": 1.0001, "tau": 1.0000000000000002},
@@ -94,6 +86,14 @@ def test_params_default_normalization():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "eta"])
+def test_params_have_no_scale_fields(field):
+    # input requirements are normalised and mu carries every utility scale
+    with pytest.raises(TypeError):
+        ModelParams(sigma=2, phi=0.5, **{field: 3})
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["sigma", "phi", "tau", "theta"]
 
 
 def test_wage_bracket_endpoints():
@@ -194,15 +194,6 @@ def test_price_indices_symmetric_point():
     assert P_R == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
-def test_price_indices_respect_input_requirements():
-    base = ModelParams(sigma=2.0, phi=0.5)
-    scaled = ModelParams(sigma=2.0, phi=0.5, alpha=0.25, beta=0.75)
-    P_L0, _ = price_indices(0.7, 1.1, base)
-    P_L1, _ = price_indices(0.7, 1.1, scaled)
-    # mill markup 1.5x, firm-mass scale 2 with exponent -1 halves the bracket
-    assert P_L1 / P_L0 == pytest.approx(1.5 / 2.0, rel=1e-14)
-
-
 def test_price_indices_validation():
     p = ModelParams(sigma=2.0, phi=0.5)
     with pytest.raises(ValueError):
@@ -223,9 +214,36 @@ def test_consumption_composes_wage_and_prices():
 def test_firm_counts_sum_to_total_mass():
     p = ModelParams(sigma=2.0, phi=0.5)
     n_L, n_R = firm_counts(0.3, p)
-    assert n_L + n_R == pytest.approx(1.0 / (p.sigma * p.alpha), rel=1e-14)
-    # each producer uses sigma * alpha workers, so counts scale as h / (sigma * alpha)
-    assert n_L == pytest.approx(0.3 / (2.0 * 0.5), rel=1e-14)
+    assert n_L + n_R == 1.0
+    # one firm per resident under the normalised input requirements
+    assert n_L == 0.3
+
+
+# Rounding in the bracket is amplified by the exponent 1/(1 - sigma), so sigma
+# starts where that is at most 4 and 1e-14 leaves a margin of several ulps.
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=st.floats(1.25, 12.0),
+    phi=st.floats(0.01, 0.99),
+    h=st.floats(0.0, 1.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_price_indices_and_firm_counts_take_the_normalised_forms(sigma, phi, h, u):
+    p = ModelParams(sigma=sigma, phi=phi)
+    lo, hi = p.wage_bracket
+    w = lo + u * (hi - lo)
+    P_L, P_R = price_indices(h, w, p)
+    with mpmath.workdps(40):
+        s, f, x = mpmath.mpf(sigma), mpmath.mpf(phi), mpmath.mpf(h)
+        local = x * mpmath.mpf(w) ** (1 - s)
+        want_L = (local + (1 - x) * f) ** (1 / (1 - s))
+        want_R = (f * local + (1 - x)) ** (1 / (1 - s))
+    assert abs(P_L - want_L) <= 1e-14 * abs(want_L)
+    assert abs(P_R - want_R) <= 1e-14 * abs(want_R)
+    assert firm_counts(h, p) == (h, 1.0 - h)
+    hs = np.array([h, 1.0 - h, 0.5])
+    n_L, n_R = firm_counts(hs, p)
+    assert np.array_equal(n_L, hs) and np.array_equal(n_R, 1.0 - hs)
 
 
 def test_demand_value_and_homogeneity():

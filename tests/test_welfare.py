@@ -49,11 +49,6 @@ def test_delta_u_is_exactly_zero_at_symmetry():
         assert delta_u(0.5, P25.with_theta(theta)) == 0.0
 
 
-def test_delta_u_scales_linearly_with_eta():
-    scaled = ModelParams(sigma=2.0, phi=0.5, eta=3.0)
-    assert delta_u(0.8, scaled) == pytest.approx(3.0 * delta_u(0.8, P25), rel=1e-14)
-
-
 def test_delta_u_antisymmetry_on_grid():
     h = np.linspace(0.0, 1.0, 201)
     for theta in (0.0, 0.7, 1.0, 2.0):
