@@ -487,99 +487,87 @@ def run_sweep(opts: dict) -> int:
 # Figures
 
 
+def _share_figure(opts: dict, name: str, h: np.ndarray, columns: dict, series: list,
+                  shadow: dict, config: dict, results: dict, title: str,
+                  y_label: str) -> None:
+    """Emit a figure drawn over the resident share h.
+
+    The CSV holds h and ``columns`` (header -> values at h); the JSON
+    echoes the options with ``config`` and the grid size, and adds
+    ``results`` after the column list; the SVG draws ``series``.
+    """
+    header = ["h", *columns]
+    doc = {
+        "command": "figure",
+        "config": _echo(opts) | config | {"grid": h.size},
+        "results": {"columns": header, "grid_points": h.size} | results,
+        "shadow_checks": shadow,
+    }
+    svg = line_chart(title, "resident share of region L", y_label, series)
+    rows = zip(h.tolist(), *[c.tolist() for c in columns.values()])
+    _emit(opts, name, header=header, rows=rows, document=doc, svg=svg)
+
+
 def _figure_fig1(opts: dict) -> None:
-    grid = int(opts["grid"] or 513)
     sigma = 2.0
     phis = (0.1, 0.5, 0.7)
-    h = np.linspace(0.0, 1.0, grid)
-    columns, series, shadow = [], [], {}
+    h = np.linspace(0.0, 1.0, int(opts["grid"] or 513))
+    columns, series, shadow = {}, [], {}
     for i, phi in enumerate(phis):
-        params = ModelParams(sigma=sigma, phi=phi)
-        w = np.asarray(solve_wage(h, params))
-        columns.append(w)
+        w = np.asarray(solve_wage(h, ModelParams(sigma=sigma, phi=phi)))
+        columns[f"w_phi_{phi:g}"] = w
         series.append(Series(f"freeness {phi:g}", list(zip(h.tolist(), w.tolist())),
                              PALETTE[i]))
         shadow[f"reciprocal_max_err_phi_{phi:g}"] = float(
             np.max(np.abs(w * w[::-1] - 1.0)))
         shadow[f"monotone_phi_{phi:g}"] = bool(np.all(np.diff(w) > 0.0))
-    header = ["h"] + [f"w_phi_{phi:g}" for phi in phis]
-    rows = zip(h.tolist(), *[c.tolist() for c in columns])
-    doc = {
-        "command": "figure",
-        "config": _echo(opts) | {"sigma": sigma, "phi_values": list(phis),
-                                 "grid": grid},
-        "results": {"columns": header, "grid_points": grid},
-        "shadow_checks": shadow,
-    }
-    svg = line_chart("Market-clearing relative wage",
-                     "resident share of region L", "relative wage", series)
-    _emit(opts, "fig1", header=header, rows=rows, document=doc, svg=svg)
+    _share_figure(opts, "fig1", h, columns, series, shadow,
+                  {"sigma": sigma, "phi_values": list(phis)}, {},
+                  "Market-clearing relative wage", "relative wage")
 
 
 def _figure_fig2(opts: dict) -> None:
-    grid = int(opts["grid"] or 513)
     sigma, phi = 2.0, 0.5
     thetas = (0.0, 1.0, 2.0)
-    h = np.linspace(0.0, 1.0, grid)
-    columns, series, shadow = [], [], {}
+    h = np.linspace(0.0, 1.0, int(opts["grid"] or 513))
+    columns, series, shadow = {}, [], {}
     for i, theta in enumerate(thetas):
-        params = ModelParams(sigma=sigma, phi=phi, theta=theta)
-        du = np.asarray(delta_u(h, params))
-        columns.append(du)
+        du = np.asarray(delta_u(h, ModelParams(sigma=sigma, phi=phi, theta=theta)))
+        columns[f"delta_u_theta_{theta:g}"] = du
         series.append(Series(f"curvature {theta:g}", list(zip(h.tolist(), du.tolist())),
                              PALETTE[i]))
         shadow[f"antisymmetry_max_err_theta_{theta:g}"] = float(
             np.max(np.abs(du + du[::-1])))
-    shadow["curvature_amplifies_at_0.8"] = bool(
-        columns[0][int(0.8 * (grid - 1))] < columns[1][int(0.8 * (grid - 1))]
-        < columns[2][int(0.8 * (grid - 1))])
-    header = ["h"] + [f"delta_u_theta_{theta:g}" for theta in thetas]
-    rows = zip(h.tolist(), *[c.tolist() for c in columns])
-    doc = {
-        "command": "figure",
-        "config": _echo(opts) | {"sigma": sigma, "phi": phi,
-                                 "theta_values": list(thetas), "grid": grid},
-        "results": {"columns": header, "grid_points": grid},
-        "shadow_checks": shadow,
-    }
-    svg = line_chart("Utility advantage of the crowded region",
-                     "resident share of region L", "utility differential", series)
-    _emit(opts, "fig2", header=header, rows=rows, document=doc, svg=svg)
+    at = int(0.8 * (h.size - 1))
+    low, mid, high = (du[at] for du in columns.values())
+    shadow["curvature_amplifies_at_0.8"] = bool(low < mid < high)
+    _share_figure(opts, "fig2", h, columns, series, shadow,
+                  {"sigma": sigma, "phi": phi, "theta_values": list(thetas)}, {},
+                  "Utility advantage of the crowded region", "utility differential")
 
 
 def _figure_fig5(opts: dict) -> None:
-    grid = int(opts["grid"] or 513)
     sigma, theta, mu = 2.5, 0.0, 0.2
     phis = (0.3, 0.5, 0.9)
     spec = PenaltySpec(kind=LOGIT, mu=mu)
-    h = np.linspace(0.01, 0.99, grid)
+    h = np.linspace(0.01, 0.99, int(opts["grid"] or 513))
     dt = np.asarray(delta_t(h, spec))
-    columns, series, shadow = [], [], {}
-    eq_report = {}
+    columns, series, shadow, eq_report = {}, [], {}, {}
     for i, phi in enumerate(phis):
         params = ModelParams(sigma=sigma, phi=phi, theta=theta)
         du = np.asarray(delta_u(h, params))
-        columns.append(du)
+        columns[f"delta_u_phi_{phi:g}"] = du
         series.append(Series(f"freeness {phi:g}", list(zip(h.tolist(), du.tolist())),
                              PALETTE[i], dash="6,4"))
         shadow[f"net_sign_changes_phi_{phi:g}"] = _sign_change_count(du - dt)
-        eqs = find_equilibria(params, spec)
-        eq_report[f"phi_{phi:g}"] = eqs
+        eq_report[f"phi_{phi:g}"] = find_equilibria(params, spec)
+    columns["delta_t"] = dt
     series.append(Series(f"penalty differential (mu = {mu:g})",
                          list(zip(h.tolist(), dt.tolist())), "#111111", width=2.8))
-    header = ["h"] + [f"delta_u_phi_{phi:g}" for phi in phis] + ["delta_t"]
-    rows = zip(h.tolist(), *[c.tolist() for c in columns], dt.tolist())
-    doc = {
-        "command": "figure",
-        "config": _echo(opts) | {"sigma": sigma, "theta": theta, "mu": mu,
-                                 "phi_values": list(phis), "grid": grid},
-        "results": {"columns": header, "grid_points": grid,
-                    "equilibria": eq_report},
-        "shadow_checks": shadow,
-    }
-    svg = line_chart("Attraction against congestion",
-                     "resident share of region L", "utility differential", series)
-    _emit(opts, "fig5", header=header, rows=rows, document=doc, svg=svg)
+    _share_figure(opts, "fig5", h, columns, series, shadow,
+                  {"sigma": sigma, "theta": theta, "mu": mu, "phi_values": list(phis)},
+                  {"equilibria": eq_report},
+                  "Attraction against congestion", "utility differential")
 
 
 def _figure_fig6(opts: dict, name: str, parameter: str, lo: float, hi: float, phi: float,

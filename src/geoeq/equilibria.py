@@ -20,7 +20,9 @@ at the boundary probes for the last few, so the steps of a
 penalty-weight sweep scan and probe their economy once.
 
 Solving is split in two phases.  The locate phase runs per economy: scan,
-brackets, polish, near-boundary chase, pinned and boundary checks.  The
+brackets, polish, the first-cell search, near-boundary chase, pinned and
+boundary checks.  It is handed delta_V's closed-form slope at 1/2, which
+decides whether a rest point hides inside the first scan cell.  The
 finish phase takes the located rest points of any number of economies
 that differ only in freeness and penalty weight, and computes |delta_V|
 and its central-FD slope for the symmetric point, every root and every
@@ -153,7 +155,8 @@ def delta_V(h, params: ModelParams, spec: PenaltySpec, *, phi=None, mu=None):
     a per-element freeness and penalty weight broadcast against h in place
     of ``params.phi`` and ``spec.mu``, so one call serves shares of
     economies that differ only in them, each share getting its own
-    economy's value.
+    economy's value.  As with :func:`geoeq.welfare.delta_u`, a scalar
+    share and the same share inside an array can differ in the last bit.
     """
     return delta_u(h, params, phi=phi) - delta_t(h, spec, mu=mu)
 
@@ -297,38 +300,6 @@ def _per_share(values: list[float], counts: list[int]):
     return np.repeat(values, counts)
 
 
-def _finish_batch(jobs) -> list:
-    """Interior rest points of several economies from one delta_V call.
-
-    ``jobs`` holds (params, spec, pairs) per economy, the economies alike
-    but for freeness and penalty weight.  Returns, per job, its Equilibrium
-    list or the exception its finish raised.  If the batch as a whole
-    raises, every job is finished on its own, so a failure stays with its
-    economy and carries the text that a one-economy call gives.
-    """
-    if not jobs:
-        return []
-    counts = [len(pairs) for _, _, pairs in jobs]
-    h = np.array([h_star for _, _, pairs in jobs for h_star, _ in pairs])
-    params, spec, _ = jobs[0]
-    try:
-        residual, slope = _incentive_and_slope(
-            h, params, spec, phi=_per_share([p.phi for p, _, _ in jobs], counts),
-            mu=_per_share([s.mu for _, s, _ in jobs], counts))
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        if len(jobs) == 1:
-            return [exc]
-        return [result for job in jobs for result in _finish_batch([job])]
-    results = []
-    for (_, _, pairs), end in zip(jobs, np.cumsum(counts).tolist()):
-        part = slice(end - len(pairs), end)
-        try:
-            results.append(_interior_equilibria(pairs, residual[part], slope[part]))
-        except SolverError as exc:
-            results.append(exc)
-    return results
-
-
 def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
     """Endpoint rest points, admissible only under a bounded penalty.
 
@@ -358,24 +329,19 @@ class _Located:
     """One economy's rest points as the locate phase leaves them.
 
     ``roots`` are the upper-half rest points (h*, w), not yet finished;
-    ``edge`` the pinned or boundary rest points, final as they stand;
-    ``first`` the first scan node past w = 1 and delta_V there, for the
-    first-cell test that needs the finished symmetric slope.
+    ``edge`` the pinned or boundary rest points, final as they stand.
     """
 
     params: ModelParams
     spec: PenaltySpec
     roots: list[tuple[float, float]]
     edge: list[Equilibrium]
-    first: tuple[float, float]
 
 
-def _add_root(roots: list[tuple[float, float]], r: float, w: float) -> bool:
+def _add_root(roots: list[tuple[float, float]], r: float, w: float) -> None:
     """Record an upper-half rest point unless it is the symmetric one or already known."""
     if r - 0.5 > DISPERSION_TOL and all(abs(r - seen) > DISPERSION_TOL for seen, _ in roots):
         roots.append((r, w))
-        return True
-    return False
 
 
 def _mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -384,8 +350,39 @@ def _mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return [*pairs, *((1.0 - r, 1.0 / w) for r, w in pairs)]
 
 
-def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int) -> _Located:
-    """The locate phase of :func:`find_equilibria`: everything but the finish."""
+def _symmetric_slope(params: ModelParams, spec: PenaltySpec) -> float:
+    """delta_V's slope at h = 1/2 in closed form.
+
+    The utility slope there is exactly twice the display form
+    :func:`geoeq.welfare.dispersion_slope`.
+    """
+    return 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec)
+
+
+def _first_cell_root(f, hi: float, value: float) -> float | None:
+    """The wage of a rest point inside the first scan cell [1, hi], or None.
+
+    delta_V(1/2) = 0 by antisymmetry, so the sign-change test is blind in
+    the first cell; the caller asks here when the symmetric slope's sign
+    differs from ``value`` = f(hi), delta_V at the first node, i.e. the
+    curve re-crosses inside the cell.  Halve toward w = 1 until f takes
+    the slope's sign to bracket the root; a fixed probe right next to 1/2
+    would read rounding noise.
+    """
+    while (lo := 0.5 * (1.0 + hi)) > 1.0:
+        if f(lo) * value <= 0.0:
+            return brentq(f, lo, hi, xtol=1e-15, maxiter=200)
+        hi = lo
+    return None
+
+
+def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int,
+            slope: float) -> _Located:
+    """The locate phase of :func:`find_equilibria`: everything but the finish.
+
+    ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
+    decides whether the first scan cell is searched.
+    """
     if grid_points < 16:
         raise ValueError("grid_points too small to bracket roots reliably")
     nodes, h, g, log_odds, du = _upper_scan(params, grid_points // 2 + 1)
@@ -394,7 +391,12 @@ def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int) -> _Locate
     roots: list[tuple[float, float]] = []
     f = lambda x: float(_delta_V_wage(x, params, spec))
     # The node at w = 1 is the symmetric point, zero by antisymmetry.
-    for w in _grid_roots(f, nodes[1:], values[1:], 1e-15):
+    wages = _grid_roots(f, nodes[1:], values[1:], 1e-15)
+    if abs(slope) >= MARGINAL_BAND and slope * values[1] < 0.0:
+        w = _first_cell_root(f, float(nodes[1]), float(values[1]))
+        if w is not None:
+            wages.append(w)
+    for w in wages:
         _add_root(roots, float(_share_raw(w, params)), w)
 
     pinned: list[Equilibrium] = []
@@ -419,61 +421,44 @@ def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int) -> _Locate
                 Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
                             slope=float("-inf"), residual=v_last),
             ]
-    return _Located(params, spec, roots, [*pinned, *_boundary_equilibria(params, spec)],
-                    (float(nodes[1]), float(values[1])))
-
-
-def _first_cell_root(loc: _Located) -> tuple[float, float] | None:
-    """A new rest point (h*, w) inside the first scan cell, or None.
-
-    delta_V(1/2) = 0 by antisymmetry, so the sign-change test is blind in
-    the first cell; the caller asks here when the symmetric slope's sign
-    differs from delta_V's at the first node, i.e. the curve re-crosses
-    inside the cell.  Halve toward w = 1 until delta_V takes the slope's
-    sign to bracket the root; a fixed probe right next to 1/2 would read
-    rounding noise.
-    """
-    hi, value = loc.first
-    f = lambda x: float(_delta_V_wage(x, loc.params, loc.spec))
-    while (lo := 0.5 * (1.0 + hi)) > 1.0:
-        if f(lo) * value <= 0.0:
-            w = brentq(f, lo, hi, xtol=1e-15, maxiter=200)
-            r = float(_share_raw(w, loc.params))
-            return (r, w) if _add_root(loc.roots, r, w) else None
-        hi = lo
-    return None
+    return _Located(params, spec, roots, [*pinned, *_boundary_equilibria(params, spec)])
 
 
 def _finish(located: list[_Located]) -> list:
     """The finish phase of :func:`find_equilibria` for any number of economies.
 
-    The symmetric point, every located root and every mirror of every
-    economy get |delta_V| and the central-FD slope from one delta_V call
-    (:func:`_finish_batch`); a first-cell root found afterwards is
-    finished the same way.  Returns, per economy, its rest points sorted
-    by location or the exception that stopped it.
+    The economies are alike but for freeness and penalty weight.  The
+    symmetric point, every located root and every mirror of every economy
+    get |delta_V| and the central-FD slope from one delta_V call; each
+    economy's edge points are then added.  Returns, per economy, its rest
+    points sorted by location or the exception that stopped it.  If the
+    call as a whole raises, every economy is finished on its own, so a
+    failure stays with its economy and carries the text that a
+    one-economy call gives.
     """
-    results = _finish_batch([(loc.params, loc.spec, [(0.5, 1.0), *_mirrored(loc.roots)])
-                             for loc in located])
-    extra = []
-    for i, (loc, found) in enumerate(zip(located, results)):
-        if isinstance(found, Exception):
+    if not located:
+        return []
+    pairs = [[(0.5, 1.0), *_mirrored(loc.roots)] for loc in located]
+    counts = [len(p) for p in pairs]
+    try:
+        residual, slope = _incentive_and_slope(
+            np.array([h_star for p in pairs for h_star, _ in p]),
+            located[0].params, located[0].spec,
+            phi=_per_share([loc.params.phi for loc in located], counts),
+            mu=_per_share([loc.spec.mu for loc in located], counts))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        if len(located) == 1:
+            return [exc]
+        return [result for loc in located for result in _finish([loc])]
+    results = []
+    for loc, p, end in zip(located, pairs, np.cumsum(counts).tolist()):
+        part = slice(end - len(p), end)
+        try:
+            found = _interior_equilibria(p, residual[part], slope[part])
+        except SolverError as exc:
+            results.append(exc)
             continue
-        sym = found[0]
-        if sym.stability != MARGINAL and sym.slope * loc.first[1] < 0.0:
-            try:
-                pair = _first_cell_root(loc)
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
-                results[i] = exc
-                continue
-            if pair is not None:
-                extra.append((i, (loc.params, loc.spec, _mirrored([pair]))))
-    for (i, _), more in zip(extra, _finish_batch([job for _, job in extra])):
-        results[i] = more if isinstance(more, Exception) else results[i] + more
-    for loc, found in zip(located, results):
-        if not isinstance(found, Exception):
-            found += loc.edge
-            found.sort(key=lambda e: e.h_star)
+        results.append(sorted(found + loc.edge, key=lambda e: e.h_star))
     return results
 
 
@@ -493,11 +478,15 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     raise ``grid_points`` to chase structure near a bifurcation.
 
     The work splits into a locate phase (scan, brackets, polish, and the
-    near-boundary, pinned and boundary checks) and a finish phase: the
-    symmetric point, every root and every mirror get |delta_V| and its
-    central-FD slope at h* +- min(FD_STEP, ...) from a single delta_V call
-    on all those shares.  This is the one-economy case of :func:`sweep`,
-    which finishes all its steps in one such call.  The scan's nodes,
+    first-cell, near-boundary, pinned and boundary checks) and a finish
+    phase: the symmetric point, every root and every mirror get |delta_V|
+    and its central-FD slope at h* +- min(FD_STEP, ...) from a single
+    delta_V call on all those shares.  The sign-change test is blind in
+    the first scan cell, next to the symmetric root; a halving search
+    looks there when delta_V's closed-form slope at 1/2,
+    2 * dispersion_slope - delta_t_prime(1/2), is not marginal and has the
+    opposite sign to delta_V at the first node.  This is the one-economy
+    case of :func:`sweep`, which finishes all its steps in one such call.  The scan's nodes,
     shares and utility gap depend on the economy alone and are kept for
     the most recent one, so calls that change only the penalty, such as
     the steps of a mu-sweep, scan once.
@@ -510,7 +499,7 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     stable, slope -inf, with ``residual`` carrying the outward incentive at
     the closest representable interior share.
     """
-    found, = _finish([_locate(params, spec, grid_points)])
+    found, = _finish([_locate(params, spec, grid_points, _symmetric_slope(params, spec))])
     if isinstance(found, Exception):
         raise found
     return found
@@ -664,11 +653,12 @@ def _sweep_chunk(job):
     Returns (value, rest points, diagnostic or None) per step; module level
     so process pools can pickle it.
     """
-    parameter, values, params, spec, grid_points = job
+    parameter, values, slopes, params, spec, grid_points = job
     steps = []
-    for value in values:
+    for value, slope in zip(values, slopes):
         try:
-            steps.append(_locate(*_with_parameter(parameter, value, params, spec), grid_points))
+            steps.append(_locate(*_with_parameter(parameter, value, params, spec), grid_points,
+                                 slope))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             steps.append(exc)
     finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
@@ -683,7 +673,8 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     """Trace the equilibrium set along one parameter.
 
     Each step's sample is exactly what :func:`find_equilibria` returns
-    there.  Every step runs the locate phase on its own, on the same grid;
+    there.  Every step runs the locate phase on its own, on the same grid,
+    handed the same closed-form symmetric slope find_equilibria computes;
     mu-steps share one economy, whose scan and boundary probes are kept
     and reused.  Then the finish phase takes all the steps together: the
     symmetric point, roots and mirrors of every step get |delta_V| and
@@ -694,13 +685,14 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     split into one contiguous run per worker process, and each worker
     finishes its run at once; the results do not depend on the split.
 
-    Pitchforks of the symmetric point sit where its delta_V slope,
-    2 * dispersion_slope - delta_t_prime(1/2) in closed form, changes
-    sign: it is evaluated on all steps in one array expression, each sign
-    change between neighbouring steps is polished by a bracketed root find
-    on the scalar form, and each pitchfork is classified via
-    :func:`pitchfork_criticality`.  The slope needs no rest-point scan, so
-    a step whose scan fails hides no pitchfork next to it.
+    Pitchforks of the symmetric point sit where that slope changes sign.
+    It is evaluated once per step, on a mu-sweep in one array expression,
+    on a phi-sweep as one scalar per step with the penalty slope taken
+    once; each sign change between neighbouring steps is polished by a
+    bracketed root find on the scalar form, and each pitchfork is
+    classified via :func:`pitchfork_criticality`.  The slope needs no
+    rest-point scan, so a step whose scan fails hides no pitchfork next to
+    it.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
@@ -721,8 +713,16 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     values = np.linspace(lo, hi, steps)
-    jobs = [(parameter, run.tolist(), params, spec, grid_points)
-            for run in np.array_split(values, min(workers, steps))]
+    # each step's symmetric slope, the float _symmetric_slope gives there
+    if parameter == "phi":
+        penalty_slope = delta_t_prime(0.5, spec)
+        slopes = np.array([2.0 * dispersion_slope(params, phi=v) - penalty_slope
+                           for v in values.tolist()])
+    else:
+        slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
+    runs = min(workers, steps)
+    jobs = [(parameter, v.tolist(), sl.tolist(), params, spec, grid_points)
+            for v, sl in zip(np.array_split(values, runs), np.array_split(slopes, runs))]
     if workers == 1:
         results = _sweep_chunk(jobs[0])
     else:
@@ -731,16 +731,7 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     samples = [(value, eqs) for value, eqs, _ in results]
     diagnostics = [f"{parameter}={value!r}: {error}"
                    for value, _, error in results if error is not None]
-
-    def symmetric_slope(p: float) -> float:
-        # the utility slope at 1/2 is exactly twice the display form
-        p2, s2 = _with_parameter(parameter, p, params, spec)
-        return 2.0 * dispersion_slope(p2) - delta_t_prime(0.5, s2)
-
-    if parameter == "phi":
-        slopes = 2.0 * dispersion_slope(params, phi=values) - delta_t_prime(0.5, spec)
-    else:
-        slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
+    symmetric_slope = lambda p: _symmetric_slope(*_with_parameter(parameter, p, params, spec))
     bifurcations = [pitchfork_criticality(parameter, p, params, spec)
                     for p in _grid_roots(symmetric_slope, values, slopes, 1e-12)]
     return Branch(parameter=parameter, samples=samples,

@@ -337,6 +337,29 @@ def test_rest_points_inside_the_first_scan_cell_are_found(sigma, phi, theta, gap
         (KIND_PARTIAL, STABLE), (KIND_DISPERSION, UNSTABLE), (KIND_PARTIAL, STABLE)]
 
 
+@pytest.mark.parametrize("sigma,phi,theta", [
+    (2.0, 0.4, 0.0), (2.5, 0.3, 1.0), (3.0, 0.6, 2.0), (1.5, 0.2, 0.5)])
+def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma, phi, theta):
+    # the closed-form symmetric slope sends the locate phase into the first
+    # scan cell, so the finish sees 1/2 and the pair together: one call,
+    # also for all the steps of a sweep
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    spec = PenaltySpec(kind="logit", mu=dispersion_threshold(params) - 1e-8)
+    sizes = []
+    incentive_and_slope = equilibria._incentive_and_slope
+
+    def counted(h, *args, **kwargs):
+        sizes.append(np.size(h))
+        return incentive_and_slope(h, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_incentive_and_slope", counted)
+    assert len(find_equilibria(params, spec)) == 3
+    assert sizes == [3]
+    sizes.clear()
+    branch = sweep("mu", spec.mu - 1e-8, spec.mu, 2, params, spec)
+    assert [len(eqs) for _, eqs in branch.samples] == [3, 3] and sizes == [6]
+
+
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(sigma=st.floats(1.05, 4.0), phi=st.floats(0.02, 0.98))
 def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi):
@@ -517,10 +540,10 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
     locate = equilibria._locate
 
-    def fresh_scan(p, spec, grid_points):
+    def fresh_scan(p, spec, grid_points, slope):
         equilibria._upper_scan.cache_clear()
         equilibria._edge_delta_u.cache_clear()
-        return locate(p, spec, grid_points)
+        return locate(p, spec, grid_points, slope)
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
     fresh = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
@@ -744,10 +767,10 @@ def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
     locate = equilibria._locate
 
-    def failing_scan(p, spec, grid_points):
+    def failing_scan(p, spec, grid_points, slope):
         if p.phi == 0.7:
             raise SolverError("injected failure")
-        return locate(p, spec, grid_points)
+        return locate(p, spec, grid_points, slope)
 
     monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
@@ -812,6 +835,8 @@ def test_sweep_samples_equal_the_per_step_solve(sigma, phi, theta, kind, sweep_r
     ("mu", 0.0, 1.0, PenaltySpec(kind="linear", mu=0.2)),
     ("phi", 0.02, 0.98, LOGIT02),
     ("phi", 0.02, 0.98, PenaltySpec(kind="custom", t=_square, t_prime=_square_prime)),
+    # fig6-right's pitchfork: the phi-steps' slopes hand over the first-cell search
+    ("phi", 0.7107935859793734 - 4e-8, 0.7107935859793734 + 4e-8, LOGIT02),
 ])
 def test_sweep_samples_equal_the_per_step_solve_on_fig6_economies(parameter, lo, hi, spec):
     params = ModelParams(sigma=2.0, phi=0.4, theta=0.0)

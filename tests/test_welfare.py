@@ -126,10 +126,12 @@ def test_dispersion_slope_frozen_value_and_curvature_factor():
     h=st.floats(0.05, 0.95),
 )
 def test_closed_slope_matches_finite_difference(sigma, phi, theta, h):
+    # both names return the closed form; neither checks it against a FD
     p = ModelParams(sigma=sigma, phi=phi, theta=theta)
     step = 1e-5
     fd = (delta_u(h + step, p) - delta_u(h - step, p)) / (2.0 * step)
     closed = ddelta_u_dh_closed(h, p)
+    assert ddelta_u_dh(h, p) == closed
     assert closed == pytest.approx(fd, rel=5e-6, abs=1e-9)
 
 
