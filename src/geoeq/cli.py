@@ -60,11 +60,10 @@ _OUTPUT_DEFAULTS = {"out": "out", "format": "csv,json"}
 
 _DEFAULTS = {
     "shortrun": _MODEL_DEFAULTS | {"grid": 512} | _OUTPUT_DEFAULTS,
-    "equilibria": _MODEL_DEFAULTS | _PENALTY_DEFAULTS
-    | {"grid_points": 2048} | _OUTPUT_DEFAULTS,
+    "equilibria": _MODEL_DEFAULTS | _PENALTY_DEFAULTS | _OUTPUT_DEFAULTS,
     "thresholds": _MODEL_DEFAULTS | {"mu": None} | _OUTPUT_DEFAULTS,
     "sweep": _MODEL_DEFAULTS | _PENALTY_DEFAULTS
-    | {"param": None, "min": None, "max": None, "steps": 101, "grid_points": 2048}
+    | {"param": None, "min": None, "max": None, "steps": 101}
     | _OUTPUT_DEFAULTS | {"workers": 1},
     "figure": {"name": None, "grid": None, "steps": None, "out": "out",
                "format": "csv,json,svg", "workers": 1},
@@ -109,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equilibria", help="rest points of the migration dynamics")
     add_model(sp)
     add_penalty(sp)
-    sp.add_argument("--grid-points", type=int, dest="grid_points",
-                    help="scan resolution for root bracketing (default 2048)")
     add_output(sp)
 
     sp = sub.add_parser("thresholds", help="stability thresholds of the symmetric point")
@@ -126,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, help="number of samples (default 101)")
     add_model(sp)
     add_penalty(sp)
-    sp.add_argument("--grid-points", type=int, dest="grid_points",
-                    help="scan resolution per step (default 2048)")
     add_output(sp)
     add_workers(sp)
 
@@ -284,7 +279,7 @@ def run_shortrun(opts: dict) -> int:
 def run_equilibria(opts: dict) -> int:
     params = _params_from(opts)
     spec = _penalty_from(opts)
-    eqs = find_equilibria(params, spec, grid_points=int(opts["grid_points"]))
+    eqs = find_equilibria(params, spec)
 
     checks = []
     for eq in eqs:
@@ -410,9 +405,11 @@ def _threshold_report(branch: Branch, params: ModelParams,
         else:
             candidates["curvature_adjusted"] = 2.0 * dispersion_threshold(params)
     else:
+        # the linear penalty's slope at 1/2 is 2 mu, half the logit's 4 mu
+        crossings = threshold_phi_crossings(params, spec.mu if spec.kind == LOGIT
+                                            else 0.5 * spec.mu)
+        candidates["curvature_adjusted"] = crossings[0] if crossings else None
         if spec.kind == LOGIT:
-            crossings = threshold_phi_crossings(params, spec.mu)
-            candidates["curvature_adjusted"] = crossings[0] if crossings else None
             candidates["closed_form"] = phi_b(params.sigma, spec.mu)
     matches = []
     for b in branch.bifurcations:
@@ -434,9 +431,8 @@ def _threshold_report(branch: Branch, params: ModelParams,
 
 def _run_branch(opts: dict, name: str, parameter: str, lo: float, hi: float,
                 steps: int, params: ModelParams, spec: PenaltySpec,
-                grid_points: int, title: str, x_label: str) -> Branch:
-    branch = sweep(parameter, lo, hi, steps, params, spec,
-                   workers=int(opts["workers"]), grid_points=grid_points)
+                title: str, x_label: str) -> Branch:
+    branch = sweep(parameter, lo, hi, steps, params, spec, workers=int(opts["workers"]))
     rows = [(value, eq.h_star, eq.stability, eq.kind)
             for value, eqs in branch.samples for eq in eqs]
     doc = {
@@ -478,8 +474,7 @@ def run_sweep(opts: dict) -> int:
     spec = _penalty_from(opts)
     label = "freeness of trade" if parameter == "phi" else "penalty weight"
     _run_branch(opts, "sweep", parameter, float(opts["min"]), float(opts["max"]),
-                int(opts["steps"]), params, spec, int(opts["grid_points"]),
-                "Equilibrium branches", label)
+                int(opts["steps"]), params, spec, "Equilibrium branches", label)
     return EXIT_OK
 
 
@@ -575,7 +570,7 @@ def _figure_fig6(opts: dict, name: str, parameter: str, lo: float, hi: float, ph
     steps = int(opts["steps"] or 181)
     params = ModelParams(sigma=2.0, phi=phi, theta=0.0)
     _run_branch(opts, name, parameter, lo, hi, steps, params, PenaltySpec(kind=LOGIT, mu=0.2),
-                2048, title, x_label)
+                title, x_label)
 
 
 # Figure name -> builder; the two fig6 panels are presets of one builder.

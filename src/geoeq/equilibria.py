@@ -43,7 +43,7 @@ import numpy as np
 from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
                     _share_raw, _share_terms, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
-from .welfare import FD_STEP, _delta_u_at, delta_u, dispersion_slope
+from .welfare import _delta_u_at, delta_u, dispersion_slope
 
 __all__ = [
     "Equilibrium",
@@ -96,6 +96,10 @@ DISPERSION_TOL = 1e-9
 
 # The scan stops this short of the boundary, where unbounded penalties blow up.
 GRID_EDGE = 1e-9
+
+# Central finite-difference step of the rest-point slopes: cube root of
+# machine epsilon balances truncation against cancellation for O(1) slopes.
+FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 # |third derivative| below this cannot be signed reliably by the stencil.
 CRITICALITY_FLOOR = 1e-5
@@ -219,7 +223,7 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams):
 
 
 @functools.lru_cache(maxsize=1)
-def _upper_scan(params: ModelParams, n_upper: int):
+def _upper_scan(params: ModelParams):
     """The penalty-free part of the rest-point scan, kept for the last economy.
 
     Returns the scan nodes on [1, solve_wage(1 - GRID_EDGE)] and, at every
@@ -227,7 +231,8 @@ def _upper_scan(params: ModelParams, n_upper: int):
     penalty-weight sweep moves none of them, so its steps after the first
     reuse them.
     """
-    nodes, a, b = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), n_upper, params)
+    nodes, a, b = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), GRID_POINTS // 2 + 1,
+                              params)
     terms = _wage_terms(nodes, a, b, params)
     for arr in (nodes, *terms):
         arr.setflags(write=False)
@@ -376,16 +381,13 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     return None
 
 
-def _locate(params: ModelParams, spec: PenaltySpec, grid_points: int,
-            slope: float) -> _Located:
+def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
     """The locate phase of :func:`find_equilibria`: everything but the finish.
 
     ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
     decides whether the first scan cell is searched.
     """
-    if grid_points < 16:
-        raise ValueError("grid_points too small to bracket roots reliably")
-    nodes, h, g, log_odds, du = _upper_scan(params, grid_points // 2 + 1)
+    nodes, h, g, log_odds, du = _upper_scan(params)
     values = du - _penalty_gap(h, g, log_odds, spec)
 
     roots: list[tuple[float, float]] = []
@@ -462,8 +464,7 @@ def _finish(located: list[_Located]) -> list:
     return results
 
 
-def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
-                    grid_points: int = GRID_POINTS) -> list[Equilibrium]:
+def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
     """All rest points of the migration dynamics, sorted by location.
 
     Brackets sign changes of delta_V on a scan of the upper half
@@ -471,11 +472,10 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     Both run in the relative wage w on [1, solve_wage(1 - GRID_EDGE)],
     where delta_V is a closed form in w; the scan nodes are placed so that
     no two neighbouring shares lie further apart than on a uniform grid of
-    ``grid_points // 2 + 1`` shares, and each root is reported at the share
+    GRID_POINTS // 2 + 1 shares, and each root is reported at the share
     h* = h(w*) of its polished wage.  The asymmetric roots are mirrored
     across 1/2 and admissible boundary points appended.  Roots closer
-    together than the scan resolution (about 1/grid_points) can be missed;
-    raise ``grid_points`` to chase structure near a bifurcation.
+    together than the scan resolution (about 1/GRID_POINTS) can be missed.
 
     The work splits into a locate phase (scan, brackets, polish, and the
     first-cell, near-boundary, pinned and boundary checks) and a finish
@@ -499,7 +499,7 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec, *,
     stable, slope -inf, with ``residual`` carrying the outward incentive at
     the closest representable interior share.
     """
-    found, = _finish([_locate(params, spec, grid_points, _symmetric_slope(params, spec))])
+    found, = _finish([_locate(params, spec, _symmetric_slope(params, spec))])
     if isinstance(found, Exception):
         raise found
     return found
@@ -653,12 +653,11 @@ def _sweep_chunk(job):
     Returns (value, rest points, diagnostic or None) per step; module level
     so process pools can pickle it.
     """
-    parameter, values, slopes, params, spec, grid_points = job
+    parameter, values, slopes, params, spec = job
     steps = []
     for value, slope in zip(values, slopes):
         try:
-            steps.append(_locate(*_with_parameter(parameter, value, params, spec), grid_points,
-                                 slope))
+            steps.append(_locate(*_with_parameter(parameter, value, params, spec), slope))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             steps.append(exc)
     finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
@@ -668,20 +667,20 @@ def _sweep_chunk(job):
 
 
 def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
-          spec: PenaltySpec, *, workers: int = 1,
-          grid_points: int = GRID_POINTS) -> Branch:
+          spec: PenaltySpec, *, workers: int = 1) -> Branch:
     """Trace the equilibrium set along one parameter.
 
     Each step's sample is exactly what :func:`find_equilibria` returns
-    there.  Every step runs the locate phase on its own, on the same grid,
-    handed the same closed-form symmetric slope find_equilibria computes;
-    mu-steps share one economy, whose scan and boundary probes are kept
-    and reused.  Then the finish phase takes all the steps together: the
-    symmetric point, roots and mirrors of every step get |delta_V| and
-    its slope from one delta_V call, each share at its own step's freeness
-    or penalty weight.  A step whose locate or finish raises is recorded
-    in ``diagnostics`` with the text find_equilibria would raise, and the
-    other steps keep their rest points.  With workers > 1 the steps are
+    there.  Every step runs the locate phase on its own, on the same scan
+    of GRID_POINTS resolution, handed the same closed-form symmetric slope
+    find_equilibria computes; mu-steps share one economy, whose scan and
+    boundary probes are kept and reused.  Then the finish phase takes all
+    the steps together: the symmetric point, roots and mirrors of every
+    step get |delta_V| and its slope from one delta_V call, each share at
+    its own step's freeness or penalty weight.  A step whose locate or
+    finish raises is recorded in ``diagnostics`` with the text
+    find_equilibria would raise, and the other steps keep their rest
+    points.  With workers > 1 the steps are
     split into one contiguous run per worker process, and each worker
     finishes its run at once; the results do not depend on the split.
 
@@ -721,7 +720,7 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     else:
         slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
     runs = min(workers, steps)
-    jobs = [(parameter, v.tolist(), sl.tolist(), params, spec, grid_points)
+    jobs = [(parameter, v.tolist(), sl.tolist(), params, spec)
             for v, sl in zip(np.array_split(values, runs), np.array_split(slopes, runs))]
     if workers == 1:
         results = _sweep_chunk(jobs[0])

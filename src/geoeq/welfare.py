@@ -35,10 +35,6 @@ __all__ = [
 # loses too many digits, so evaluation routes through the log-utility limit.
 LOG_UTILITY_BAND = 1e-8
 
-# Central finite-difference step of the rest-point slopes: cube root of
-# machine epsilon balances truncation against cancellation for O(1) slopes.
-FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
 
 def _utility_theta(params: ModelParams) -> float:
     """The curvature every utility formula here evaluates: theta, or exactly

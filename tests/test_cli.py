@@ -258,6 +258,22 @@ def test_sweep_csv_and_pitchfork_report(tmp_path, capsys):
     assert match["gap"] <= 1e-12
 
 
+def test_linear_phi_sweep_pitchfork_matches_the_curvature_adjusted_crossing(tmp_path):
+    # the linear penalty's slope at 1/2 is 2 mu, so the pitchfork sits where
+    # the logit threshold equals mu / 2
+    code = main(["sweep", "--param", "phi", "--min", "0.05", "--max", "0.95",
+                 "--steps", "91", "--sigma", "2", "--theta", "0", "--penalty", "linear",
+                 "--mu", "0.4", "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    report = doc["shadow_checks"]["threshold_match"]
+    assert list(report["candidates"]) == ["curvature_adjusted"]
+    match, = report["matches"]
+    assert match["detected"] == pytest.approx(0.7107935859793734, abs=1e-12)
+    assert match["matched"] == "curvature_adjusted"
+    assert match["gap"] <= 1e-9
+
+
 def test_phi_sweep_needs_no_base_phi(tmp_path, capsys):
     code = main(["sweep", "--param", "phi", "--min", "0.6", "--max", "0.9",
                  "--steps", "7", "--sigma", "2", "--out", str(tmp_path)])
@@ -328,7 +344,16 @@ def test_workers_is_offered_only_where_a_sweep_runs(tmp_path, command):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["alpha", "eta", "workers"])
+@pytest.mark.parametrize("command", ["equilibria", "sweep"])
+def test_the_scan_resolution_is_not_an_option(tmp_path, command):
+    # the rest-point scan has one resolution, equilibria.GRID_POINTS
+    with pytest.raises(SystemExit) as exc:
+        main([*_MODEL_ARGV[command], "--sigma", "2", "--phi", "0.5", "--grid-points", "4096",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["alpha", "eta", "workers", "grid_points"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"sigma": 2.0, "phi": 0.5, key: 1}))

@@ -14,6 +14,7 @@ from geoeq import (
     PenaltySpec,
     SolverError,
     classify_stability,
+    ddelta_u_dphi,
     delta_V,
     dispersion_threshold,
     find_equilibria,
@@ -29,6 +30,7 @@ from geoeq import (
 from geoeq import equilibria
 from geoeq.equilibria import (
     DISPERSION_TOL,
+    FD_STEP,
     GRID_EDGE,
     GRID_POINTS,
     KIND_BOUNDARY,
@@ -44,7 +46,6 @@ from geoeq.equilibria import (
     _wage_nodes,
 )
 from geoeq.model import _share_terms
-from geoeq.welfare import FD_STEP
 
 LOGIT02 = PenaltySpec(kind="logit", mu=0.2)
 
@@ -178,10 +179,13 @@ def test_marginal_band_at_the_exact_threshold():
     assert sym.stability == MARGINAL
 
 
-def test_grid_points_validation():
+def test_grid_points_is_not_a_keyword():
+    # the scan has one resolution, GRID_POINTS
     p = ModelParams(sigma=2.0, phi=0.5)
-    with pytest.raises(ValueError):
-        find_equilibria(p, LOGIT02, grid_points=8)
+    with pytest.raises(TypeError):
+        find_equilibria(p, LOGIT02, grid_points=GRID_POINTS)
+    with pytest.raises(TypeError):
+        sweep("mu", 0.1, 0.5, 3, p, LOGIT02, grid_points=GRID_POINTS)
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)
@@ -215,7 +219,7 @@ def test_equilibrium_set_structure_property(sigma, phi, theta, mu):
 # find_equilibria against a from-scratch scan in the share
 
 
-def _share_scan_equilibria(params, spec, grid_points=GRID_POINTS):
+def _share_scan_equilibria(params, spec):
     """Rest points from a uniform scan and polish in the share h.
 
     Independent of the wage-parametrised scan: every delta_V evaluation
@@ -225,7 +229,7 @@ def _share_scan_equilibria(params, spec, grid_points=GRID_POINTS):
     rule follow the library's; the per-root classification is the
     library's own.
     """
-    n_upper = grid_points // 2 + 1
+    n_upper = GRID_POINTS // 2 + 1
     upper = np.linspace(0.5, 1.0 - GRID_EDGE, n_upper)
     with np.errstate(divide="ignore"):
         values = np.asarray(delta_V(upper, params, spec), dtype=float)
@@ -540,10 +544,10 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
     locate = equilibria._locate
 
-    def fresh_scan(p, spec, grid_points, slope):
+    def fresh_scan(p, spec, slope):
         equilibria._upper_scan.cache_clear()
         equilibria._edge_delta_u.cache_clear()
-        return locate(p, spec, grid_points, slope)
+        return locate(p, spec, slope)
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
     fresh = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
@@ -552,7 +556,7 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
 
 def test_cached_scan_arrays_are_read_only():
-    arrays = equilibria._upper_scan(ModelParams(sigma=2.0, phi=0.4), GRID_POINTS // 2 + 1)
+    arrays = equilibria._upper_scan(ModelParams(sigma=2.0, phi=0.4))
     assert len(arrays) == 5
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -666,6 +670,56 @@ def test_pitchfork_criticality_at_linear_curvature():
     assert b.third_derivative == pytest.approx(-11.6850325068, rel=1e-4)
 
 
+def _mp_wage_at(terms, h):
+    """The wage whose closed-form share a/(a + b) is h, by findroot from w = 1."""
+    def share(w):
+        a, b = terms(w)
+        return a / (a + b)
+
+    return mpmath.findroot(lambda w: share(w) - h, 1)
+
+
+# The pitchforks of fig6-left (mu, also the one criterion 7 detects) and
+# fig6-right (phi), and fig6-left's economy at theta = 1, with their 40-digit
+# d3(delta_V)/dh3 at 1/2.  The stencil is 3.6e-7 (relative) off at theta = 0
+# and 6.4e-7 at theta = 1.
+@pytest.mark.parametrize("parameter,value,phi,theta,truth,rel", [
+    ("mu", 0.37058823529411755, 0.4, 0.0, -11.6850325067946953, 4e-7),
+    ("phi", 0.7107935859793734, 0.5, 0.0, -6.370214910135021276, 4e-7),
+    ("mu", 0.5294117647058822, 0.4, 1.0, -7.7240454496473915261, 1e-6),
+], ids=["fig6-left", "fig6-right", "fig6-left-theta1"])
+def test_pitchfork_third_derivative_matches_a_40_digit_oracle(parameter, value, phi, theta,
+                                                               truth, rel):
+    b = pitchfork_criticality(parameter, value, ModelParams(sigma=2.0, phi=phi, theta=theta),
+                              LOGIT02)
+    at_phi, at_mu = (value, LOGIT02.mu) if parameter == "phi" else (phi, value)
+    with mpmath.workdps(40):
+        terms, incentive = _mp_incentive(2.0, at_phi, theta, at_mu)
+        third = mpmath.diff(lambda h: incentive(_mp_wage_at(terms, h)), mpmath.mpf(1) / 2, 3)
+    assert float(third) == pytest.approx(truth, rel=1e-15)
+    assert b.criticality == SUPERCRITICAL
+    assert abs(b.third_derivative / float(third) - 1.0) <= rel
+
+
+def test_freeness_derivative_is_positive_at_the_nine_criterion_3_witnesses():
+    # criterion 3's nine grid points with d(delta_u)/dphi >= 0 all sit at
+    # (sigma, phi, theta) = (1.5, 0.1, 0); a 50-digit derivative of delta_u
+    # at the fixed share confirms the sign and the closed form's value
+    sigma, phi, theta = 1.5, 0.1, 0.0
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    with mpmath.workdps(50):
+        for k in range(9):
+            h = 0.55 + 0.05 * k
+
+            def gap(p):
+                terms, incentive = _mp_incentive(sigma, p, theta, 0)
+                return incentive(_mp_wage_at(terms, mpmath.mpf(h)))
+
+            truth = mpmath.diff(gap, mpmath.mpf(phi))
+            assert truth > 0
+            assert abs(ddelta_u_dphi(h, params) / float(truth) - 1.0) <= 1e-12
+
+
 def test_mu_sweep_detects_the_curvature_adjusted_threshold():
     p = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
     branch = sweep("mu", 0.2, 0.6, 21, p, LOGIT02)
@@ -767,10 +821,10 @@ def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
     locate = equilibria._locate
 
-    def failing_scan(p, spec, grid_points, slope):
+    def failing_scan(p, spec, slope):
         if p.phi == 0.7:
             raise SolverError("injected failure")
-        return locate(p, spec, grid_points, slope)
+        return locate(p, spec, slope)
 
     monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)

@@ -26,8 +26,9 @@ from geoeq import (
     wage_share,
 )
 from geoeq import model
+from geoeq.equilibria import FD_STEP
 from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
-from geoeq.welfare import FD_STEP, delta_u
+from geoeq.welfare import delta_u
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
 PHIS = [0.1, 0.3, 0.5, 0.7, 0.9]
