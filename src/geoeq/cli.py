@@ -200,15 +200,15 @@ def _echo(opts: dict, params: ModelParams | None = None,
     return echo
 
 
-def _emit(opts: dict, name: str, *, header=None, rows=None, document=None,
+def _emit(opts: dict, name: str, *, header=None, columns=None, document=None,
           svg=None) -> list[Path]:
     formats = _formats_from(opts)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats and rows is not None:
+    if "csv" in formats and columns is not None:
         path = out / f"{name}.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, columns)
         written.append(path)
     if "json" in formats and document is not None:
         path = out / f"{name}.json"
@@ -264,14 +264,12 @@ def run_shortrun(opts: dict) -> int:
     svg = line_chart(
         "Market clearing at a fixed spatial distribution",
         "resident share of region L", "level",
-        [Series("relative wage", list(zip(h.tolist(), w.tolist())), PALETTE[0]),
-         Series("price index L", list(zip(h.tolist(), P_L.tolist())), PALETTE[1]),
-         Series("price index R", list(zip(h.tolist(), P_R.tolist())), PALETTE[2])],
+        [Series("relative wage", h, w, PALETTE[0]),
+         Series("price index L", h, P_L, PALETTE[1]),
+         Series("price index R", h, P_R, PALETTE[2])],
     )
-    rows = zip(h.tolist(), w.tolist(), P_L.tolist(), P_R.tolist(),
-               C_L.tolist(), C_R.tolist(), n_L.tolist(), n_R.tolist())
     _emit(opts, "shortrun", header=["h", "w", "P_L", "P_R", "C_L", "C_R", "n_L", "n_R"],
-          rows=rows, document=doc, svg=svg)
+          columns=[h, w, P_L, P_R, C_L, C_R, n_L, n_R], document=doc, svg=svg)
     print(f"wage bracket [{lo:.12g}, {hi:.12g}] over {grid} grid points")
     return EXIT_OK
 
@@ -310,14 +308,13 @@ def run_equilibria(opts: dict) -> int:
     svg = line_chart(
         "Net migration incentive and its rest points",
         "resident share of region L", "net incentive toward L",
-        [Series("incentive", list(zip(h_grid.tolist(), v_grid.tolist())), PALETTE[0])],
+        [Series("incentive", h_grid, v_grid, PALETTE[0])],
         annotations=[(eq.h_star, 0.0, eq.stability) for eq in eqs],
     )
-    rows = [(eq.h_star, eq.w, eq.kind, eq.stability, eq.slope, eq.residual)
-            for eq in eqs]
-    _emit(opts, "equilibria",
-          header=["h_star", "w", "kind", "stability", "slope", "residual"],
-          rows=rows, document=doc, svg=svg)
+    header = ["h_star", "w", "kind", "stability", "slope", "residual"]
+    _emit(opts, "equilibria", header=header,
+          columns=[[getattr(eq, field) for eq in eqs] for field in header],
+          document=doc, svg=svg)
 
     print(f"{'h_star':>12}  {'w':>12}  {'kind':<24}{'stability':<10}"
           f"{'slope':>14}  {'residual':>10}")
@@ -365,10 +362,9 @@ def run_thresholds(opts: dict) -> int:
 
     phis = np.linspace(0.01, 0.99, 197)
     curve = dispersion_threshold(params, phi=phis)
-    series = [Series("stability threshold", list(zip(phis.tolist(), curve.tolist())),
-                     PALETTE[0])]
+    series = [Series("stability threshold", phis, curve, PALETTE[0])]
     if mu is not None:
-        series.append(Series(f"mu = {mu:g}", [(0.01, mu), (0.99, mu)], PALETTE[1],
+        series.append(Series(f"mu = {mu:g}", [0.01, 0.99], [mu, mu], PALETTE[1],
                              dash="6,4"))
     svg = line_chart("Where the symmetric point changes stability",
                      "freeness of trade", "penalty weight", series,
@@ -382,7 +378,7 @@ def run_thresholds(opts: dict) -> int:
            adjusted, slope_display, detected_mu,
            "" if mu is None or phi_b(sigma, mu) is None else phi_b(sigma, mu),
            "" if not crossings else crossings[0]]
-    _emit(opts, "thresholds", header=header, rows=[row], document=doc, svg=svg)
+    _emit(opts, "thresholds", header=header, columns=[[c] for c in row], document=doc, svg=svg)
 
     print(f"mu_d = {closed_mu_d:.12g}")
     print(f"curvature-adjusted threshold = {adjusted:.12g} "
@@ -450,7 +446,7 @@ def _run_branch(opts: dict, name: str, parameter: str, lo: float, hi: float,
     }
     svg = branch_chart(branch, title, x_label)
     _emit(opts, name, header=["parameter", "h_star", "stability", "kind"],
-          rows=rows, document=doc, svg=svg)
+          columns=list(zip(*rows)), document=doc, svg=svg)
     for b in branch.bifurcations:
         print(f"pitchfork at {parameter} = {b.value:.12g} ({b.criticality}, "
               f"third derivative {b.third_derivative:.6g})")
@@ -499,8 +495,7 @@ def _share_figure(opts: dict, name: str, h: np.ndarray, columns: dict, series: l
         "shadow_checks": shadow,
     }
     svg = line_chart(title, "resident share of region L", y_label, series)
-    rows = zip(h.tolist(), *[c.tolist() for c in columns.values()])
-    _emit(opts, name, header=header, rows=rows, document=doc, svg=svg)
+    _emit(opts, name, header=header, columns=[h, *columns.values()], document=doc, svg=svg)
 
 
 def _figure_fig1(opts: dict) -> None:
@@ -511,8 +506,7 @@ def _figure_fig1(opts: dict) -> None:
     for i, phi in enumerate(phis):
         w = np.asarray(solve_wage(h, ModelParams(sigma=sigma, phi=phi)))
         columns[f"w_phi_{phi:g}"] = w
-        series.append(Series(f"freeness {phi:g}", list(zip(h.tolist(), w.tolist())),
-                             PALETTE[i]))
+        series.append(Series(f"freeness {phi:g}", h, w, PALETTE[i]))
         shadow[f"reciprocal_max_err_phi_{phi:g}"] = float(
             np.max(np.abs(w * w[::-1] - 1.0)))
         shadow[f"monotone_phi_{phi:g}"] = bool(np.all(np.diff(w) > 0.0))
@@ -529,8 +523,7 @@ def _figure_fig2(opts: dict) -> None:
     for i, theta in enumerate(thetas):
         du = np.asarray(delta_u(h, ModelParams(sigma=sigma, phi=phi, theta=theta)))
         columns[f"delta_u_theta_{theta:g}"] = du
-        series.append(Series(f"curvature {theta:g}", list(zip(h.tolist(), du.tolist())),
-                             PALETTE[i]))
+        series.append(Series(f"curvature {theta:g}", h, du, PALETTE[i]))
         shadow[f"antisymmetry_max_err_theta_{theta:g}"] = float(
             np.max(np.abs(du + du[::-1])))
     at = int(0.8 * (h.size - 1))
@@ -552,13 +545,11 @@ def _figure_fig5(opts: dict) -> None:
         params = ModelParams(sigma=sigma, phi=phi, theta=theta)
         du = np.asarray(delta_u(h, params))
         columns[f"delta_u_phi_{phi:g}"] = du
-        series.append(Series(f"freeness {phi:g}", list(zip(h.tolist(), du.tolist())),
-                             PALETTE[i], dash="6,4"))
+        series.append(Series(f"freeness {phi:g}", h, du, PALETTE[i], dash="6,4"))
         shadow[f"net_sign_changes_phi_{phi:g}"] = _sign_change_count(du - dt)
         eq_report[f"phi_{phi:g}"] = find_equilibria(params, spec)
     columns["delta_t"] = dt
-    series.append(Series(f"penalty differential (mu = {mu:g})",
-                         list(zip(h.tolist(), dt.tolist())), "#111111", width=2.8))
+    series.append(Series(f"penalty differential (mu = {mu:g})", h, dt, "#111111", width=2.8))
     _share_figure(opts, "fig5", h, columns, series, shadow,
                   {"sigma": sigma, "theta": theta, "mu": mu, "phi_values": list(phis)},
                   {"equilibria": eq_report},

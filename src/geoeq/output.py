@@ -1,16 +1,24 @@
 """Deterministic CSV, JSON, and SVG emission.
 
-CSV and JSON carry the data at 12 significant digits; SVG is a convenience
-rendering with no numeric authority.  Everything here is pure string
-assembly so identical inputs produce byte-identical files.
+CSV cells are ``%.12g`` floats (-0.0 written ``0``, non-finite values
+``nan``, ``inf``, ``-inf``), formatted a float64 column at a time; other
+columns go cell by cell through :func:`format_value`.  JSON floats are
+Python's shortest round-trip repr.  SVG is a rendering with no numeric
+authority: a chart scales all its series as one array, writes coordinates
+as ``%.2f`` and draws each run of two or more finite, unclipped points as
+one polyline.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .equilibria import Branch
 
@@ -26,10 +34,10 @@ __all__ = [
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
-_SIG_DIGITS = 12
-
 # Largest share jump that still links a rest point to one at the next sample.
 _LINK_TOL = 0.06
+# A float CSV cell, 12 significant digits; "%.12g" % x matches f"{x:.12g}".
+_FLOAT_CELL = "%.12g"
 
 
 def format_value(value) -> str:
@@ -37,17 +45,21 @@ def format_value(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == 0.0:  # fold -0.0 into "0"
-            return "0"
-        return f"{value:.{_SIG_DIGITS}g}"
+        return _FLOAT_CELL % (value + 0.0)  # + 0.0 folds -0.0 into "0"
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a table given as one sequence of cells per header entry (or none)."""
+    cells, fields = [], []
+    for col in columns:
+        floats = isinstance(col, np.ndarray) and col.dtype == np.float64
+        if isinstance(col, np.ndarray):  # cells as Python scalars, -0.0 folded
+            col = (col + 0.0 if floats else col).tolist()
+        cells.append(col if floats else [format_value(v) for v in col])
+        fields.append(_FLOAT_CELL if floats else "%s")
+    row = ",".join(fields)
+    lines = [",".join(header), *(row % r for r in zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -71,7 +83,8 @@ def write_json(path: Path, document: dict) -> None:
 @dataclass
 class Series:
     label: str
-    points: list[tuple[float, float]]
+    x: object  # sequence of floats, the same length as y
+    y: object
     color: str
     dash: str | None = None
     width: float = 1.6
@@ -91,6 +104,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a range narrower than the spacing of floats near it
+            break
         t += step
     return ticks
 
@@ -99,28 +114,22 @@ def _tick_label(t: float) -> str:
     return f"{t:.6g}"
 
 
-def _finite_points(series: list[Series]):
-    for s in series:
-        for x, y in s.points:
-            if math.isfinite(x) and math.isfinite(y):
-                yield x, y
-
-
 def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
                *, width: int = 760, height: int = 500,
                annotations: list[tuple[float, float, str]] | None = None,
                y_range: tuple[float, float] | None = None) -> str:
     """Assemble a standalone SVG line chart as a string."""
-    pts = list(_finite_points(series))
-    if not pts:
+    gap = [math.nan]  # before, between and after the series, so no run spans two
+    xs, ys = (np.concatenate([gap, *(c for s in series for c in (getattr(s, f), gap))])
+              for f in ("x", "y"))
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.any():
         raise ValueError("nothing to plot: no finite points in any series")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
     if y_range is not None:
         y_lo, y_hi = y_range
     else:
-        y_lo, y_hi = min(ys), max(ys)
+        y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
         pad = 0.05 * (y_hi - y_lo or 1.0)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     if x_hi <= x_lo:
@@ -132,10 +141,11 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
     plot_w = width - m_left - m_right
     plot_h = height - m_top - m_bottom
 
-    def sx(x: float) -> float:
+    # Scale a float (ticks, annotations) or a whole array (every series point).
+    def sx(x):
         return m_left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return m_top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -167,24 +177,22 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
                  f'font-size="12" transform="rotate(-90 16 {m_top + plot_h / 2:.1f})">'
                  f"{y_label}</text>")
 
+    # Runs of drawable points.  The series are padded by undrawn points, so
+    # the changes of `drawn` alternate: each run's start, then its end.
     clip_lo, clip_hi = y_lo - 0.5 * (y_hi - y_lo), y_hi + 0.5 * (y_hi - y_lo)
-    for s in series:
+    drawn = finite & (clip_lo <= ys) & (ys <= clip_hi)
+    edges = (np.flatnonzero(drawn[1:] != drawn[:-1]) + 1).tolist()
+    with np.errstate(all="ignore"):  # NaN pads, and overflow of huge finite values
+        coords = np.array([sx(xs), sy(ys)]).T.ravel().tolist()
+    ends_of_series = list(itertools.accumulate(len(s.x) + 1 for s in series))
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        if hi - lo < 2:
+            continue
+        s = series[bisect.bisect(ends_of_series, lo)]
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-        segment: list[str] = []
-        chunks: list[list[str]] = []
-        for x, y in s.points:
-            if math.isfinite(x) and math.isfinite(y) and clip_lo <= y <= clip_hi:
-                segment.append(f"{sx(x):.2f},{sy(y):.2f}")
-            elif segment:
-                chunks.append(segment)
-                segment = []
-        if segment:
-            chunks.append(segment)
-        for chunk in chunks:
-            if len(chunk) < 2:
-                continue
-            parts.append(f'<polyline points="{" ".join(chunk)}" fill="none" '
-                         f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
+        points = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(coords[2 * lo:2 * hi])
+        parts.append(f'<polyline points="{points}" fill="none" '
+                     f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
 
     legend_y = m_top + 14
     for i, s in enumerate([s for s in series if s.label]):
@@ -258,7 +266,8 @@ def branch_chart(branch: Branch, title: str, x_label: str) -> str:
         style = _STYLE[seg["stability"]]
         label = seg["stability"] if seg["stability"] not in seen else ""
         seen.add(seg["stability"])
-        series.append(Series(label=label, points=seg["points"], color=style["color"],
+        x, y = zip(*seg["points"])
+        series.append(Series(label=label, x=x, y=y, color=style["color"],
                              dash=style["dash"], width=style["width"]))
     annotations = [
         (b.value, 0.5, f"pitchfork ({b.criticality})") for b in branch.bifurcations

@@ -720,25 +720,36 @@ def test_freeness_derivative_is_positive_at_the_nine_criterion_3_witnesses():
             assert abs(ddelta_u_dphi(h, params) / float(truth) - 1.0) <= 1e-12
 
 
+def test_criterion_5_phi_sweep_detects_the_curvature_adjusted_threshold():
+    # criterion 5's own phi sweep has one supercritical pitchfork where the
+    # theta = 0 threshold puts it (the criterion compares against theta = 1
+    # closed forms instead); its mu sweep is the wide range below
+    p = ModelParams(sigma=2.0, phi=0.5, theta=0.0)
+    branch = sweep("phi", 0.05, 0.95, 181, p, LOGIT02)
+    assert [b.criticality for b in branch.bifurcations] == [SUPERCRITICAL]
+    assert abs(branch.bifurcations[0].value - threshold_phi_crossings(p, 0.2)[0]) <= 1e-12
+
+
 def test_mu_sweep_detects_the_curvature_adjusted_threshold():
     p = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
-    branch = sweep("mu", 0.2, 0.6, 21, p, LOGIT02)
-    assert len(branch.bifurcations) == 1
-    b = branch.bifurcations[0]
-    assert b.value == pytest.approx(dispersion_threshold(p), abs=1e-8)
-    assert b.criticality == SUPERCRITICAL
-    assert branch.diagnostics == []
-    # stable asymmetric branch exists only below the threshold and moves
-    # toward 1/2 as the weight grows
-    upper = {}
-    for value, eqs in branch.samples:
-        tops = [e.h_star for e in eqs if e.kind == KIND_PARTIAL and e.h_star > 0.5
-                and e.stability == STABLE]
-        if tops:
-            upper[value] = max(tops)
-    assert all(v < b.value + 1e-6 for v in upper)
-    seq = [upper[v] for v in sorted(upper)]
-    assert all(a > c for a, c in zip(seq, seq[1:]))
+    for lo, hi, steps in ((0.2, 0.6, 21), (0.0, 1.0, 181)):  # the second is criterion 5's
+        branch = sweep("mu", lo, hi, steps, p, LOGIT02)
+        assert len(branch.bifurcations) == 1
+        b = branch.bifurcations[0]
+        assert b.value == pytest.approx(dispersion_threshold(p), abs=1e-8)
+        assert b.criticality == SUPERCRITICAL
+        assert branch.diagnostics == []
+        # stable asymmetric branch exists only below the threshold and moves
+        # toward 1/2 as the weight grows
+        upper = {}
+        for value, eqs in branch.samples:
+            tops = [e.h_star for e in eqs if e.kind == KIND_PARTIAL and e.h_star > 0.5
+                    and e.stability == STABLE]
+            if tops:
+                upper[value] = max(tops)
+        assert all(v < b.value + 1e-6 for v in upper)
+        seq = [upper[v] for v in sorted(upper)]
+        assert all(a > c for a, c in zip(seq, seq[1:]))
 
 
 def test_phi_sweep_at_log_curvature_recovers_the_closed_form_threshold():
