@@ -94,6 +94,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
     raw = (hi - lo) / target
+    if not 0.0 < raw < math.inf:  # a step that underflows to 0 or overflows
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -1,7 +1,7 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +46,8 @@ from geoeq.equilibria import (
     _wage_nodes,
 )
 from geoeq.model import _share_terms
+from mp_reference import Economy
+from test_acceptance import PHI_GRID, SIGMA_GRID
 
 LOGIT02 = PenaltySpec(kind="logit", mu=0.2)
 
@@ -379,51 +381,6 @@ def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi
     assert gaps.max() <= (0.5 - GRID_EDGE) / (n_upper - 1)
 
 
-def _mp_incentive(sigma, phi, theta, mu):
-    """delta_V under the logit penalty as a function of the wage, in mpmath.
-
-    Returns (terms, incentive): terms(w) gives the two share weights a, b
-    with h = a/(a + b), and incentive(w) is delta_V at that share.  Both
-    shares are explicit in w, so no double-precision wage solve or share
-    subtraction is involved.  Call inside an mpmath precision context.
-    """
-    s, p, th, mu = (mpmath.mpf(v) for v in (sigma, phi, theta, mu))
-
-    def terms(w):
-        X = w ** s
-        return X * (X - p), w * (1 - p * X)
-
-    def incentive(w):
-        a, b = terms(w)
-        h, g = a / (a + b), b / (a + b)
-        A = h * w ** (1 - s) + g * p
-        B = h * p * w ** (1 - s) + g
-        if th == 1:
-            gap = mpmath.log(w) + mpmath.log(A / B) / (s - 1)
-        else:
-            kappa = (1 - th) / (s - 1)
-            gap = (w ** (1 - th) * A ** kappa - B ** kappa) / (1 - th)
-        return gap - mu * (mpmath.log(a) - mpmath.log(b))
-
-    return terms, incentive
-
-
-def _mp_mirror_share(sigma, phi, theta, mu):
-    """The share 1 - h* of the outermost logit rest point, to 50 digits.
-
-    Bisects delta_V along the wage (:func:`_mp_incentive`).
-    """
-    with mpmath.workdps(50):
-        terms, incentive = _mp_incentive(sigma, phi, theta, mu)
-        p, s = mpmath.mpf(phi), mpmath.mpf(sigma)
-        lo, hi = mpmath.mpf("1.000001"), p ** (-1 / s) * (1 - mpmath.mpf(10) ** -40)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if incentive(mid) > 0 else (lo, mid)
-        a, b = terms((lo + hi) / 2)
-        return b / (a + b)
-
-
 # fig6-left sample weights mu = k/180 whose lower rest point sits within
 # 1e-4 of h = 0, with the oracle's mirror share to 10 digits.
 @pytest.mark.parametrize("k,share", [
@@ -435,7 +392,8 @@ def _mp_mirror_share(sigma, phi, theta, mu):
 ])
 def test_near_boundary_mirror_share_matches_a_high_precision_oracle(k, share):
     mu = float(np.linspace(0.0, 1.0, 181)[k])
-    truth = _mp_mirror_share(2.0, 0.4, 0.0, mu)
+    ref = Economy(2.0, 0.4, 0.0, mu)
+    truth = ref.shares(ref.rest_point())[1]
     assert float(truth) == pytest.approx(share, rel=1e-9)
     eqs = find_equilibria(ModelParams(sigma=2.0, phi=0.4, theta=0.0),
                           PenaltySpec(kind="logit", mu=mu))
@@ -452,18 +410,13 @@ def test_rest_points_at_freeness_near_one_match_an_mpmath_oracle(phi):
     # WAGE_RESIDUAL_TOL, so the wage solve is held to a backward error in w
     params = ModelParams(sigma=2.0, phi=phi)
     eqs = find_equilibria(params, LOGIT02)
-    with mpmath.workdps(50):
-        terms, incentive = _mp_incentive(2.0, phi, 1.0, 0.2)
-        w_hi = mpmath.mpf(phi) ** (-mpmath.mpf(1) / 2)
-        # delta_V keeps one sign on the upper half: 1/2 is the only rest point
-        wages = [1 + (w_hi - 1) * k / 2001 for k in range(1, 2001)]
-        signs = {incentive(w) < 0 for w in wages}
-        share = lambda w: (lambda a, b: a / (a + b))(*terms(w))
-        slope = mpmath.diff(incentive, 1) / mpmath.diff(share, 1)
+    ref = Economy(2.0, phi, 1.0, 0.2)
+    # delta_V keeps one sign on the upper half: 1/2 is the only rest point
+    signs = {ref.delta_V(1 + (phi ** -0.5 - 1) * k / 2001) < 0 for k in range(1, 2001)}
     assert signs == {True}
     assert [(e.h_star, e.w, e.kind, e.stability) for e in eqs] == \
         [(0.5, 1.0, KIND_DISPERSION, STABLE)]
-    assert eqs[0].slope == pytest.approx(float(slope), rel=1e-7)
+    assert eqs[0].slope == pytest.approx(float(ref.dV_dh(0.5)), rel=1e-7)
 
 
 def test_fig6_left_records_carry_python_floats():
@@ -656,29 +609,6 @@ def test_threshold_phi_crossings_report_an_exact_zero_at_the_last_node():
 # bifurcations and sweeps
 
 
-def test_pitchfork_criticality_at_log_curvature():
-    p = ModelParams(sigma=2.0, phi=0.4, theta=1.0)
-    b = pitchfork_criticality("mu", mu_d(2.0, 0.4), p, LOGIT02)
-    assert b.criticality == SUPERCRITICAL
-    assert b.third_derivative == pytest.approx(-7.72404544964739, rel=1e-4)
-
-
-def test_pitchfork_criticality_at_linear_curvature():
-    p = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
-    b = pitchfork_criticality("mu", dispersion_threshold(p), p, LOGIT02)
-    assert b.criticality == SUPERCRITICAL
-    assert b.third_derivative == pytest.approx(-11.6850325068, rel=1e-4)
-
-
-def _mp_wage_at(terms, h):
-    """The wage whose closed-form share a/(a + b) is h, by findroot from w = 1."""
-    def share(w):
-        a, b = terms(w)
-        return a / (a + b)
-
-    return mpmath.findroot(lambda w: share(w) - h, 1)
-
-
 # The pitchforks of fig6-left (mu, also the one criterion 7 detects) and
 # fig6-right (phi), and fig6-left's economy at theta = 1, with their 40-digit
 # d3(delta_V)/dh3 at 1/2.  The stencil is 3.6e-7 (relative) off at theta = 0
@@ -693,31 +623,27 @@ def test_pitchfork_third_derivative_matches_a_40_digit_oracle(parameter, value, 
     b = pitchfork_criticality(parameter, value, ModelParams(sigma=2.0, phi=phi, theta=theta),
                               LOGIT02)
     at_phi, at_mu = (value, LOGIT02.mu) if parameter == "phi" else (phi, value)
-    with mpmath.workdps(40):
-        terms, incentive = _mp_incentive(2.0, at_phi, theta, at_mu)
-        third = mpmath.diff(lambda h: incentive(_mp_wage_at(terms, h)), mpmath.mpf(1) / 2, 3)
+    third = Economy(2.0, at_phi, theta, at_mu, dps=40).dV_dh(0.5, 3)
     assert float(third) == pytest.approx(truth, rel=1e-15)
     assert b.criticality == SUPERCRITICAL
     assert abs(b.third_derivative / float(third) - 1.0) <= rel
 
 
-def test_freeness_derivative_is_positive_at_the_nine_criterion_3_witnesses():
-    # criterion 3's nine grid points with d(delta_u)/dphi >= 0 all sit at
-    # (sigma, phi, theta) = (1.5, 0.1, 0); a 50-digit derivative of delta_u
-    # at the fixed share confirms the sign and the closed form's value
-    sigma, phi, theta = 1.5, 0.1, 0.0
-    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
-    with mpmath.workdps(50):
+def test_freeness_derivative_has_criterion_3s_signs_on_its_whole_grid():
+    # criterion 3's 1125 points: d(delta_u)/dphi at the fixed share is >= 0
+    # at exactly the nine of (sigma, phi, theta) = (1.5, 0.1, 0), where it is
+    # positive, and negative at the other 1116; the closed form agrees
+    not_negative = []
+    for sigma, phi, theta in itertools.product(SIGMA_GRID, PHI_GRID, (0.0, 0.5, 1.0, 2.0, 10.0)):
+        params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+        ref = Economy(sigma, phi, theta, dps=20)
         for k in range(9):
             h = 0.55 + 0.05 * k
-
-            def gap(p):
-                terms, incentive = _mp_incentive(sigma, p, theta, 0)
-                return incentive(_mp_wage_at(terms, mpmath.mpf(h)))
-
-            truth = mpmath.diff(gap, mpmath.mpf(phi))
-            assert truth > 0
+            truth = ref.ddelta_u_dphi(h)
+            if truth >= 0:
+                not_negative.append((sigma, phi, theta, truth > 0))
             assert abs(ddelta_u_dphi(h, params) / float(truth) - 1.0) <= 1e-12
+    assert not_negative == [(1.5, 0.1, 0.0, True)] * 9
 
 
 def test_criterion_5_phi_sweep_detects_the_curvature_adjusted_threshold():

@@ -3,7 +3,6 @@ import math
 import random
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +28,7 @@ from geoeq import model
 from geoeq.equilibria import FD_STEP
 from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
 from geoeq.welfare import delta_u
+from mp_reference import Economy
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
 PHIS = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -234,11 +234,7 @@ def test_price_indices_and_firm_counts_take_the_normalised_forms(sigma, phi, h, 
     lo, hi = p.wage_bracket
     w = lo + u * (hi - lo)
     P_L, P_R = price_indices(h, w, p)
-    with mpmath.workdps(40):
-        s, f, x = mpmath.mpf(sigma), mpmath.mpf(phi), mpmath.mpf(h)
-        local = x * mpmath.mpf(w) ** (1 - s)
-        want_L = (local + (1 - x) * f) ** (1 / (1 - s))
-        want_R = (f * local + (1 - x)) ** (1 / (1 - s))
+    want_L, want_R = Economy(sigma, phi, dps=40).price_indices(h, w)
     assert abs(P_L - want_L) <= 1e-14 * abs(want_L)
     assert abs(P_R - want_R) <= 1e-14 * abs(want_R)
     assert firm_counts(h, p) == (h, 1.0 - h)
@@ -339,24 +335,11 @@ def _near_edge_share(k, low):
 EPS = float(np.finfo(float).eps)
 
 
-def _mp_wage(h, sigma, phi):
-    """The wage at share h to 50 digits, bisecting the explicit share map in w."""
-    with mpmath.workdps(50):
-        s, p, h = mpmath.mpf(sigma), mpmath.mpf(phi), mpmath.mpf(h)
-        lo, hi = p ** (1 / s), p ** (-1 / s)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            X = mid ** s
-            a, b = X * (X - p), mid * (1 - p * X)
-            lo, hi = (mid, hi) if a / (a + b) < h else (lo, mid)
-        return (lo + hi) / 2
-
-
 def _wage_error_in_eps(h, sigma, phi):
     """|solve_wage - 50-digit wage| / wage, in units of machine epsilon."""
     w = solve_wage(h, ModelParams(sigma=sigma, phi=phi))
-    truth = _mp_wage(h, sigma, phi)
-    return float(abs(mpmath.mpf(w) - truth) / truth) / EPS
+    truth = Economy(sigma, phi).wage(h)
+    return float(abs(w - truth) / truth) / EPS
 
 # shares where h or 1 - h is tiny: 1e-9 from either end, k subnormal
 # spacings above 0 and k spacings below 1

@@ -301,3 +301,12 @@ def test_a_range_narrower_than_float_spacing_still_gets_ticks():
     svg = output.line_chart("t", "x", "y", [
         output.Series("", [1.0, 1.0 + 2.0**-52], [1.0, 1.0 + 2.0**-52], "#000000")])
     assert svg.count("<polyline") == 1
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0], [0.0, 5e-324]),  # the tick step underflows to 0
+    ([-1e308, 1e308], [0.0, 1.0]),  # the tick step overflows
+], ids=["subnormal-range", "overflowing-range"])
+def test_a_range_without_a_finite_tick_step_still_gets_a_chart(xs, ys):
+    svg = output.line_chart("t", "x", "y", [output.Series("", xs, ys, "#000000")])
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n") and svg.count("<polyline") == 1

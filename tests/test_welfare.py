@@ -3,19 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoeq import ModelParams, ddelta_u_dh, ddelta_u_dphi, delta_u, dispersion_slope
+from geoeq import (ModelParams, PenaltySpec, ddelta_u_dh, ddelta_u_dphi, delta_t_prime, delta_u,
+                   dispersion_slope)
 from geoeq.welfare import LOG_UTILITY_BAND, ddelta_u_dh_closed, stability_coefficients
+from mp_reference import Economy
 
 P25 = ModelParams(sigma=2.0, phi=0.5)
-
-
-def ddelta_u_dphi_fd(h_star, params, *, step=1e-6):
-    """Finite-difference check of ddelta_u_dphi, stepping the freeness."""
-    p = params.phi
-    step = min(step, 0.5 * p, 0.5 * (1.0 - p))
-    up = delta_u(h_star, params.with_phi(p + step))
-    dn = delta_u(h_star, params.with_phi(p - step))
-    return (up - dn) / (2.0 * step)
 
 
 def log_utility_limit_gap(h, params):
@@ -186,17 +179,10 @@ def test_freeness_slope_requires_crowded_interior_share():
         ddelta_u_dphi(1.0, P25)
 
 
-def test_freeness_slope_matches_finite_difference():
-    for sigma, phi, theta, h in [(2.0, 0.5, 1.0, 0.7), (2.5, 0.3, 0.0, 0.7),
-                                 (2.0, 0.7, 2.0, 0.9), (5.0, 0.3, 0.5, 0.55)]:
-        p = ModelParams(sigma=sigma, phi=phi, theta=theta)
-        assert ddelta_u_dphi(h, p) == pytest.approx(ddelta_u_dphi_fd(h, p), rel=1e-6)
-
-
 # The erosion property genuinely reverses for sigma below roughly 1.7 when
 # trade is nearly prohibitive and curvature is low (e.g. +0.0896 at
-# sigma=1.5, phi=0.1, theta=0, h=0.75, confirmed by a 50-digit finite
-# difference), so the strategy floor stays at 1.8 where the worst grid
+# sigma=1.5, phi=0.1, theta=0, h=0.75, confirmed by the reference
+# model), so the strategy floor stays at 1.8 where the worst grid
 # value is still safely negative.
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(
@@ -208,3 +194,20 @@ def test_freeness_slope_matches_finite_difference():
 def test_freer_trade_always_erodes_the_crowded_advantage(sigma, phi, theta, h):
     p = ModelParams(sigma=sigma, phi=phi, theta=theta)
     assert ddelta_u_dphi(h, p) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the reference model: a mistake in it would pass every test that reads it
+
+
+@pytest.mark.parametrize("sigma,phi,theta,mu", [
+    (2.0, 0.4, 0.0, 0.2), (1.5, 0.1, 1.0, 0.3), (10.0, 0.9, 0.5, 1.0), (1.05, 0.02, 10.0, 0.5),
+])
+def test_the_reference_model_meets_the_closed_forms(sigma, phi, theta, mu):
+    params, ref = ModelParams(sigma=sigma, phi=phi, theta=theta), Economy(sigma, phi, theta, mu)
+    assert ref.wage(0.5) == 1
+    want = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, PenaltySpec(kind="logit", mu=mu))
+    assert abs(float(ref.dV_dh(0.5)) / want - 1.0) <= 1e-12
+    for h in (0.05, 0.3, 0.7, 0.95):  # mu = 0: the slope of delta_u
+        truth = Economy(sigma, phi, theta).dV_dh(h)
+        assert abs(ddelta_u_dh(h, params) / float(truth) - 1.0) <= 1e-12
