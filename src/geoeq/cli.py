@@ -5,11 +5,11 @@ Five subcommands: ``shortrun`` (market-clearing tables at fixed h),
 (closed-form and detected stability thresholds), ``sweep`` (equilibrium
 branches along phi or mu), and ``figure`` (canonical figure artifacts).
 
-Options resolve as flags > config file (``--config``, JSON) > built-in
-defaults.  Results land in ``--out`` as CSV (12 significant digits),
-JSON (config echo, results, shadow-check report), and SVG, selected via
-``--format``.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 i/o failure.
+Options resolve as flags > config file (``--config``, JSON, each value
+parsed as its flag) > built-in defaults.  Results land in ``--out`` as
+CSV (12 significant digits), JSON (config echo, results, shadow-check
+report), and SVG, selected via ``--format``.  Exit codes: 0 success,
+2 configuration error, 3 solver failure, 4 i/o failure.
 """
 
 from __future__ import annotations
@@ -54,23 +54,13 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_MODEL_DEFAULTS = {"sigma": None, "phi": None, "tau": None, "theta": 1.0}
-_PENALTY_DEFAULTS = {"penalty": "logit", "mu": 0.2}
-_OUTPUT_DEFAULTS = {"out": "out", "format": "csv,json"}
 
-_DEFAULTS = {
-    "shortrun": _MODEL_DEFAULTS | {"grid": 512} | _OUTPUT_DEFAULTS,
-    "equilibria": _MODEL_DEFAULTS | _PENALTY_DEFAULTS | _OUTPUT_DEFAULTS,
-    "thresholds": _MODEL_DEFAULTS | {"mu": None} | _OUTPUT_DEFAULTS,
-    "sweep": _MODEL_DEFAULTS | _PENALTY_DEFAULTS
-    | {"param": None, "min": None, "max": None, "steps": 101}
-    | _OUTPUT_DEFAULTS | {"workers": 1},
-    "figure": {"name": None, "grid": None, "steps": None, "out": "out",
-               "format": "csv,json,svg", "workers": 1},
-}
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``geoeq`` parser and the parser of each subcommand, by name.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Every option declares its type, choices and default here, once, in the
+    order the JSON config echo lists it: model, penalty, command, output.
+    """
     parser = argparse.ArgumentParser(
         prog="geoeq",
         description="Equilibrium toolkit for a two-region economy with "
@@ -79,61 +69,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file with option defaults; flags win")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    commands = {}
 
     def add_model(sp):
         sp.add_argument("--sigma", type=float, help="elasticity of substitution (> 1)")
         sp.add_argument("--phi", type=float, help="freeness of trade in (0, 1)")
         sp.add_argument("--tau", type=float, help="iceberg trade cost (> 1); alternative to --phi")
-        sp.add_argument("--theta", type=float, help="utility curvature (default 1)")
+        sp.add_argument("--theta", type=float, default=1.0,
+                        help="utility curvature (default %(default)s)")
 
     def add_penalty(sp):
-        sp.add_argument("--penalty", choices=("logit", "linear"),
-                        help="congestion-penalty family (default logit)")
-        sp.add_argument("--mu", type=float, help="penalty weight (default 0.2)")
+        sp.add_argument("--penalty", choices=("logit", "linear"), default="logit",
+                        help="congestion-penalty family (default %(default)s)")
+        sp.add_argument("--mu", type=float, default=0.2,
+                        help="penalty weight (default %(default)s)")
 
     def add_output(sp, formats="csv,json"):
-        sp.add_argument("--out", metavar="DIR", help="output directory (default ./out)")
-        sp.add_argument("--format", metavar="LIST",
-                        help=f"comma-separated subset of csv,json,svg (default {formats})")
+        sp.add_argument("--out", metavar="DIR", default="out",
+                        help="output directory (default %(default)s)")
+        sp.add_argument("--format", metavar="LIST", default=formats,
+                        help="comma-separated subset of csv,json,svg (default %(default)s)")
 
-    def add_workers(sp):
-        sp.add_argument("--workers", type=int, help="sweep worker processes (default 1)")
-
-    sp = sub.add_parser("shortrun", help="market-clearing wages, prices and "
-                                         "consumption over a grid of shares")
+    sp = commands["shortrun"] = sub.add_parser(
+        "shortrun", help="market-clearing wages, prices and consumption over a grid of shares")
     add_model(sp)
-    sp.add_argument("--grid", type=int, help="number of grid points (default 512)")
+    sp.add_argument("--grid", type=int, default=512, help="grid points (default %(default)s)")
     add_output(sp)
 
-    sp = sub.add_parser("equilibria", help="rest points of the migration dynamics")
+    sp = commands["equilibria"] = sub.add_parser(
+        "equilibria", help="rest points of the migration dynamics")
     add_model(sp)
     add_penalty(sp)
     add_output(sp)
 
-    sp = sub.add_parser("thresholds", help="stability thresholds of the symmetric point")
+    sp = commands["thresholds"] = sub.add_parser(
+        "thresholds", help="stability thresholds of the symmetric point")
     add_model(sp)
     sp.add_argument("--mu", type=float, help="penalty weight to invert for the "
                                              "freeness threshold")
     add_output(sp)
 
-    sp = sub.add_parser("sweep", help="trace equilibria along phi or mu")
+    sp = commands["sweep"] = sub.add_parser("sweep", help="trace equilibria along phi or mu")
+    add_model(sp)
+    add_penalty(sp)
     sp.add_argument("--param", choices=("phi", "mu"), help="parameter to sweep")
     sp.add_argument("--min", type=float, help="lower end of the sweep range")
     sp.add_argument("--max", type=float, help="upper end of the sweep range")
-    sp.add_argument("--steps", type=int, help="number of samples (default 101)")
-    add_model(sp)
-    add_penalty(sp)
+    sp.add_argument("--steps", type=int, default=101, help="sweep samples (default %(default)s)")
     add_output(sp)
-    add_workers(sp)
 
-    sp = sub.add_parser("figure", help="emit a canonical figure as data + rendering")
+    sp = commands["figure"] = sub.add_parser(
+        "figure", help="emit a canonical figure as data + rendering")
     sp.add_argument("name", choices=FIGURES, help="which figure to produce")
     sp.add_argument("--grid", type=int, help="override the share-grid density")
     sp.add_argument("--steps", type=int, help="override the sweep step count")
     add_output(sp, formats="csv,json,svg")
-    add_workers(sp)
 
-    return parser
+    return parser, commands
 
 
 def _load_config(path: str) -> dict:
@@ -150,33 +142,34 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def resolve_options(args: argparse.Namespace) -> dict:
-    defaults = dict(_DEFAULTS[args.command])
-    merged = dict(defaults)
+def parse_options(argv=None) -> dict:
+    """The options of one run, resolved as flags > config file > defaults.
+
+    Config values become string defaults of the chosen subcommand for a second
+    parse, so argparse converts or rejects each as it would its flag.  A JSON
+    null leaves its option unset.
+    """
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
         config = _load_config(args.config)
-        unknown = sorted(set(config) - set(defaults))
+        unknown = sorted(set(config) - set(vars(args)) - {"command", "config"})
         if unknown:
             raise ValueError(
                 f"unknown config keys for {args.command}: {', '.join(unknown)}")
-        merged.update(config)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    merged["command"] = args.command
-    return merged
+        commands[args.command].set_defaults(
+            **{key: str(value) for key, value in config.items() if value is not None})
+        args = parser.parse_args(argv)
+    opts = vars(args)
+    del opts["config"]
+    return opts
 
 
 def _params_from(opts: dict) -> ModelParams:
-    if opts.get("sigma") is None:
+    if opts["sigma"] is None:
         raise ValueError("--sigma is required (or set sigma in the config file)")
-    return ModelParams(sigma=opts["sigma"], phi=opts.get("phi"), tau=opts.get("tau"),
-                       theta=opts.get("theta", 1.0))
-
-
-def _penalty_from(opts: dict) -> PenaltySpec:
-    return PenaltySpec(kind=opts["penalty"], mu=opts["mu"])
+    return ModelParams(sigma=opts["sigma"], phi=opts["phi"], tau=opts["tau"],
+                       theta=opts["theta"])
 
 
 def _formats_from(opts: dict) -> list[str]:
@@ -235,7 +228,7 @@ def _sign_change_count(values: np.ndarray) -> int:
 
 def run_shortrun(opts: dict) -> int:
     params = _params_from(opts)
-    grid = int(opts["grid"])
+    grid = opts["grid"]
     if grid < 2:
         raise ValueError(f"--grid must be at least 2, got {grid}")
     h = np.linspace(0.0, 1.0, grid)
@@ -276,7 +269,7 @@ def run_shortrun(opts: dict) -> int:
 
 def run_equilibria(opts: dict) -> int:
     params = _params_from(opts)
-    spec = _penalty_from(opts)
+    spec = PenaltySpec(kind=opts["penalty"], mu=opts["mu"])
     eqs = find_equilibria(params, spec)
 
     checks = []
@@ -332,6 +325,7 @@ def run_thresholds(opts: dict) -> int:
     slope_display = dispersion_slope(params)
     slope_true = ddelta_u_dh_closed(0.5, params)
     detected_mu = 0.25 * slope_true
+    unit_wage_mu_p = mu_p(1.0, sigma, phi)
 
     results = {
         "mu_d": closed_mu_d,
@@ -339,17 +333,16 @@ def run_thresholds(opts: dict) -> int:
         "dispersion_slope_display": slope_display,
         "utility_slope_at_half": slope_true,
         "mu_pitchfork_detected": detected_mu,
-        "mu_p_at_unit_wage": mu_p(1.0, sigma, phi),
+        "mu_p_at_unit_wage": unit_wage_mu_p,
     }
-    mu = opts.get("mu")
-    crossings: list[float] = []
+    mu = opts["mu"]
+    closed_phi_b, crossings = None, []
     if mu is not None:
-        results["mu"] = mu
-        results["phi_b"] = phi_b(sigma, mu)
+        closed_phi_b = phi_b(sigma, mu)
         crossings = threshold_phi_crossings(params, mu)
-        results["phi_crossings_detected"] = crossings
+        results |= {"mu": mu, "phi_b": closed_phi_b, "phi_crossings_detected": crossings}
     shadow = {
-        "mu_p_matches_mu_d_at_unit_wage": abs(mu_p(1.0, sigma, phi) - closed_mu_d),
+        "mu_p_matches_mu_d_at_unit_wage": abs(unit_wage_mu_p - closed_mu_d),
         "detected_vs_adjusted": abs(detected_mu - adjusted),
         "detected_vs_mu_d": abs(detected_mu - closed_mu_d),
     }
@@ -376,7 +369,7 @@ def run_thresholds(opts: dict) -> int:
               "phi_crossing_detected"]
     row = [sigma, phi, params.theta, "" if mu is None else mu, closed_mu_d,
            adjusted, slope_display, detected_mu,
-           "" if mu is None or phi_b(sigma, mu) is None else phi_b(sigma, mu),
+           "" if closed_phi_b is None else closed_phi_b,
            "" if not crossings else crossings[0]]
     _emit(opts, "thresholds", header=header, columns=[[c] for c in row], document=doc, svg=svg)
 
@@ -384,7 +377,7 @@ def run_thresholds(opts: dict) -> int:
     print(f"curvature-adjusted threshold = {adjusted:.12g} "
           f"(detected {detected_mu:.12g})")
     if mu is not None:
-        print(f"phi_b = {results['phi_b']!r}, detected crossings = "
+        print(f"phi_b = {closed_phi_b!r}, detected crossings = "
               f"{[f'{c:.12g}' for c in crossings]}")
     return EXIT_OK
 
@@ -428,7 +421,7 @@ def _threshold_report(branch: Branch, params: ModelParams,
 def _run_branch(opts: dict, name: str, parameter: str, lo: float, hi: float,
                 steps: int, params: ModelParams, spec: PenaltySpec,
                 title: str, x_label: str) -> Branch:
-    branch = sweep(parameter, lo, hi, steps, params, spec, workers=int(opts["workers"]))
+    branch = sweep(parameter, lo, hi, steps, params, spec)
     rows = [(value, eq.h_star, eq.stability, eq.kind)
             for value, eqs in branch.samples for eq in eqs]
     doc = {
@@ -458,19 +451,19 @@ def _run_branch(opts: dict, name: str, parameter: str, lo: float, hi: float,
 
 
 def run_sweep(opts: dict) -> int:
-    parameter = opts.get("param")
+    parameter = opts["param"]
     if parameter is None:
         raise ValueError("--param is required (phi or mu)")
-    if opts.get("min") is None or opts.get("max") is None:
+    if opts["min"] is None or opts["max"] is None:
         raise ValueError("--min and --max are required")
-    if parameter == "phi" and opts.get("phi") is None and opts.get("tau") is None:
+    if parameter == "phi" and opts["phi"] is None and opts["tau"] is None:
         # the swept parameter replaces the base value at every step anyway
         opts = dict(opts, phi=0.5)
     params = _params_from(opts)
-    spec = _penalty_from(opts)
+    spec = PenaltySpec(kind=opts["penalty"], mu=opts["mu"])
     label = "freeness of trade" if parameter == "phi" else "penalty weight"
-    _run_branch(opts, "sweep", parameter, float(opts["min"]), float(opts["max"]),
-                int(opts["steps"]), params, spec, "Equilibrium branches", label)
+    _run_branch(opts, "sweep", parameter, opts["min"], opts["max"], opts["steps"],
+                params, spec, "Equilibrium branches", label)
     return EXIT_OK
 
 
@@ -501,7 +494,7 @@ def _share_figure(opts: dict, name: str, h: np.ndarray, columns: dict, series: l
 def _figure_fig1(opts: dict) -> None:
     sigma = 2.0
     phis = (0.1, 0.5, 0.7)
-    h = np.linspace(0.0, 1.0, int(opts["grid"] or 513))
+    h = np.linspace(0.0, 1.0, opts["grid"] or 513)
     columns, series, shadow = {}, [], {}
     for i, phi in enumerate(phis):
         w = np.asarray(solve_wage(h, ModelParams(sigma=sigma, phi=phi)))
@@ -518,7 +511,7 @@ def _figure_fig1(opts: dict) -> None:
 def _figure_fig2(opts: dict) -> None:
     sigma, phi = 2.0, 0.5
     thetas = (0.0, 1.0, 2.0)
-    h = np.linspace(0.0, 1.0, int(opts["grid"] or 513))
+    h = np.linspace(0.0, 1.0, opts["grid"] or 513)
     columns, series, shadow = {}, [], {}
     for i, theta in enumerate(thetas):
         du = np.asarray(delta_u(h, ModelParams(sigma=sigma, phi=phi, theta=theta)))
@@ -538,7 +531,7 @@ def _figure_fig5(opts: dict) -> None:
     sigma, theta, mu = 2.5, 0.0, 0.2
     phis = (0.3, 0.5, 0.9)
     spec = PenaltySpec(kind=LOGIT, mu=mu)
-    h = np.linspace(0.01, 0.99, int(opts["grid"] or 513))
+    h = np.linspace(0.01, 0.99, opts["grid"] or 513)
     dt = np.asarray(delta_t(h, spec))
     columns, series, shadow, eq_report = {}, [], {}, {}
     for i, phi in enumerate(phis):
@@ -558,7 +551,7 @@ def _figure_fig5(opts: dict) -> None:
 
 def _figure_fig6(opts: dict, name: str, parameter: str, lo: float, hi: float, phi: float,
                  title: str, x_label: str) -> None:
-    steps = int(opts["steps"] or 181)
+    steps = opts["steps"] or 181
     params = ModelParams(sigma=2.0, phi=phi, theta=0.0)
     _run_branch(opts, name, parameter, lo, hi, steps, params, PenaltySpec(kind=LOGIT, mu=0.2),
                 title, x_label)
@@ -579,10 +572,7 @@ FIGURES = {
 
 
 def run_figure(opts: dict) -> int:
-    figure = FIGURES.get(opts["name"])
-    if figure is None:
-        raise ValueError(f"unknown figure {opts['name']!r}")
-    figure(opts)
+    FIGURES[opts["name"]](opts)
     return EXIT_OK
 
 
@@ -596,11 +586,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        opts = resolve_options(args)
-        return _COMMANDS[args.command](opts)
+        opts = parse_options(argv)
+        return _COMMANDS[opts["command"]](opts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,15 +204,20 @@ def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams):
     from linear in the wage (a uniform wage grid leaves share gaps up to
     ~20x too wide at low freeness), so each cell whose share gap is too
     wide is split evenly in w into ceil(gap/target) pieces, repeated until
-    every gap fits.  The node count stays below about 2*n_upper.  Returns
+    every gap fits.  The node count stays below about 2*n_upper.  A cell
+    splits into no more pieces than the float steps across it, so the nodes
+    stay strictly increasing (if w_edge > 1) and, near phi = 1 where
+    [1, w_edge] holds few doubles, a gap can exceed the target.  Returns
     the nodes and their share terms a, b (:func:`geoeq.model._share_terms`),
     which the last gap test evaluated.
     """
     target = (0.5 - GRID_EDGE) / (n_upper - 1)
-    w = np.linspace(1.0, w_edge, n_upper)
+    steps = int((w_edge - 1.0) / math.ulp(1.0))  # doubles in (1, w_edge], exact below 2
+    w = np.linspace(1.0, w_edge, min(n_upper, max(steps, 1) + 1))
     while True:
         a, b = _share_terms(w, params)
-        pieces = np.ceil(np.diff(a / (a + b)) / target)
+        bits = w.view(np.int64)  # bit patterns of positive doubles count float steps
+        pieces = np.minimum(np.ceil(np.diff(a / (a + b)) / target), bits[1:] - bits[:-1])
         if pieces.max() <= 1.0:
             return w, a, b
         k = np.maximum(pieces, 1.0).astype(int)
@@ -725,6 +729,8 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     if workers == 1:
         results = _sweep_chunk(jobs[0])
     else:
+        # imported here, so that serial sweeps and CLI runs never load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for run in pool.map(_sweep_chunk, jobs) for r in run]
     samples = [(value, eqs) for value, eqs, _ in results]

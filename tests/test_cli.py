@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from geoeq import ModelParams, PenaltySpec, find_equilibria, mu_d, phi_b
-from geoeq.cli import main
+from geoeq.cli import main, parse_options
 
 
 def _read_csv(path):
@@ -26,11 +26,22 @@ def _read_csv(path):
 # runtime dependencies
 
 
+def _run_fresh(code, tmp_path, timeout):
+    """Run ``code`` in a fresh interpreter that imports geoeq from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_the_cli_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: with every scipy import made to fail,
     # the CLI still imports, writes two figures (fig6-right is a freeness
-    # sweep) and runs the equilibria and thresholds reports
-    code = textwrap.dedent("""
+    # sweep) and runs the equilibria and thresholds reports.  Sweeps run
+    # serially, so neither the import nor the sweep loads the process pool.
+    _run_fresh("""
         import sys
         sys.modules["scipy"] = None
         import geoeq.cli
@@ -41,13 +52,31 @@ def test_the_cli_runs_without_scipy(tmp_path):
             code = geoeq.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}"])
             if code != 0:
                 raise SystemExit(f"{argv} exited {code}")
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+        pool = sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules))
+        if pool:
+            raise SystemExit(f"serial runs imported {pool}")
+    """, tmp_path, timeout=300)
+
+
+def test_freeness_within_float_resolution_of_one_ends(tmp_path):
+    # near phi = 1 the wage range [1, w_hi] spans only a few hundred doubles,
+    # too few to refine the scan to its share target; these solves used to
+    # refine forever
+    _run_fresh("""
+        import sys
+        import geoeq.cli
+        runs = [["equilibria", "--sigma", "10", "--phi", "0.999999999999"],
+                ["equilibria", "--sigma", "2", "--phi", "0.99999999999999"],
+                ["equilibria", "--sigma", "10", "--phi", "0.999999999999999"],
+                ["equilibria", "--sigma", "50", "--phi", "0.999999999999"],
+                ["equilibria", "--sigma", "50", "--phi", "0.999999999999", "--penalty", "linear"],
+                ["sweep", "--param", "phi", "--min", "0.999999999998", "--max", "0.999999999999",
+                 "--steps", "3", "--sigma", "50"]]
+        for i, argv in enumerate(runs):
+            code = geoeq.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}"])
+            if code not in (0, 3):
+                raise SystemExit(f"{argv} exited {code}")
+    """, tmp_path, timeout=60)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +365,14 @@ def test_model_flags_are_only_sigma_phi_tau_theta(tmp_path, command, flag):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["shortrun", "equilibria", "thresholds"])
+@pytest.mark.parametrize("command", ["shortrun", "equilibria", "thresholds", "sweep", "figure"])
 def test_workers_is_offered_only_where_a_sweep_runs(tmp_path, command):
+    # workers is a keyword of the library's sweep alone: commands sweep serially
+    argv = (["figure", "fig1"] if command == "figure"
+            else [*_MODEL_ARGV[command], "--sigma", "2", "--phi", "0.5"])
+    parse_options([*argv, "--out", str(tmp_path)])
     with pytest.raises(SystemExit) as exc:
-        main([*_MODEL_ARGV[command], "--sigma", "2", "--phi", "0.5", "--workers", "2",
-              "--out", str(tmp_path)])
+        main([*argv, "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 
@@ -356,10 +388,38 @@ def test_the_scan_resolution_is_not_an_option(tmp_path, command):
 @pytest.mark.parametrize("key", ["alpha", "eta", "workers", "grid_points"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"sigma": 2.0, "phi": 0.5, key: 1}))
-    code = main(["--config", str(config), "equilibria", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert f"unknown config keys for equilibria: {key}" in capsys.readouterr().err
+    config.write_text(json.dumps({key: 1}))
+    for argv in (["equilibria"], ["sweep"], ["figure", "fig1"]):
+        code = main(["--config", str(config), *argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown config keys for {argv[0]}: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["shortrun"], "sigma", "x"),
+    (["equilibria"], "mu", True),
+    (["sweep", "--param", "mu", "--min", "0.1", "--max", "0.5"], "steps", 2.5),
+    (["shortrun"], "grid", "many"),
+])
+def test_config_values_are_converted_as_their_flags_are(tmp_path, capsys, argv, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sigma": 2.0, "phi": 0.5} | {key: value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), *argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument --{key}: invalid" in capsys.readouterr().err
+
+
+def test_config_values_echo_as_their_flags_do_and_null_is_unset(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sigma": 2, "phi": 0.4, "theta": None}))
+    echoes = []
+    for argv in (["--config", str(config), "thresholds"],
+                 ["thresholds", "--sigma", "2", "--phi", "0.4"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        echoes.append(json.loads((tmp_path / "thresholds.json").read_text())["config"])
+    assert echoes[0] == echoes[1] and echoes[0]["theta"] == 1.0
+    assert isinstance(echoes[0]["sigma"], float)  # a config 2 echoes as 2.0, as --sigma 2 does
 
 
 def test_effective_model_echoes_every_model_field(tmp_path):
@@ -427,22 +487,6 @@ def test_fig5_crossings_cohere_with_equilibria(tmp_path):
     header, _ = _read_csv(tmp_path / "fig5.csv")
     assert header == ["h", "delta_u_phi_0.3", "delta_u_phi_0.5",
                       "delta_u_phi_0.9", "delta_t"]
-
-
-def test_fig6_left_parallel_run_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(["figure", "fig6-left", "--steps", "41",
-                 "--out", str(serial)]) == 0
-    assert main(["figure", "fig6-left", "--steps", "41", "--workers", "2",
-                 "--out", str(parallel)]) == 0
-    assert (serial / "fig6-left.csv").read_bytes() == \
-        (parallel / "fig6-left.csv").read_bytes()
-    docs = []
-    for out in (serial, parallel):
-        doc = json.loads((out / "fig6-left.json").read_text())
-        doc.pop("config")  # echoes the differing --out and --workers flags
-        docs.append(doc)
-    assert docs[0] == docs[1]
 
 
 def test_fig6_right_reports_the_freeness_pitchfork(tmp_path, capsys):
