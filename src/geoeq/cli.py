@@ -47,7 +47,7 @@ from .model import (
 )
 from .output import PALETTE, Series, branch_chart, line_chart, write_csv, write_json
 from .penalty import LOGIT, PenaltySpec, delta_t, delta_t_prime
-from .welfare import ddelta_u_dh_closed, delta_u, dispersion_slope
+from .welfare import ddelta_u_dh, delta_u, dispersion_slope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,8 +55,10 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``geoeq`` parser and the parser of each subcommand, by name.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                            set[str]]:
+    """The ``geoeq`` parser, the parser of each subcommand, by name, and the
+    names of the positional arguments, which only the command line sets.
 
     Every option declares its type, choices and default here, once, in the
     order the JSON config echo lists it: model, penalty, command, output.
@@ -120,12 +122,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = commands["figure"] = sub.add_parser(
         "figure", help="emit a canonical figure as data + rendering")
-    sp.add_argument("name", choices=FIGURES, help="which figure to produce")
+    positionals = {sp.add_argument("name", choices=FIGURES, help="which figure to produce").dest}
     sp.add_argument("--grid", type=int, help="override the share-grid density")
     sp.add_argument("--steps", type=int, help="override the sweep step count")
     add_output(sp, formats="csv,json,svg")
 
-    return parser, commands
+    return parser, commands, positionals
 
 
 def _load_config(path: str) -> dict:
@@ -147,13 +149,13 @@ def parse_options(argv=None) -> dict:
 
     Config values become string defaults of the chosen subcommand for a second
     parse, so argparse converts or rejects each as it would its flag.  A JSON
-    null leaves its option unset.
+    null leaves its option unset.  A positional argument is not a config key.
     """
-    parser, commands = build_parser()
+    parser, commands, positionals = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         config = _load_config(args.config)
-        unknown = sorted(set(config) - set(vars(args)) - {"command", "config"})
+        unknown = sorted(set(config) - (set(vars(args)) - {"command", "config"} - positionals))
         if unknown:
             raise ValueError(
                 f"unknown config keys for {args.command}: {', '.join(unknown)}")
@@ -276,11 +278,11 @@ def run_equilibria(opts: dict) -> int:
     for eq in eqs:
         if eq.kind == "boundary_agglomeration" or not 0.0 < eq.h_star < 1.0:
             continue
-        closed = ddelta_u_dh_closed(eq.h_star, params) - delta_t_prime(eq.h_star, spec)
+        closed = ddelta_u_dh(eq.h_star, params) - delta_t_prime(eq.h_star, spec)
         checks.append({"h_star": eq.h_star, "fd_slope": eq.slope,
                        "closed_form_slope": closed,
                        "abs_gap": abs(closed - eq.slope)})
-    slope_half, display = ddelta_u_dh_closed(0.5, params), dispersion_slope(params)
+    slope_half, display = ddelta_u_dh(0.5, params), dispersion_slope(params)
     convention = {
         "utility_slope_at_half": slope_half,
         "symmetric_display_form": display,
@@ -323,7 +325,7 @@ def run_thresholds(opts: dict) -> int:
     closed_mu_d = mu_d(sigma, phi)
     adjusted = dispersion_threshold(params)
     slope_display = dispersion_slope(params)
-    slope_true = ddelta_u_dh_closed(0.5, params)
+    slope_true = ddelta_u_dh(0.5, params)
     detected_mu = 0.25 * slope_true
     unit_wage_mu_p = mu_p(1.0, sigma, phi)
 

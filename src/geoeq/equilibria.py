@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (G_poly, ModelParams, SingularityError, SolverError, _check_bracket,
-                    _share_raw, _share_terms, brentq, solve_wage)
+from .model import (ModelParams, SolverError, _share_raw, _share_terms, _wage_pieces, brentq,
+                    solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
 from .welfare import _delta_u_at, delta_u, dispersion_slope
 
@@ -237,6 +237,11 @@ def _upper_scan(params: ModelParams):
     """
     nodes, a, b = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), GRID_POINTS // 2 + 1,
                               params)
+    if b[-1] == 0.0:
+        # Within about 1e-10 of phi = 1, w**sigma can round past 1/phi at the
+        # last nodes, clipping their b to 0 (share 1, log-odds inf); b falls
+        # in w, so the scan is laid again up to the last node before them.
+        nodes, a, b = _wage_nodes(nodes[np.count_nonzero(b) - 1], GRID_POINTS // 2 + 1, params)
     terms = _wage_terms(nodes, a, b, params)
     for arr in (nodes, *terms):
         arr.setflags(write=False)
@@ -549,13 +554,8 @@ def mu_p(w: float, sigma: float, phi: float) -> float:
     end of the wage bracket, so every weight below mu_d supports some
     asymmetric rest point.
     """
-    params = ModelParams(sigma=sigma, phi=phi)
-    _check_bracket(w, params)
-    X = w ** sigma
-    G = G_poly(X, params)
-    if not G > 0.0:
-        raise SingularityError(f"threshold denominator vanished at w={w}")
-    return (2.0 * sigma - 1.0) * (X - phi) * (1.0 - X * phi) / ((sigma - 1.0) * G)
+    _, X, _, G = _wage_pieces(w, ModelParams(sigma=sigma, phi=phi))
+    return float((2.0 * sigma - 1.0) * (X - phi) * (1.0 - X * phi) / ((sigma - 1.0) * G))
 
 
 def phi_b(sigma: float, mu: float) -> float | None:

@@ -262,6 +262,18 @@ def _share_raw(w, params: ModelParams):
     return a / (a + b)
 
 
+def _in_bracket(w, params: ModelParams):
+    """w as a float array, checked against the admissible bracket: a
+    ValueError names the first wage outside it (NaN is outside)."""
+    x = np.asarray(w, dtype=float)
+    lo, hi = params.wage_bracket
+    inside = (x >= lo * (1.0 - _BRACKET_SLACK)) & (x <= hi * (1.0 + _BRACKET_SLACK))
+    if not inside.all():
+        raise ValueError(f"wage {x[~inside][0]} outside the admissible bracket "
+                         f"[{lo:.6g}, {hi:.6g}] for sigma={params.sigma}, phi={params.phi}")
+    return x
+
+
 def wage_share(w, params: ModelParams):
     """Invert the economy: which population share h supports wage w?
 
@@ -271,14 +283,7 @@ def wage_share(w, params: ModelParams):
     Raises:
         ValueError: if any wage lies outside the admissible bracket.
     """
-    lo, hi = params.wage_bracket
-    w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr < lo * (1.0 - _BRACKET_SLACK)) or np.any(w_arr > hi * (1.0 + _BRACKET_SLACK)):
-        raise ValueError(
-            f"wage outside the admissible bracket [{lo:.6g}, {hi:.6g}] "
-            f"for sigma={params.sigma}, phi={params.phi}"
-        )
-    h = np.clip(_share_raw(w_arr, params), 0.0, 1.0)
+    h = np.clip(_share_raw(_in_bracket(w, params), params), 0.0, 1.0)
     return float(h) if np.ndim(w) == 0 else h
 
 
@@ -462,12 +467,22 @@ def G_poly(x, params: ModelParams):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _check_bracket(w: float, params: ModelParams) -> None:
-    lo, hi = params.wage_bracket
-    if not (lo * (1.0 - _BRACKET_SLACK) <= w <= hi * (1.0 + _BRACKET_SLACK)):
-        raise ValueError(
-            f"wage {w} outside the admissible bracket [{lo:.6g}, {hi:.6g}]"
-        )
+def _wage_pieces(w, params: ModelParams):
+    """w, X = w**sigma, D = X**2 - (w + 1) phi X + w (the share denominator
+    a + b of :func:`_share_terms`, positive) and G = G_poly(X) at wages w in
+    the bracket, scalar or array: the inputs of every closed-form slope.  A
+    scalar w comes back as a numpy scalar, whose ``**`` is libm's ``pow``
+    as a Python float's is.  G is positive on the bracket; a
+    SingularityError names the first wage where it is not.
+    """
+    x = _in_bracket(w, params)
+    w = x[()]
+    X = w ** params.sigma
+    G = G_poly(X, params)
+    positive = np.greater(G, 0.0)
+    if not positive.all():
+        raise SingularityError(f"G_poly is not positive at w={x[~positive][0]}")
+    return w, X, X * X - (w + 1.0) * params.phi * X + w, G
 
 
 def dw_dh(w: float, params: ModelParams) -> float:
@@ -477,13 +492,8 @@ def dw_dh(w: float, params: ModelParams) -> float:
     Strictly positive on the bracket: attracting consumers to a region
     raises its relative wage.
     """
-    _check_bracket(w, params)
-    X = w ** params.sigma
-    G = G_poly(X, params)
-    if not G > 0.0:
-        raise SingularityError(f"wage-derivative denominator vanished at w={w}")
-    D = X * X - (w + 1.0) * params.phi * X + w
-    return D * D / (X * G)
+    _, X, D, G = _wage_pieces(w, params)
+    return float(D * D / (X * G))
 
 
 def dw_dphi(w: float, params: ModelParams) -> float:
@@ -492,12 +502,8 @@ def dw_dphi(w: float, params: ModelParams) -> float:
     Negative for w > 1, positive for w < 1, zero at w = 1: freer trade
     compresses wage differentials.
     """
-    _check_bracket(w, params)
-    X = w ** params.sigma
-    G = G_poly(X, params)
-    if not G > 0.0:
-        raise SingularityError(f"wage-derivative denominator vanished at w={w}")
-    return -w * (X * X - 1.0) / G
+    w, X, _, G = _wage_pieces(w, params)
+    return float(-w * (X * X - 1.0) / G)
 
 
 def short_run_state(h: float, params: ModelParams) -> ShortRunState:

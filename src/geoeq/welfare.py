@@ -5,12 +5,14 @@ h of the population does, evaluated at the market-clearing wage.  Its sign
 drives migration; its roots and slopes drive everything in
 :mod:`geoeq.equilibria`.
 
-The derivative helpers are closed forms obtained by implicit
-differentiation of the wage map; the tests check them against finite
-differences through the wage solver.  They carry a cluster of
-intermediate coefficients that are exposed as
-:class:`StabilityCoefficients` because their signs, not just the final
-value, are individually meaningful.
+Every closed-form slope comes from one kernel in the wage w, ``_slopes``,
+scalar or array, obtained by implicit differentiation of the wage map; the
+public slopes solve the wage of a share and call it, and the tests check
+it against the high-precision reference model.  Its intermediate
+coefficients are exposed as :class:`StabilityCoefficients` because their
+signs, not just the final value, are individually meaningful.
+``ddelta_u_dh_closed`` is a former name of ``ddelta_u_dh``, kept while
+the benchmark's span list names it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SingularityError, solve_wage
+from .model import ModelParams, _wage_pieces, solve_wage
 
 __all__ = [
     "StabilityCoefficients",
@@ -89,14 +91,15 @@ def _delta_u_at(h, g, w, params: ModelParams, phi=None):
 class StabilityCoefficients:
     """Sign-carrying pieces of the closed-form utility-differential slopes.
 
-    ``zeta``/``varphi``/``psi`` assemble the slope in the population share
-    (zeta < 0 on the open bracket: its numerator is the positive share
-    denominator a + b of the wage map and its denominator is -(sigma - 1)
-    times the positive G_poly, so the bracketed utility factor carries the
-    sign of the slope); ``a1``/``a2``/``a3`` assemble the slope
-    in the freeness of trade, with ``a3 < 0`` whenever w > 1, and ``Psi``
-    is the freeness slope stripped of the positive factor w: Psi < 0
-    means freer trade erodes the attraction of the crowded region.
+    With X = w**sigma, D = X**2 - (w + 1) phi X + w > 0 (the share
+    denominator a + b of the wage map) and G = G_poly(X) > 0 on the
+    bracket: ``zeta``/``varphi``/``psi`` assemble the slope in the
+    population share, with zeta = -D/((sigma - 1) G) < 0 on the open
+    bracket, so the bracketed utility factor carries the sign of the
+    slope; ``a1``/``a2``/``a3`` assemble the slope in the freeness of
+    trade, with a3 = -(sigma - 1)(D/X) G < 0, and ``Psi`` is the freeness
+    slope stripped of the positive factor w: Psi < 0 means freer trade
+    erodes the attraction of the crowded region.
     """
 
     zeta: float
@@ -108,16 +111,15 @@ class StabilityCoefficients:
     Psi: float
 
 
-def _coefficients(w: float, params: ModelParams) -> StabilityCoefficients:
+def _slopes(w, params: ModelParams):
+    """The closed-form slopes at wages w, scalar or array: the
+    :class:`StabilityCoefficients` (of numpy values), d(delta_u)/dh and
+    d(delta_u)/d(phi) at fixed share, all from one
+    :func:`geoeq.model._wage_pieces` call, which checks the wages.
+    """
     s, p, th = params.sigma, params.phi, _utility_theta(params)
-    X = w ** s
-    D = X * X - (w + 1.0) * p * X + w
-    denom = (s - 1.0) * (
-        (s - 1.0) * p + (s - 1.0) * p * X * X + (p * p + 1.0 - 2.0 * s) * X
-    )
-    if denom == 0.0:
-        raise SingularityError(f"slope denominator vanished at w={w}")
-    zeta = D / denom
+    w, X, D, G = _wage_pieces(w, params)
+    zeta = -D / ((s - 1.0) * G)
     varphi = w ** (-th - s) * (p * (s + (s - 1.0) * w) * X - 2.0 * s * w + w)
     psi = (s - 1.0) * p + (1.0 - 2.0 * s) * X + s * p * w
     a1 = w ** (1.0 - th) * (p * X - 1.0) * (
@@ -126,25 +128,26 @@ def _coefficients(w: float, params: ModelParams) -> StabilityCoefficients:
     a2 = w ** (-s) * (X - p) * (
         2.0 * (s - 1.0) * p + (p * p + 1.0 - 2.0 * s) * X
     )
-    a3 = (s - 1.0) * (w ** (1.0 - s) + X - (w + 1.0) * p) * (
-        (s - 1.0) * p + (s - 1.0) * p * X * X + (p * p + 1.0 - 2.0 * s) * X
-    )
-    if a3 == 0.0:
-        raise SingularityError(f"freeness-slope denominator vanished at w={w}")
+    a3 = -(s - 1.0) * (D / X) * G
+    kappa = (1.0 - th) / (s - 1.0)
     e = (th + s - 2.0) / (s - 1.0)
     Psi = -(a1 * w ** (-s * e) + a2) / a3
-    return StabilityCoefficients(zeta=zeta, varphi=varphi, psi=psi,
-                                 a1=a1, a2=a2, a3=a3, Psi=Psi)
+    core = (1.0 - p * p) * w / D
+    du_dh = zeta * ((varphi * w ** (s * (1.0 - th) / (s - 1.0)) + psi / w) * core ** kappa)
+    du_dphi = -(w / a3) * (a1 * ((1.0 - p * p) * w * X / D) ** (-e) + a2 * core ** (-e))
+    return (StabilityCoefficients(zeta=zeta, varphi=varphi, psi=psi, a1=a1, a2=a2, a3=a3,
+                                  Psi=Psi), du_dh, du_dphi)
 
 
 def stability_coefficients(h_star: float, params: ModelParams) -> StabilityCoefficients:
     """Closed-form coefficient bundle at an interior share h_star."""
     if not 0.0 < h_star < 1.0:
         raise ValueError(f"interior share required, got {h_star}")
-    return _coefficients(solve_wage(h_star, params), params)
+    coefficients = _slopes(solve_wage(h_star, params), params)[0]
+    return StabilityCoefficients(**{k: float(v) for k, v in vars(coefficients).items()})
 
 
-def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
+def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
     """Closed-form slope of the utility differential at an interior share.
 
     Assembled from the implicit wage derivative; finite for every interior
@@ -152,22 +155,13 @@ def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
     """
     if not 0.0 < h_star < 1.0:
         raise ValueError(f"interior share required, got {h_star}")
-    s, p, th = params.sigma, params.phi, _utility_theta(params)
-    w = solve_wage(h_star, params)
-    X = w ** s
-    D = X * X - (w + 1.0) * p * X + w
-    c = _coefficients(w, params)
-    kappa = (1.0 - th) / (s - 1.0)
-    core = (1.0 - p * p) * w / D
-    return c.zeta * (
-        (c.varphi * w ** (s * (1.0 - th) / (s - 1.0)) + c.psi / w) * core ** kappa
-    )
+    return float(_slopes(solve_wage(h_star, params), params)[1])
 
 
-def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
-    """Slope of the utility differential in h at an interior share: the
-    closed form :func:`ddelta_u_dh_closed`."""
-    return ddelta_u_dh_closed(h_star, params)
+def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
+    """:func:`ddelta_u_dh` under its former name, which the benchmark's span
+    list still wraps; it goes with the benchmark's next change."""
+    return ddelta_u_dh(h_star, params)
 
 
 def dispersion_slope(params: ModelParams, *, phi=None):
@@ -203,13 +197,4 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     """
     if not 0.5 < h_star < 1.0:
         raise ValueError(f"share in (1/2, 1) required, got {h_star}")
-    s, p, th = params.sigma, params.phi, _utility_theta(params)
-    w = solve_wage(h_star, params)
-    X = w ** s
-    D = X * X - (w + 1.0) * p * X + w
-    c = _coefficients(w, params)
-    e = (th + s - 2.0) / (s - 1.0)
-    A_core = (1.0 - p * p) * w * X / D
-    B_core = (1.0 - p * p) * w / D
-    return -(w / c.a3) * (c.a1 * A_core ** (-e) + c.a2 * B_core ** (-e))
-
+    return float(_slopes(solve_wage(h_star, params), params)[2])

@@ -395,6 +395,16 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
         assert f"unknown config keys for {argv[0]}: {key}" in capsys.readouterr().err
 
 
+def test_a_figure_name_in_a_config_file_is_unknown(tmp_path, capsys):
+    # the figure's name is a positional argument: only the command line sets it
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"name": "fig2"}))
+    code = main(["--config", str(config), "figure", "fig1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown config keys for figure: name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["shortrun"], "sigma", "x"),
     (["equilibria"], "mu", True),

@@ -419,6 +419,19 @@ def test_rest_points_at_freeness_near_one_match_an_mpmath_oracle(phi):
     assert eqs[0].slope == pytest.approx(float(ref.dV_dh(0.5)), rel=1e-7)
 
 
+@pytest.mark.parametrize("sigma,phi", [(50.0, 0.99999999992475), (200.0, 1.0 - 1e-9),
+                                       (50.0, 1.0 - 1e-14)])
+def test_scan_edge_where_the_power_rounds_past_the_bracket(sigma, phi):
+    # the last scan nodes' X = w**sigma rounds past 1/phi here, which clips
+    # their b to 0: the scan took log(0), a RuntimeWarning that the test
+    # settings turn into an error.  At the last economy the scan collapses
+    # to w = 1.
+    for kind in ("logit", "linear"):
+        eqs = find_equilibria(ModelParams(sigma=sigma, phi=phi), PenaltySpec(kind=kind, mu=0.2))
+        assert [(e.h_star, e.w, e.kind, e.stability) for e in eqs] == \
+            [(0.5, 1.0, KIND_DISPERSION, STABLE)]
+
+
 def test_fig6_left_records_carry_python_floats():
     branch = sweep("mu", 0.0, 1.0, 181, ModelParams(sigma=2.0, phi=0.4, theta=0.0), LOGIT02)
     records = [e for _, eqs in branch.samples for e in eqs]

@@ -12,13 +12,16 @@ from scipy import optimize
 from geoeq import (
     G_poly,
     ModelParams,
+    SingularityError,
     SolverError,
     consumption,
+    ddelta_u_dh,
     demand,
     dw_dh,
     dw_dphi,
     firm_counts,
     freeness_from_tau,
+    mu_p,
     price_indices,
     short_run_state,
     solve_wage,
@@ -27,7 +30,7 @@ from geoeq import (
 from geoeq import model
 from geoeq.equilibria import FD_STEP
 from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
-from geoeq.welfare import delta_u
+from geoeq.welfare import _slopes, delta_u
 from mp_reference import Economy
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
@@ -318,6 +321,28 @@ def test_wage_derivatives_reject_out_of_bracket_wages():
         dw_dh(0.5, p)
     with pytest.raises(ValueError):
         dw_dphi(2.0, p)
+
+
+def test_one_bracket_check_rejects_nan():
+    # wage_share and the closed-form slopes share the bracket check
+    p = ModelParams(sigma=2.0, phi=0.5)
+    for fn in (wage_share, dw_dh, dw_dphi, lambda w, p: mu_p(w, p.sigma, p.phi)):
+        with pytest.raises(ValueError, match="wage nan outside the admissible bracket"):
+            fn(math.nan, p)
+    with pytest.raises(ValueError, match="wage nan outside"):
+        wage_share(np.array([1.0, math.nan, 3.0]), p)
+
+
+def test_one_singularity_guard_names_the_first_bad_wage(monkeypatch):
+    # G_poly is positive on the whole bracket, so a zero of it is planted
+    p = ModelParams(sigma=2.0, phi=0.5)
+    monkeypatch.setattr(model, "G_poly", lambda x, params: x - 1.0)
+    for fn in (dw_dh, dw_dphi, lambda w, p: mu_p(w, p.sigma, p.phi),
+               lambda w, p: ddelta_u_dh(wage_share(w, p), p)):
+        with pytest.raises(SingularityError, match=r"at w=1\.0$"):
+            fn(1.0, p)
+    with pytest.raises(SingularityError, match=r"at w=1\.0$"):
+        _slopes(np.array([1.1, 1.0, 0.9, 1.0]), p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geoeq import (ModelParams, PenaltySpec, ddelta_u_dh, ddelta_u_dphi, delta_t_prime, delta_u,
                    dispersion_slope)
-from geoeq.welfare import LOG_UTILITY_BAND, ddelta_u_dh_closed, stability_coefficients
+from geoeq.welfare import LOG_UTILITY_BAND, _slopes, ddelta_u_dh_closed, stability_coefficients
 from mp_reference import Economy
 
 P25 = ModelParams(sigma=2.0, phi=0.5)
@@ -211,3 +211,32 @@ def test_the_reference_model_meets_the_closed_forms(sigma, phi, theta, mu):
     for h in (0.05, 0.3, 0.7, 0.95):  # mu = 0: the slope of delta_u
         truth = Economy(sigma, phi, theta).dV_dh(h)
         assert abs(ddelta_u_dh(h, params) / float(truth) - 1.0) <= 1e-12
+
+
+# d(delta_u)/d(phi) is a positive multiple of Psi = -(a1 w**(-sigma e) + a2)/a3,
+# a difference: where its two terms nearly cancel, the slope is held to 1e-12
+# of the larger one.  Over these examples' 116 wages the worst errors were
+# 1.2e-14 of d(delta_u)/dh and 1.0e-14 of that scale for d(delta_u)/d(phi)
+# (9.1e-13 of the slope itself).
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    sigma=st.floats(1.05, 6.0),
+    phi=st.floats(0.02, 0.98),
+    theta=st.floats(0.0, 3.0),
+    fractions=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6),
+)
+def test_the_slope_kernel_meets_the_reference_model(sigma, phi, theta, fractions):
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    # inside the log-utility band the kernel evaluates theta = 1
+    ref = Economy(sigma, phi, 1.0 if abs(theta - 1.0) < LOG_UTILITY_BAND else theta)
+    w = 1.0 + np.array(fractions) * (params.wage_bracket[1] - 1.0)
+    c, du_dh, du_dphi = _slopes(w, params)
+    e = (theta + sigma - 2.0) / (sigma - 1.0)
+    t1 = c.a1 * w ** (-sigma * e)
+    scale = np.abs(du_dphi) * np.maximum(np.abs(t1), np.abs(c.a2)) / np.abs(t1 + c.a2)
+    for x, dh, dphi, at in zip(w.tolist(), du_dh.tolist(), du_dphi.tolist(), scale.tolist()):
+        h = ref.shares(x)[0]
+        truth = float(ref.dV_dh(h))
+        assert abs(dh - truth) <= 1e-12 * abs(truth)
+        truth = float(ref.ddelta_u_dphi(h))
+        assert abs(dphi - truth) <= 1e-12 * max(abs(truth), at)
