@@ -10,14 +10,16 @@ freer or the penalty weaker.
 
 The scan works on the upper half [1/2, 1): delta_V is antisymmetric, so
 every asymmetric rest point arrives with its mirror image for free, and
-the symmetric point is always a root.  It walks the relative wage rather
-than the share: the upper half is the wage interval [1, w_hi), on which
-both shares are closed forms of w (:func:`geoeq.model._share_terms`), so
-scanning and polishing in w evaluate delta_V without any wage solve.
-The part of the scan that does not depend on the penalty (nodes, shares
-and utility gap) is kept for the most recent economy, and the utility gap
-at the boundary probes for the last few, so the steps of a
-penalty-weight sweep scan and probe their economy once.
+the symmetric point is always a root.  It brackets and polishes in the
+relative wage rather than the share: the upper half is the wage interval
+[1, w_hi), on which both shares are closed forms of w
+(:func:`geoeq.model._share_terms`), so the polish evaluates delta_V
+without any wage solve.  One array wage solve lays the scan, at the
+wages of evenly spaced shares, and solves the boundary probes with it.
+The part of the scan that does not depend on the penalty (nodes, shares,
+and the utility gap at the nodes and at the probes) is kept for the most
+recent economy, so the steps of a penalty-weight sweep scan and probe
+their economy once.
 
 Solving is split in two phases.  The locate phase runs per economy: scan,
 brackets, polish, the first-cell search, near-boundary chase, pinned and
@@ -170,15 +172,14 @@ def _stability_from_slope(slope: float) -> str:
     return STABLE if slope < 0.0 else UNSTABLE
 
 
-def _wage_terms(w, a, b, params: ModelParams):
-    """Shares h, g = 1 - h, log-odds ln(h/g) and delta_u at wages w in [1, w_hi).
+def _wage_terms(a, b):
+    """Shares h, g = 1 - h and log-odds ln(h/g) from the share terms a, b of
+    wages in [1, w_hi) (:func:`geoeq.model._share_terms`).
 
-    a and b are the share terms of w (:func:`geoeq.model._share_terms`):
-    both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b),
+    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b),
     and the log-odds is ln a - ln b, so nothing forms 1 - h by subtraction.
     """
-    h, g = a / (a + b), b / (a + b)
-    return h, g, np.log(a) - np.log(b), _delta_u_at(h, g, w, params)
+    return a / (a + b), b / (a + b), np.log(a) - np.log(b)
 
 
 def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
@@ -192,72 +193,47 @@ def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
 
 def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
     """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
-    h, g, log_odds, du = _wage_terms(w, *_share_terms(w, params), params)
-    return du - _penalty_gap(h, g, log_odds, spec)
+    h, g, log_odds = _wage_terms(*_share_terms(w, params))
+    return _delta_u_at(h, g, w, params) - _penalty_gap(h, g, log_odds, spec)
 
 
-def _wage_nodes(w_edge: float, n_upper: int, params: ModelParams):
-    """Scan wages on [1, w_edge], no coarser in the share than a uniform scan.
-
-    Neighbouring nodes support shares no further apart than a uniform
-    scan of n_upper shares over [1/2, 1 - GRID_EDGE].  The share is far
-    from linear in the wage (a uniform wage grid leaves share gaps up to
-    ~20x too wide at low freeness), so each cell whose share gap is too
-    wide is split evenly in w into ceil(gap/target) pieces, repeated until
-    every gap fits.  The node count stays below about 2*n_upper.  A cell
-    splits into no more pieces than the float steps across it, so the nodes
-    stay strictly increasing (if w_edge > 1) and, near phi = 1 where
-    [1, w_edge] holds few doubles, a gap can exceed the target.  Returns
-    the nodes and their share terms a, b (:func:`geoeq.model._share_terms`),
-    which the last gap test evaluated.
-    """
-    target = (0.5 - GRID_EDGE) / (n_upper - 1)
-    steps = int((w_edge - 1.0) / math.ulp(1.0))  # doubles in (1, w_edge], exact below 2
-    w = np.linspace(1.0, w_edge, min(n_upper, max(steps, 1) + 1))
-    while True:
-        a, b = _share_terms(w, params)
-        bits = w.view(np.int64)  # bit patterns of positive doubles count float steps
-        pieces = np.minimum(np.ceil(np.diff(a / (a + b)) / target), bits[1:] - bits[:-1])
-        if pieces.max() <= 1.0:
-            return w, a, b
-        k = np.maximum(pieces, 1.0).astype(int)
-        first = np.repeat(np.cumsum(k) - k, k)
-        frac = (np.arange(k.sum()) - first) / np.repeat(k, k)
-        w = np.append(np.repeat(w[:-1], k) + frac * np.repeat(np.diff(w), k), w[-1])
+# Boundary probe shares: one FD step inside the boundary, the last double
+# below 1, and the boundary itself.
+_PROBES = np.array([1.0 - FD_STEP, np.nextafter(1.0, 0.0), 1.0])
 
 
 @functools.lru_cache(maxsize=1)
 def _upper_scan(params: ModelParams):
     """The penalty-free part of the rest-point scan, kept for the last economy.
 
-    Returns the scan nodes on [1, solve_wage(1 - GRID_EDGE)] and, at every
-    node, the two shares, the log-odds and delta_u, all read-only.  A
-    penalty-weight sweep moves none of them, so its steps after the first
-    reuse them.
+    One wage solve lays the scan: the wages of GRID_POINTS // 2 + 1 shares
+    spread evenly over [1/2, 1 - GRID_EDGE] are the nodes, and the same
+    call solves the boundary probes (_PROBES).  Returns the nodes and, at
+    every node, the two shares, the log-odds and delta_u, then delta_u at
+    the probes, all read-only.  A penalty-weight sweep moves none of them,
+    so its steps after the first reuse them.
+
+    Near phi = 1 neighbouring solved wages can tie or swap by a spacing of
+    doubles, and w**sigma can round past 1/phi, which clips a node's b to 0
+    (share 1, log-odds inf) at nodes that need not be contiguous.  So the
+    nodes are made non-decreasing, and each node whose b is 0 is replaced
+    by the last node before it whose b is not: the first node, the
+    symmetric point w = 1, has b = 1 - phi.  A tied cell brackets nothing,
+    and the scan keeps its GRID_POINTS // 2 + 1 nodes.
     """
-    nodes, a, b = _wage_nodes(solve_wage(1.0 - GRID_EDGE, params), GRID_POINTS // 2 + 1,
-                              params)
-    if b[-1] == 0.0:
-        # Within about 1e-10 of phi = 1, w**sigma can round past 1/phi at the
-        # last nodes, clipping their b to 0 (share 1, log-odds inf); b falls
-        # in w, so the scan is laid again up to the last node before them.
-        nodes, a, b = _wage_nodes(nodes[np.count_nonzero(b) - 1], GRID_POINTS // 2 + 1, params)
-    terms = _wage_terms(nodes, a, b, params)
-    for arr in (nodes, *terms):
+    n = GRID_POINTS // 2 + 1
+    wages = solve_wage(np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES), params)
+    nodes = np.maximum.accumulate(wages[:n])
+    a, b = _share_terms(nodes, params)
+    last = np.maximum.accumulate(np.where(b > 0.0, np.arange(n), 0))
+    nodes, a, b = nodes[last], a[last], b[last]
+    h, g, log_odds = _wage_terms(a, b)
+    du = _delta_u_at(np.append(h, _PROBES), np.append(g, 1.0 - _PROBES),
+                     np.append(nodes, wages[n:]), params)
+    scan = (nodes, h, g, log_odds, du[:n], du[n:])
+    for arr in scan:
         arr.setflags(write=False)
-    return (nodes, *terms)
-
-
-@functools.lru_cache(maxsize=4)
-def _edge_delta_u(h: float, params: ModelParams) -> float:
-    """delta_u at a fixed probe share next to the boundary, kept for the
-    last few: every step of a penalty-weight sweep probes the same shares."""
-    return delta_u(h, params)
-
-
-def _edge_incentive(h: float, params: ModelParams, spec: PenaltySpec) -> float:
-    """delta_V at a boundary probe share, its utility gap from the cache."""
-    return _edge_delta_u(h, params) - delta_t(h, spec)
+    return scan
 
 
 def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
@@ -323,12 +299,12 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
     """
     if not spec.bounded:
         return []
-    v_full = _edge_incentive(1.0, params, spec)
+    *_, probe_du = _upper_scan(params)
+    v_step, v_full = (probe_du[::2] - delta_t(_PROBES[::2], spec)).tolist()  # at 1 - FD_STEP, 1
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
-    step = FD_STEP
-    slope_full = (v_full - _edge_incentive(1.0 - step, params, spec)) / step
+    slope_full = (v_full - v_step) / FD_STEP
     lo, hi = params.wage_bracket
     return [
         Equilibrium(h_star=0.0, w=lo, kind=KIND_BOUNDARY, stability=stability,
@@ -396,7 +372,7 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
     ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
     decides whether the first scan cell is searched.
     """
-    nodes, h, g, log_odds, du = _upper_scan(params)
+    nodes, h, g, log_odds, du, probe_du = _upper_scan(params)
     values = du - _penalty_gap(h, g, log_odds, spec)
 
     roots: list[tuple[float, float]] = []
@@ -418,8 +394,8 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
         # to 1 still flows outward, the rest point is below the resolution
         # of the floating-point grid and is reported pinned at the boundary.
         f_h = lambda x: float(delta_V(x, params, spec))
-        h_last = float(np.nextafter(1.0, 0.0))
-        v_last = _edge_incentive(h_last, params, spec)
+        h_last = float(_PROBES[1])
+        v_last = float(probe_du[1] - delta_t(h_last, spec))
         if v_last <= 0.0:
             r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
                                                      xtol=1e-16, maxiter=200)
@@ -479,12 +455,12 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     Brackets sign changes of delta_V on a scan of the upper half
     [1/2, 1 - GRID_EDGE] and polishes each with a bracketed root find.
     Both run in the relative wage w on [1, solve_wage(1 - GRID_EDGE)],
-    where delta_V is a closed form in w; the scan nodes are placed so that
-    no two neighbouring shares lie further apart than on a uniform grid of
-    GRID_POINTS // 2 + 1 shares, and each root is reported at the share
-    h* = h(w*) of its polished wage.  The asymmetric roots are mirrored
-    across 1/2 and admissible boundary points appended.  Roots closer
-    together than the scan resolution (about 1/GRID_POINTS) can be missed.
+    where delta_V is a closed form in w; the scan nodes are the wages of
+    GRID_POINTS // 2 + 1 evenly spaced shares, from one wage solve, and
+    each root is reported at the share h* = h(w*) of its polished wage.
+    The asymmetric roots are mirrored across 1/2 and admissible boundary
+    points appended.  Roots closer together than the scan resolution
+    (about 1/GRID_POINTS) can be missed.
 
     The work splits into a locate phase (scan, brackets, polish, and the
     first-cell, near-boundary, pinned and boundary checks) and a finish
@@ -495,10 +471,11 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     looks there when delta_V's closed-form slope at 1/2,
     2 * dispersion_slope - delta_t_prime(1/2), is not marginal and has the
     opposite sign to delta_V at the first node.  This is the one-economy
-    case of :func:`sweep`, which finishes all its steps in one such call.  The scan's nodes,
-    shares and utility gap depend on the economy alone and are kept for
-    the most recent one, so calls that change only the penalty, such as
-    the steps of a mu-sweep, scan once.
+    case of :func:`sweep`, which finishes all its steps in one such call.
+    The scan's nodes, shares and utility gap, and the utility gap at the
+    boundary probes, depend on the economy alone and are kept for the most
+    recent one, so calls that change only the penalty, such as the steps
+    of a mu-sweep, scan once.
 
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is

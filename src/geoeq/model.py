@@ -315,6 +315,7 @@ def _freeness_terms(phi, shape, params: ModelParams):
         return params.phi, lo, hi, -math.log(params.phi)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), shape)
     distinct, where = np.unique(phi, return_inverse=True)
+    where = where.reshape(shape)  # numpy 1.x returns the inverse flat
     lo = np.array([p ** (1.0 / params.sigma) for p in distinct.tolist()])
     lim = np.array([-math.log(p) for p in distinct.tolist()])
     return phi, lo[where], (1.0 / lo)[where], lim[where]
@@ -459,11 +460,16 @@ def G_poly(x, params: ModelParams):
     """Concave quadratic governing the implicit wage derivatives.
 
     Evaluated at ``x = w**sigma``; strictly positive on [phi, 1/phi], which
-    is what keeps the wage strictly increasing in h on the bracket.
+    is what keeps the wage strictly increasing in h on the bracket.  The
+    quadratic (2 sigma - phi**2 - 1) x - (sigma - 1) phi (1 + x**2) is
+    written as (sigma - 1)[(1 - phi)(1 + x**2) - (x - 1)**2] + (1 - phi**2) x,
+    with 1 - phi**2 as (1 - phi)(1 + phi): every term keeps its relative
+    accuracy as phi -> 1, where the first form cancels.
     """
     s, p = params.sigma, params.phi
     x = np.asarray(x, dtype=float)
-    val = (2.0 * s - p * p - 1.0) * x - (s - 1.0) * p * (1.0 + x * x)
+    val = ((s - 1.0) * ((1.0 - p) * (1.0 + x * x) - (x - 1.0) * (x - 1.0))
+           + (1.0 - p) * (1.0 + p) * x)
     return float(val) if np.ndim(val) == 0 else val
 
 

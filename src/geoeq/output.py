@@ -144,8 +144,12 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
     plot_h = height - m_top - m_bottom
 
     # Scale a float (ticks, annotations) or a whole array (every series point).
+    # An x span that overflows is scaled as half over half; any other is
+    # scaled whole, since half a subnormal span can round to 0.
+    half = 0.5 if math.isinf(x_hi - x_lo) else 1.0
+
     def sx(x):
-        return m_left + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return m_left + (half * x - half * x_lo) / (half * x_hi - half * x_lo) * plot_w
 
     def sy(y):
         return m_top + (y_hi - y) / (y_hi - y_lo) * plot_h

@@ -47,6 +47,14 @@ class Economy:
                 return w
             w -= f / df
 
+    @_at_dps
+    def G(self, X):
+        """G_poly at X = w**sigma, through the slope of the wage map: dh/dw is
+        X G/(a + b)**2, and (a + b) dh/dw is the balance's slope at h(w)."""
+        w = X ** (1 / self.s)
+        a, b = X * (X - self.p), w * (1 - self.p * X)
+        return (a + b) * self._balance(w, a / (a + b))[1] / X
+
     def _brackets(self, h, w):
         """P_L**(1 - sigma) and P_R**(1 - sigma) at share h and wage w."""
         m = w ** (1 - self.s)

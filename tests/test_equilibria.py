@@ -16,6 +16,7 @@ from geoeq import (
     classify_stability,
     ddelta_u_dphi,
     delta_V,
+    delta_u,
     dispersion_threshold,
     find_equilibria,
     mu_d,
@@ -25,7 +26,6 @@ from geoeq import (
     solve_wage,
     sweep,
     threshold_phi_crossings,
-    wage_share,
 )
 from geoeq import equilibria
 from geoeq.equilibria import (
@@ -43,9 +43,9 @@ from geoeq.equilibria import (
     UNSTABLE,
     _boundary_equilibria,
     _stability_from_slope,
-    _wage_nodes,
 )
-from geoeq.model import _share_terms
+from geoeq.model import WAGE_RESIDUAL_TOL, _share_terms
+from geoeq.welfare import LOG_UTILITY_BAND
 from mp_reference import Economy
 from test_acceptance import PHI_GRID, SIGMA_GRID
 
@@ -366,19 +366,40 @@ def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma
     assert [len(eqs) for _, eqs in branch.samples] == [3, 3] and sizes == [6]
 
 
+def _check_upper_scan(params):
+    """The scan's invariants; returns its share gaps."""
+    nodes, h, g, log_odds, du, probe_du = equilibria._upper_scan(params)
+    a, b = _share_terms(nodes, params)
+    assert nodes[0] == 1.0 and nodes.size == GRID_POINTS // 2 + 1
+    assert np.all(np.diff(nodes) >= 0.0)
+    assert np.all(b > 0.0) and np.all(np.isfinite(log_odds))
+    assert np.array_equal(h, a / (a + b)) and np.array_equal(g, b / (a + b))
+    # the probes' delta_u is the scalar one's to a few ulps of its conditioning:
+    # the isoelastic form raises O(1) brackets to (1 - theta)/(sigma - 1) and
+    # divides their difference by 1 - theta
+    scalar = np.array([delta_u(float(x), params) for x in equilibria._PROBES])
+    gap = abs(1.0 - params.theta)
+    cond = 1.0 if gap < LOG_UTILITY_BAND else (1.0 + gap / (params.sigma - 1.0)) / min(1.0, gap)
+    ulps = np.abs(probe_du - scalar) / (cond * np.spacing(np.maximum(1.0, np.abs(scalar))))
+    assert ulps.max() <= 4.0
+    return np.diff(h)
+
+
 @settings(deadline=None, max_examples=40, derandomize=True)
-@given(sigma=st.floats(1.05, 4.0), phi=st.floats(0.02, 0.98))
-def test_wage_nodes_are_no_coarser_in_the_share_than_the_uniform_scan(sigma, phi):
-    params = ModelParams(sigma=sigma, phi=phi)
-    n_upper = GRID_POINTS // 2 + 1
-    w_edge = solve_wage(1.0 - GRID_EDGE, params)
-    nodes, a, b = _wage_nodes(w_edge, n_upper, params)
-    assert all(np.array_equal(x, y) for x, y in zip((a, b), _share_terms(nodes, params)))
-    assert nodes[0] == 1.0 and nodes[-1] == w_edge
-    assert np.all(np.diff(nodes) > 0.0)
-    assert len(nodes) <= 2 * n_upper
-    gaps = np.diff(wage_share(nodes, params))
-    assert gaps.max() <= (0.5 - GRID_EDGE) / (n_upper - 1)
+@given(sigma=st.floats(1.05, 4.0), phi=st.floats(0.02, 0.98), theta=st.floats(0.0, 2.0))
+def test_upper_scan_is_as_fine_as_the_uniform_share_scan(sigma, phi, theta):
+    # each node's share is within the wage solve's residual tolerance of
+    # its evenly spaced share
+    gaps = _check_upper_scan(ModelParams(sigma=sigma, phi=phi, theta=theta))
+    assert gaps.max() <= (0.5 - GRID_EDGE) / (GRID_POINTS // 2) + 2.0 * WAGE_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("sigma", [2.0, 50.0, 200.0])
+@pytest.mark.parametrize("phi", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14])
+def test_upper_scan_near_free_trade_keeps_its_invariants(sigma, phi):
+    # here solved wages tie or swap by a spacing of doubles, and some
+    # nodes' w**sigma rounds past 1/phi
+    _check_upper_scan(ModelParams(sigma=sigma, phi=phi, theta=0.0))
 
 
 # fig6-left sample weights mu = k/180 whose lower rest point sits within
@@ -422,10 +443,10 @@ def test_rest_points_at_freeness_near_one_match_an_mpmath_oracle(phi):
 @pytest.mark.parametrize("sigma,phi", [(50.0, 0.99999999992475), (200.0, 1.0 - 1e-9),
                                        (50.0, 1.0 - 1e-14)])
 def test_scan_edge_where_the_power_rounds_past_the_bracket(sigma, phi):
-    # the last scan nodes' X = w**sigma rounds past 1/phi here, which clips
-    # their b to 0: the scan took log(0), a RuntimeWarning that the test
-    # settings turn into an error.  At the last economy the scan collapses
-    # to w = 1.
+    # some scan nodes' X = w**sigma rounds past 1/phi here, which clips their
+    # b to 0: a scan that kept them would take log(0), a RuntimeWarning that
+    # the test settings turn into an error.  At the last economy the scan
+    # collapses to w = 1.
     for kind in ("logit", "linear"):
         eqs = find_equilibria(ModelParams(sigma=sigma, phi=phi), PenaltySpec(kind=kind, mu=0.2))
         assert [(e.h_star, e.w, e.kind, e.stability) for e in eqs] == \
@@ -506,13 +527,13 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
     equilibria._upper_scan.cache_clear()
     cached = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
     info = equilibria._upper_scan.cache_info()
-    assert (info.misses, info.hits) == (1, 12)
+    # the zero-weight step's boundary check reads the probes from it once more
+    assert (info.misses, info.hits) == (1, 13)
 
     locate = equilibria._locate
 
     def fresh_scan(p, spec, slope):
         equilibria._upper_scan.cache_clear()
-        equilibria._edge_delta_u.cache_clear()
         return locate(p, spec, slope)
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
@@ -523,7 +544,7 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
 def test_cached_scan_arrays_are_read_only():
     arrays = equilibria._upper_scan(ModelParams(sigma=2.0, phi=0.4))
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -280,6 +280,20 @@ def test_G_poly_symmetric_value_and_positivity():
     assert np.all(G_poly(x, p) > 0.0)
 
 
+def test_G_poly_keeps_its_accuracy_near_free_trade():
+    # phi = 1 - 10**U[-4, -1.5] and X uniform on [phi, 1/phi]: the expanded
+    # quadratic cancels here (median error 2.5e-14); each term of the
+    # evaluated form keeps its relative accuracy
+    rng = np.random.default_rng(16)
+    errors = []
+    for _ in range(300):
+        sigma, phi = rng.uniform(1.05, 8.0), 1.0 - 10.0 ** rng.uniform(-4.0, -1.5)
+        X = rng.uniform(phi, 1.0 / phi)
+        truth = Economy(sigma, phi).G(X)
+        errors.append(abs(float((G_poly(X, ModelParams(sigma=sigma, phi=phi)) - truth) / truth)))
+    assert np.median(errors) <= 2e-16 and max(errors) <= 1e-15
+
+
 def test_dw_dh_frozen_symmetric_value():
     p = ModelParams(sigma=2.0, phi=0.5)
     assert dw_dh(1.0, p) == pytest.approx(4.0 / 7.0, rel=1e-13)
@@ -437,6 +451,23 @@ def test_wage_and_utility_gap_of_mixed_economies_match_each_economys_own_call(si
                  for x in fn(np.array(shares), params.with_phi(p))]
         for row in fn(np.stack([h, h]), params, phi=phi):
             assert [x.hex() for x in row] == alone, fn.__name__
+
+
+def test_per_element_freeness_takes_a_flat_unique_inverse(monkeypatch):
+    # numpy 1.x returns np.unique's inverse flat, numpy 2 in the input's
+    # shape; a stack of shares gets each share's own bracket either way
+    unique = np.unique
+
+    def flat_inverse(ar, **kwargs):
+        distinct, inverse = unique(ar, **kwargs)
+        return distinct, inverse.ravel()
+
+    params = ModelParams(sigma=2.0, phi=0.4)
+    h, phi = np.array([0.2, 0.7, 1.0]), np.array([0.1, 0.4, 0.9])
+    alone = [solve_wage(x, params.with_phi(p)) for x, p in zip(h.tolist(), phi.tolist())]
+    monkeypatch.setattr(np, "unique", flat_inverse)
+    for row in solve_wage(np.stack([h, h]), params, phi=phi):
+        assert row.tolist() == alone
 
 
 @pytest.mark.parametrize("phi", [0.9999, 0.999999])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoeq import output
@@ -254,6 +254,11 @@ def test_csv_bytes_equal_the_per_cell_writer(csv_path, table):
 @given(chart=_charts(), as_arrays=st.booleans())
 def test_svg_bytes_equal_the_per_point_chart(chart, as_arrays):
     series, y_range, annotations = chart
+    # where the x span overflows, the reference writes nan points and
+    # line_chart scales by halves (test_a_range_without_a_finite_tick_step_...)
+    finite_x = [x for _, x_s, y_s, *_ in series for x, y in zip(x_s, y_s)
+                if math.isfinite(x) and math.isfinite(y)]
+    assume(not finite_x or math.isfinite(max(finite_x) - min(finite_x)))
     wrap = np.array if as_arrays else list
     new = [output.Series(label, wrap(xs), wrap(ys), color, dash, width)
            for label, xs, ys, color, dash, width in series]
@@ -310,3 +315,4 @@ def test_a_range_narrower_than_float_spacing_still_gets_ticks():
 def test_a_range_without_a_finite_tick_step_still_gets_a_chart(xs, ys):
     svg = output.line_chart("t", "x", "y", [output.Series("", xs, ys, "#000000")])
     assert svg.startswith("<svg") and svg.endswith("</svg>\n") and svg.count("<polyline") == 1
+    assert "nan" not in svg
