@@ -40,8 +40,7 @@ from .model import (
     ModelParams,
     SingularityError,
     SolverError,
-    firm_counts,
-    price_indices,
+    short_run_state,
     solve_wage,
     wage_share,
 )
@@ -233,11 +232,8 @@ def run_shortrun(opts: dict) -> int:
     grid = opts["grid"]
     if grid < 2:
         raise ValueError(f"--grid must be at least 2, got {grid}")
-    h = np.linspace(0.0, 1.0, grid)
-    w = solve_wage(h, params)
-    P_L, P_R = price_indices(h, w, params)
-    C_L, C_R = w / P_L, 1.0 / P_R
-    n_L, n_R = firm_counts(h, params)
+    state = short_run_state(np.linspace(0.0, 1.0, grid), params)
+    h, w = state.h, state.w
 
     lo, hi = params.wage_bracket
     shadow = {
@@ -260,11 +256,11 @@ def run_shortrun(opts: dict) -> int:
         "Market clearing at a fixed spatial distribution",
         "resident share of region L", "level",
         [Series("relative wage", h, w, PALETTE[0]),
-         Series("price index L", h, P_L, PALETTE[1]),
-         Series("price index R", h, P_R, PALETTE[2])],
+         Series("price index L", h, state.P_L, PALETTE[1]),
+         Series("price index R", h, state.P_R, PALETTE[2])],
     )
-    _emit(opts, "shortrun", header=["h", "w", "P_L", "P_R", "C_L", "C_R", "n_L", "n_R"],
-          columns=[h, w, P_L, P_R, C_L, C_R, n_L, n_R], document=doc, svg=svg)
+    _emit(opts, "shortrun", header=list(vars(state)), columns=list(vars(state).values()),
+          document=doc, svg=svg)
     print(f"wage bracket [{lo:.12g}, {hi:.12g}] over {grid} grid points")
     return EXIT_OK
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .model import (ModelParams, SolverError, _share_raw, _share_terms, _wage_pieces, brentq,
                     solve_wage)
-from .penalty import LINEAR, LOGIT, PenaltySpec, delta_t, delta_t_prime
+from .penalty import LINEAR, LOGIT, PenaltySpec, _finite_nonnegative, delta_t, delta_t_prime
 from .welfare import _delta_u_at, delta_u, dispersion_slope
 
 __all__ = [
@@ -290,6 +290,15 @@ def _per_share(values: list[float], counts: list[int]):
     return np.repeat(values, counts)
 
 
+def _boundary_pair(params: ModelParams, stability: str, slope: float,
+                   residual: float) -> list[Equilibrium]:
+    """The boundary rest points h = 0 and h = 1, at the wage-bracket ends:
+    mirror images, so they share their stability, slope and residual."""
+    lo, hi = params.wage_bracket
+    return [Equilibrium(h_star=h_star, w=w, kind=KIND_BOUNDARY, stability=stability,
+                        slope=slope, residual=residual) for h_star, w in ((0.0, lo), (1.0, hi))]
+
+
 def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
     """Endpoint rest points, admissible only under a bounded penalty.
 
@@ -304,14 +313,7 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
-    slope_full = (v_full - v_step) / FD_STEP
-    lo, hi = params.wage_bracket
-    return [
-        Equilibrium(h_star=0.0, w=lo, kind=KIND_BOUNDARY, stability=stability,
-                    slope=slope_full, residual=abs(v_full)),
-        Equilibrium(h_star=1.0, w=hi, kind=KIND_BOUNDARY, stability=stability,
-                    slope=slope_full, residual=abs(v_full)),
-    ]
+    return _boundary_pair(params, stability, (v_full - v_step) / FD_STEP, abs(v_full))
 
 
 @dataclass
@@ -401,13 +403,7 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
                                                      xtol=1e-16, maxiter=200)
             _add_root(roots, r, solve_wage(r, params))
         else:
-            lo_w, hi_w = params.wage_bracket
-            pinned = [
-                Equilibrium(h_star=0.0, w=lo_w, kind=KIND_BOUNDARY, stability=STABLE,
-                            slope=float("-inf"), residual=v_last),
-                Equilibrium(h_star=1.0, w=hi_w, kind=KIND_BOUNDARY, stability=STABLE,
-                            slope=float("-inf"), residual=v_last),
-            ]
+            pinned = _boundary_pair(params, STABLE, float("-inf"), v_last)
     return _Located(params, spec, roots, [*pinned, *_boundary_equilibria(params, spec)])
 
 
@@ -544,8 +540,7 @@ def phi_b(sigma: float, mu: float) -> float | None:
     """
     if not (sigma > 1.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be a finite number > 1, got {sigma}")
-    if not (mu >= 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    _finite_nonnegative(mu)
     val = (2.0 * sigma - 1.0) * (mu * (sigma - 1.0) - 1.0) / (-(mu + 2.0) * sigma + mu + 1.0)
     return val if 0.0 < val < 1.0 else None
 
@@ -575,8 +570,7 @@ def threshold_phi_crossings(params: ModelParams, mu: float) -> list[float]:
     root per sign change.  Usually zero or one crossing; strong curvature
     can in principle produce more, hence the list.
     """
-    if not (mu >= 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    _finite_nonnegative(mu)
     grid = np.linspace(1e-6, 1.0 - 1e-6, 1024)
     g = lambda p: dispersion_threshold(params, phi=p) - mu
     return _grid_roots(g, grid, g(grid), 1e-14)
@@ -677,18 +671,12 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
     """
-    if parameter not in ("phi", "mu"):
-        raise ValueError(f"unknown sweep parameter {parameter!r}; use 'phi' or 'mu'")
+    for end in (lo, hi):  # the parameter's name, family and range
+        _with_parameter(parameter, end, params, spec)
     if steps < 2:
         raise ValueError(f"a sweep needs at least 2 steps, got {steps}")
     if not lo < hi:
         raise ValueError(f"sweep range must satisfy min < max, got [{lo}, {hi}]")
-    if parameter == "phi" and not (0.0 < lo and hi < 1.0):
-        raise ValueError(f"phi sweep range must stay inside (0, 1), got [{lo}, {hi}]")
-    if parameter == "mu" and lo < 0.0:
-        raise ValueError(f"mu sweep range must be non-negative, got [{lo}, {hi}]")
-    if parameter == "mu" and spec.kind not in (LOGIT, LINEAR):
-        raise ValueError("mu sweeps require a named penalty family")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

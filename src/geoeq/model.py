@@ -184,15 +184,9 @@ class ModelParams:
         if (self.phi is None) == (self.tau is None):
             raise ValueError("supply exactly one of phi (freeness) or tau (iceberg cost)")
         if self.phi is None:
-            phi = freeness_from_tau(self.tau, self.sigma)
-            if not 0.0 < phi < 1.0:
-                raise ValueError(
-                    f"iceberg cost tau={self.tau} at sigma={self.sigma} gives freeness "
-                    f"{phi!r}, which is not inside (0, 1) in double precision")
-            object.__setattr__(self, "phi", phi)
-        else:
-            if not (0.0 < self.phi < 1.0):
-                raise ValueError(f"phi must lie strictly inside (0, 1), got {self.phi}")
+            object.__setattr__(self, "phi", freeness_from_tau(self.tau, self.sigma))
+        _in_open_unit_interval(float(self.phi))  # tau**(1 - sigma) can round to 0 or 1
+        if self.tau is None:
             # Near sigma = 1 the implied iceberg cost exceeds every double: a
             # Python float raises where a numpy float returns inf.
             with np.errstate(over="ignore"):
@@ -206,8 +200,8 @@ class ModelParams:
 
     @property
     def wage_bracket(self) -> tuple[float, float]:
-        """Admissible relative wages: [phi**(1/sigma), phi**(-1/sigma)]."""
-        lo = self.phi ** (1.0 / self.sigma)
+        """Admissible relative wages [phi**(1/sigma), phi**(-1/sigma)], by ``np.power``."""
+        lo = float(np.power(self.phi, 1.0 / self.sigma))
         return lo, 1.0 / lo
 
     def with_phi(self, phi: float) -> "ModelParams":
@@ -221,7 +215,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ShortRunState:
-    """Market-clearing outcome at a fixed spatial distribution h."""
+    """Market-clearing outcome at a fixed spatial distribution h, in the
+    column order of the ``shortrun`` table."""
 
     h: float
     w: float
@@ -260,6 +255,27 @@ def _share_raw(w, params: ModelParams):
     """Population share supported by wage w, without domain checks."""
     a, b = _share_terms(w, params)
     return a / (a + b)
+
+
+def _checked(values, inside, rule: str):
+    """values as a float array if ``inside`` holds for each element, else a
+    ValueError that states the rule and names the first element outside it."""
+    x = np.asarray(values, dtype=float)
+    ok = inside(x[()])  # on a numpy scalar for scalar input: cheap comparisons
+    if np.count_nonzero(ok) != x.size:
+        raise ValueError(f"{rule}, got {float(np.ravel(x)[~np.ravel(ok)][0])!r}")
+    return x
+
+
+def _in_unit_interval(h):
+    """h as a float array, checked to be population shares (NaN is not)."""
+    return _checked(h, lambda x: (x >= 0.0) & (x <= 1.0), "population share must lie in [0, 1]")
+
+
+def _in_open_unit_interval(phi):
+    """phi as a float array, checked to be freeness of trade (NaN is not)."""
+    return _checked(phi, lambda x: (x > 0.0) & (x < 1.0),
+                    "freeness of trade phi must lie strictly inside (0, 1)")
 
 
 def _in_bracket(w, params: ModelParams):
@@ -302,23 +318,17 @@ def _log_power(u, phi):
 
 
 def _freeness_terms(phi, shape, params: ModelParams):
-    """phi, the wage-bracket ends and ln(1/phi): params' scalars, or per element.
+    """phi, the wage-bracket ends and ln(1/phi): at params' freeness, or per element.
 
-    A per-element freeness is broadcast to ``shape``.  Each distinct value
-    gets its bracket from the scalar expression of
-    :attr:`ModelParams.wage_bracket`, not from numpy's array power, which
-    can round differently, so a share of a mixed array meets the same
-    bracket as in its own economy's call.
+    A per-element freeness is checked and broadcast to ``shape``.  Either
+    way the lower end is numpy's ``power``, the expression of
+    :attr:`ModelParams.wage_bracket`, which gives a scalar the bits of its
+    array loop, so a share of a mixed array meets the same bracket as in
+    its own economy's call.
     """
-    if phi is None:
-        lo, hi = params.wage_bracket
-        return params.phi, lo, hi, -math.log(params.phi)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), shape)
-    distinct, where = np.unique(phi, return_inverse=True)
-    where = where.reshape(shape)  # numpy 1.x returns the inverse flat
-    lo = np.array([p ** (1.0 / params.sigma) for p in distinct.tolist()])
-    lim = np.array([-math.log(p) for p in distinct.tolist()])
-    return phi, lo[where], (1.0 / lo)[where], lim[where]
+    phi = params.phi if phi is None else np.broadcast_to(_in_open_unit_interval(phi), shape)
+    lo = np.power(phi, 1.0 / params.sigma)
+    return phi, lo, 1.0 / lo, -np.log(phi)
 
 
 def solve_wage(h, params: ModelParams, *, phi=None):
@@ -339,16 +349,12 @@ def solve_wage(h, params: ModelParams, *, phi=None):
     same wage as in its own economy's call.
 
     Raises:
-        ValueError: if any h lies outside [0, 1].
+        ValueError: if any h lies outside [0, 1] or per-element phi outside (0, 1).
         SolverError: if a wage misses its backward-error check: |h(w) - h|
             may not exceed WAGE_RESIDUAL_TOL or, where one spacing of w
             moves h by more, _WAGE_ULPS such spacings.
     """
-    x = np.asarray(h, dtype=float)[()]  # a numpy scalar for scalar input: cheap arithmetic
-    inside = (x >= 0.0) & (x <= 1.0)  # NaN is outside
-    if np.count_nonzero(inside) != np.size(x):
-        bad = np.ravel(x)[~np.ravel(inside)][0]
-        raise ValueError(f"population share must lie in [0, 1], got {bad!r}")
+    x = _in_unit_interval(h)[()]  # a numpy scalar for scalar input: cheap arithmetic
     s = params.sigma
     c = (s - 1.0) / s
     phi, lo, hi, lim = _freeness_terms(phi, np.shape(x), params)
@@ -412,12 +418,8 @@ def price_indices(h, w, params: ModelParams):
     Accepts scalars or matching arrays.
     """
     scalar = np.ndim(h) == 0 and np.ndim(w) == 0
-    h_arr = np.asarray(h, dtype=float)
-    w_arr = np.asarray(w, dtype=float)
-    if np.any((h_arr < 0.0) | (h_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
-    if np.any(w_arr <= 0.0):
-        raise ValueError("wages must be positive")
+    h_arr = _in_unit_interval(h)
+    w_arr = _checked(w, lambda x: x > 0.0, "wage must be positive")
     s = params.sigma
     ex = 1.0 / (1.0 - s)
     local = h_arr * w_arr ** (1.0 - s)
@@ -430,20 +432,17 @@ def price_indices(h, w, params: ModelParams):
 
 def consumption(h, params: ModelParams):
     """Consumption aggregates (C_L, C_R) = (w/P_L, 1/P_R) at share h."""
-    w = solve_wage(h, params)
-    P_L, P_R = price_indices(h, w, params)
-    return w / P_L, 1.0 / P_R
+    state = short_run_state(h, params)
+    return state.C_L, state.C_R
 
 
 def firm_counts(h, params: ModelParams):
     """Firm masses (n_L, n_R) = (h, 1 - h): under the normalised input
     requirements each region hosts as many firms as it has residents."""
-    h_arr = np.array(h, dtype=float)
-    if np.any((h_arr < 0.0) | (h_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
+    h_arr = _in_unit_interval(h)
     if np.ndim(h) == 0:
         return float(h_arr), float(1.0 - h_arr)
-    return h_arr, 1.0 - h_arr
+    return h_arr.copy(), 1.0 - h_arr
 
 
 def demand(w_i: float, p_ij: float, P_i: float, sigma: float) -> float:
@@ -512,10 +511,11 @@ def dw_dphi(w: float, params: ModelParams) -> float:
     return float(-w * (X * X - 1.0) / G)
 
 
-def short_run_state(h: float, params: ModelParams) -> ShortRunState:
-    """Full market-clearing snapshot at population share h."""
+def short_run_state(h, params: ModelParams) -> ShortRunState:
+    """Full market-clearing snapshot at population share h, scalar or array
+    (passed through as given)."""
     w = solve_wage(h, params)
     P_L, P_R = price_indices(h, w, params)
     n_L, n_R = firm_counts(h, params)
-    return ShortRunState(h=float(h), w=w, P_L=P_L, P_R=P_R,
+    return ShortRunState(h=h, w=w, P_L=P_L, P_R=P_R,
                          C_L=w / P_L, C_R=1.0 / P_R, n_L=n_L, n_R=n_R)

@@ -38,6 +38,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _LINK_TOL = 0.06
 # A float CSV cell, 12 significant digits; "%.12g" % x matches f"{x:.12g}".
 _FLOAT_CELL = "%.12g"
+# The largest double: a padded y range stops there.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def format_value(value) -> str:
@@ -116,6 +118,12 @@ def _tick_label(t: float) -> str:
     return f"{t:.6g}"
 
 
+def _half(lo: float, hi: float) -> float:
+    """0.5 where the span hi - lo overflows, so an axis is scaled half over half;
+    else 1, since half a subnormal span can round to 0."""
+    return 0.5 if math.isinf(hi - lo) else 1.0
+
+
 def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
                *, width: int = 760, height: int = 500,
                annotations: list[tuple[float, float, str]] | None = None,
@@ -132,8 +140,9 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
         y_lo, y_hi = y_range
     else:
         y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
-        pad = 0.05 * (y_hi - y_lo or 1.0)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+        half = _half(y_lo, y_hi)
+        pad = 0.05 * (half * y_hi - half * y_lo or 1.0) / half
+        y_lo, y_hi = max(y_lo - pad, -_FLOAT_MAX), min(y_hi + pad, _FLOAT_MAX)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -144,15 +153,13 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series],
     plot_h = height - m_top - m_bottom
 
     # Scale a float (ticks, annotations) or a whole array (every series point).
-    # An x span that overflows is scaled as half over half; any other is
-    # scaled whole, since half a subnormal span can round to 0.
-    half = 0.5 if math.isinf(x_hi - x_lo) else 1.0
+    half_x, half_y = _half(x_lo, x_hi), _half(y_lo, y_hi)
 
     def sx(x):
-        return m_left + (half * x - half * x_lo) / (half * x_hi - half * x_lo) * plot_w
+        return m_left + (half_x * x - half_x * x_lo) / (half_x * x_hi - half_x * x_lo) * plot_w
 
     def sy(y):
-        return m_top + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return m_top + (half_y * y_hi - half_y * y) / (half_y * y_hi - half_y * y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

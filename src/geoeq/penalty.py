@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .model import _checked, _in_unit_interval
+
 __all__ = ["PenaltySpec", "penalty", "delta_t", "delta_t_prime"]
 
 LOGIT = "logit"
@@ -48,8 +50,7 @@ class PenaltySpec:
 
     def __post_init__(self) -> None:
         if self.kind in (LOGIT, LINEAR):
-            if not (self.mu >= 0.0 and math.isfinite(self.mu)):
-                raise ValueError(f"penalty weight mu must be finite and >= 0, got {self.mu}")
+            _finite_nonnegative(float(self.mu))  # float(): one weight, not an array
             if self.t is not None or self.t_prime is not None:
                 raise ValueError(f"{self.kind} penalty does not accept custom callables")
         elif self.kind == CUSTOM:
@@ -72,12 +73,16 @@ class PenaltySpec:
         return math.isfinite(self.t(1.0))
 
 
+def _finite_nonnegative(mu):
+    """mu as a float array, checked to be penalty weights (NaN is not)."""
+    return _checked(mu, lambda x: (x >= 0.0) & (x < math.inf),
+                    "penalty weight mu must be finite and >= 0")
+
+
 def penalty(x, spec: PenaltySpec):
     """Penalty t(x) of living in a region with population share x."""
     scalar = np.ndim(x) == 0
-    x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0.0) | (x_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
+    x_arr = _in_unit_interval(x)
     if spec.kind == LOGIT:
         if spec.mu == 0.0:
             val = np.zeros_like(x_arr)
@@ -96,7 +101,7 @@ def _weights(spec: PenaltySpec, mu) -> np.ndarray:
     """Per-element penalty weights, which only the named families take."""
     if spec.kind not in (LOGIT, LINEAR):
         raise ValueError("per-element weights require a named penalty family")
-    return np.asarray(mu, dtype=float)
+    return _finite_nonnegative(mu)
 
 
 def delta_t(h, spec: PenaltySpec, *, mu=None):
@@ -110,9 +115,7 @@ def delta_t(h, spec: PenaltySpec, *, mu=None):
     ``spec.mu`` (named families only).
     """
     scalar = np.ndim(h) == 0 and (mu is None or np.ndim(mu) == 0)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any((h_arr < 0.0) | (h_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
+    h_arr = _in_unit_interval(h)
     weight = spec.mu if mu is None else _weights(spec, mu)
     if spec.kind == LOGIT:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -135,11 +138,10 @@ def delta_t_prime(h, spec: PenaltySpec, *, mu=None):
     is a per-element weight as in :func:`delta_t`.
     """
     scalar = np.ndim(h) == 0 and (mu is None or np.ndim(mu) == 0)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any((h_arr <= 0.0) | (h_arr >= 1.0)) and spec.kind == LOGIT:
-        raise ValueError("logit penalty slope requires shares strictly inside (0, 1)")
-    if np.any((h_arr < 0.0) | (h_arr > 1.0)):
-        raise ValueError("population shares must lie in [0, 1]")
+    h_arr = _in_unit_interval(h)
+    if spec.kind == LOGIT:
+        _checked(h_arr, lambda x: (x > 0.0) & (x < 1.0),
+                 "logit penalty slope requires shares strictly inside (0, 1)")
     weight = spec.mu if mu is None else _weights(spec, mu)
     if spec.kind == LOGIT:
         val = weight / (h_arr * (1.0 - h_arr))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _wage_pieces, solve_wage
+from .model import ModelParams, _in_open_unit_interval, _wage_pieces, solve_wage
 
 __all__ = [
     "StabilityCoefficients",
@@ -177,9 +177,12 @@ def dispersion_slope(params: ModelParams, *, phi=None):
     (``mu_d`` and friends) halve the penalty side by the same factor, so
     the pair stays consistent; see the equilibria module.  ``phi``, if
     given, is a freeness (scalar or array) in place of ``params.phi``, as
-    in :func:`delta_u`; a float freeness is evaluated with Python's ``**``.
+    in :func:`delta_u`, and checked as ``params.phi`` is; a float freeness
+    is evaluated with Python's ``**``.
     """
     s = params.sigma
+    if phi is not None:
+        _in_open_unit_interval(phi)
     p = params.phi if phi is None else phi
     kappa = (1.0 - _utility_theta(params)) / (s - 1.0)
     return (

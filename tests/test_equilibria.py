@@ -937,6 +937,10 @@ def test_sweep_validation():
         sweep("phi", 0.0, 0.9, 5, p, LOGIT02)
     with pytest.raises(ValueError):
         sweep("mu", -0.1, 0.5, 5, p, LOGIT02)
+    with pytest.raises(ValueError, match="penalty weight mu must be finite"):
+        sweep("mu", 0.1, math.inf, 5, p, LOGIT02)
+    with pytest.raises(ValueError, match=r"phi must lie strictly inside \(0, 1\), got nan"):
+        sweep("phi", 0.1, math.nan, 5, p, LOGIT02)
     with pytest.raises(ValueError):
         sweep("mu", 0.1, 0.5, 1, p, LOGIT02)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -12,16 +14,22 @@ from scipy import optimize
 from geoeq import (
     G_poly,
     ModelParams,
+    PenaltySpec,
     SingularityError,
     SolverError,
     consumption,
     ddelta_u_dh,
+    delta_t,
+    delta_t_prime,
+    delta_V,
     demand,
+    dispersion_slope,
     dw_dh,
     dw_dphi,
     firm_counts,
     freeness_from_tau,
     mu_p,
+    penalty,
     price_indices,
     short_run_state,
     solve_wage,
@@ -204,6 +212,8 @@ def test_price_indices_validation():
         price_indices(1.2, 1.0, p)
     with pytest.raises(ValueError):
         price_indices(0.5, 0.0, p)
+    with pytest.raises(ValueError, match="wage must be positive, got nan"):
+        price_indices(np.array([0.5, 0.6]), np.array([1.0, math.nan]), p)
 
 
 def test_consumption_composes_wage_and_prices():
@@ -244,6 +254,63 @@ def test_price_indices_and_firm_counts_take_the_normalised_forms(sigma, phi, h, 
     hs = np.array([h, 1.0 - h, 0.5])
     n_L, n_R = firm_counts(hs, p)
     assert np.array_equal(n_L, hs) and np.array_equal(n_R, 1.0 - hs)
+    assert not np.shares_memory(n_L, hs)
+
+
+# ---------------------------------------------------------------------------
+# input rules: one check per input, for scalars and per-element arrays alike
+
+
+_ECONOMY = ModelParams(sigma=2.0, phi=0.4)
+_SHARE_CALLS = {
+    "solve_wage": lambda h: solve_wage(h, _ECONOMY),
+    "price_indices": lambda h: price_indices(h, np.ones_like(h), _ECONOMY),
+    "firm_counts": lambda h: firm_counts(h, _ECONOMY),
+    "short_run_state": lambda h: short_run_state(h, _ECONOMY),
+    **{f"{fn.__name__}-{kind}": functools.partial(fn, spec=PenaltySpec(kind))
+       for fn in (penalty, delta_t, delta_t_prime) for kind in ("logit", "linear")},
+}
+
+
+@pytest.mark.parametrize("share", [math.nan, -0.5, 1.5, math.inf])
+@pytest.mark.parametrize("call", list(_SHARE_CALLS))
+def test_a_bad_share_is_named_wherever_a_share_enters(call, share):
+    message = re.escape(f"population share must lie in [0, 1], got {share!r}")
+    for h in (share, np.array([0.3, share, 0.6])):
+        with pytest.raises(ValueError, match=message):
+            _SHARE_CALLS[call](h)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_a_bad_per_element_freeness_is_named_wherever_one_enters(phi):
+    params, spec = ModelParams(sigma=2.0, phi=0.4), PenaltySpec("logit", 0.2)
+    message = re.escape(f"phi must lie strictly inside (0, 1), got {phi!r}")
+    h = np.array([0.3, 0.7])
+    for per_element in (phi, np.array([0.4, phi])):
+        for call in (lambda: solve_wage(h, params, phi=per_element),
+                     lambda: delta_u(h, params, phi=per_element),
+                     lambda: delta_V(h, params, spec, phi=per_element),
+                     lambda: dispersion_slope(params, phi=per_element)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    with pytest.raises(ValueError, match=message):
+        ModelParams(sigma=2.0, phi=phi)
+
+
+@pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["logit", "linear"])
+def test_a_bad_per_element_weight_is_named_wherever_one_enters(kind, mu):
+    params, spec = ModelParams(sigma=2.0, phi=0.4), PenaltySpec(kind, 0.2)
+    message = re.escape(f"penalty weight mu must be finite and >= 0, got {mu!r}")
+    h = np.array([0.3, 0.7])
+    for per_element in (mu, np.array([0.2, mu])):
+        for call in (lambda: delta_t(h, spec, mu=per_element),
+                     lambda: delta_t_prime(h, spec, mu=per_element),
+                     lambda: delta_V(h, params, spec, mu=per_element)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    with pytest.raises(ValueError, match=message):
+        PenaltySpec(kind, mu)
 
 
 def test_demand_value_and_homogeneity():
@@ -266,6 +333,12 @@ def test_short_run_state_is_consistent():
     assert s.w == pytest.approx(solve_wage(0.7, p), rel=1e-14)
     assert s.C_L == pytest.approx(s.w / s.P_L, rel=1e-14)
     assert s.n_L + s.n_R == pytest.approx(1.0, rel=1e-14)  # normalized total
+    # an array of shares gets each share's scalar state, field by field
+    h = np.array([0.7, 0.0, 1.0, 0.25])
+    states = vars(short_run_state(h, p))
+    assert states["h"] is h
+    for i, share in enumerate(h.tolist()):
+        assert {k: v[i] for k, v in states.items()} == vars(short_run_state(share, p))
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +524,6 @@ def test_wage_and_utility_gap_of_mixed_economies_match_each_economys_own_call(si
                  for x in fn(np.array(shares), params.with_phi(p))]
         for row in fn(np.stack([h, h]), params, phi=phi):
             assert [x.hex() for x in row] == alone, fn.__name__
-
-
-def test_per_element_freeness_takes_a_flat_unique_inverse(monkeypatch):
-    # numpy 1.x returns np.unique's inverse flat, numpy 2 in the input's
-    # shape; a stack of shares gets each share's own bracket either way
-    unique = np.unique
-
-    def flat_inverse(ar, **kwargs):
-        distinct, inverse = unique(ar, **kwargs)
-        return distinct, inverse.ravel()
-
-    params = ModelParams(sigma=2.0, phi=0.4)
-    h, phi = np.array([0.2, 0.7, 1.0]), np.array([0.1, 0.4, 0.9])
-    alone = [solve_wage(x, params.with_phi(p)) for x, p in zip(h.tolist(), phi.tolist())]
-    monkeypatch.setattr(np, "unique", flat_inverse)
-    for row in solve_wage(np.stack([h, h]), params, phi=phi):
-        assert row.tolist() == alone
 
 
 @pytest.mark.parametrize("phi", [0.9999, 0.999999])

@@ -254,11 +254,17 @@ def test_csv_bytes_equal_the_per_cell_writer(csv_path, table):
 @given(chart=_charts(), as_arrays=st.booleans())
 def test_svg_bytes_equal_the_per_point_chart(chart, as_arrays):
     series, y_range, annotations = chart
-    # where the x span overflows, the reference writes nan points and
-    # line_chart scales by halves (test_a_range_without_a_finite_tick_step_...)
-    finite_x = [x for _, x_s, y_s, *_ in series for x, y in zip(x_s, y_s)
-                if math.isfinite(x) and math.isfinite(y)]
-    assume(not finite_x or math.isfinite(max(finite_x) - min(finite_x)))
+    # where the x span or the padded y span overflows, the reference writes
+    # nan points and line_chart scales by halves
+    # (test_a_range_without_a_finite_tick_step_...)
+    finite = [(x, y) for _, x_s, y_s, *_ in series for x, y in zip(x_s, y_s)
+              if math.isfinite(x) and math.isfinite(y)]
+    if finite:
+        finite_x, finite_y = zip(*finite)
+        assume(math.isfinite(max(finite_x) - min(finite_x)))
+        if y_range is None:
+            pad = 0.05 * (max(finite_y) - min(finite_y) or 1.0)
+            assume(math.isfinite((max(finite_y) + pad) - (min(finite_y) - pad)))
     wrap = np.array if as_arrays else list
     new = [output.Series(label, wrap(xs), wrap(ys), color, dash, width)
            for label, xs, ys, color, dash, width in series]
@@ -311,7 +317,9 @@ def test_a_range_narrower_than_float_spacing_still_gets_ticks():
 @pytest.mark.parametrize("xs, ys", [
     ([0.0, 1.0], [0.0, 5e-324]),  # the tick step underflows to 0
     ([-1e308, 1e308], [0.0, 1.0]),  # the tick step overflows
-], ids=["subnormal-range", "overflowing-range"])
+    ([0.0, 1.0], [-1e308, 1e308]),  # the y span, and so its pad, overflows
+    ([0.0, 1.0], [-1.7e308, 0.0]),  # the padded y span overflows
+], ids=["subnormal-range", "overflowing-range", "overflowing-y-range", "overflowing-y-pad"])
 def test_a_range_without_a_finite_tick_step_still_gets_a_chart(xs, ys):
     svg = output.line_chart("t", "x", "y", [output.Series("", xs, ys, "#000000")])
     assert svg.startswith("<svg") and svg.endswith("</svg>\n") and svg.count("<polyline") == 1
