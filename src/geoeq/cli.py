@@ -54,6 +54,7 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
                             set[str]]:
     """The ``geoeq`` parser, the parser of each subcommand, by name, and the
@@ -61,6 +62,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     Every option declares its type, choices and default here, once, in the
     order the JSON config echo lists it: model, penalty, command, output.
+    Built once per process and shared by every run, so nothing may change
+    it; ``build_parser.__wrapped__()`` builds a private one.
     """
     parser = argparse.ArgumentParser(
         prog="geoeq",
@@ -149,6 +152,8 @@ def parse_options(argv=None) -> dict:
     Config values become string defaults of the chosen subcommand for a second
     parse, so argparse converts or rejects each as it would its flag.  A JSON
     null leaves its option unset.  A positional argument is not a config key.
+    The second parse runs on a parser of its own, so a config value never
+    becomes a default of the shared parser, and so of a later run.
     """
     parser, commands, positionals = build_parser()
     args = parser.parse_args(argv)
@@ -158,6 +163,7 @@ def parse_options(argv=None) -> dict:
         if unknown:
             raise ValueError(
                 f"unknown config keys for {args.command}: {', '.join(unknown)}")
+        parser, commands, _ = build_parser.__wrapped__()
         commands[args.command].set_defaults(
             **{key: str(value) for key, value in config.items() if value is not None})
         args = parser.parse_args(argv)

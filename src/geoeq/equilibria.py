@@ -36,13 +36,12 @@ finishes all its steps at once.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, SolverError, _share_raw, _share_terms, _wage_pieces, brentq,
-                    solve_wage)
+from .model import (ModelParams, SolverError, _elasticity, _share_raw, _share_terms, _wage_pieces,
+                    brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, _finite_nonnegative, delta_t, delta_t_prime
 from .welfare import _delta_u_at, delta_u, dispersion_slope
 
@@ -538,8 +537,7 @@ def phi_b(sigma: float, mu: float) -> float | None:
     outside (0, 1), meaning the symmetric point keeps one stability label
     over the whole trade-freeness range.  Exact at theta = 1.
     """
-    if not (sigma > 1.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be a finite number > 1, got {sigma}")
+    _elasticity(sigma)
     _finite_nonnegative(mu)
     val = (2.0 * sigma - 1.0) * (mu * (sigma - 1.0) - 1.0) / (-(mu + 2.0) * sigma + mu + 1.0)
     return val if 0.0 < val < 1.0 else None
@@ -663,7 +661,7 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     It is evaluated once per step, on a mu-sweep in one array expression,
     on a phi-sweep as one scalar per step with the penalty slope taken
     once; each sign change between neighbouring steps is polished by a
-    bracketed root find on the scalar form, and each pitchfork is
+    bracketed root find on the same expression, and each pitchfork is
     classified via :func:`pitchfork_criticality`.  The slope needs no
     rest-point scan, so a step whose scan fails hides no pitchfork next to
     it.
@@ -680,14 +678,18 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    values = np.linspace(lo, hi, steps)
-    # each step's symmetric slope, the float _symmetric_slope gives there
+    # the symmetric slope at parameter value(s) v, the float _symmetric_slope
+    # gives there, without building the economy or the penalty at v
     if parameter == "phi":
         penalty_slope = delta_t_prime(0.5, spec)
-        slopes = np.array([2.0 * dispersion_slope(params, phi=v) - penalty_slope
-                           for v in values.tolist()])
+        symmetric_slope = lambda v: 2.0 * dispersion_slope(params, phi=v) - penalty_slope
     else:
-        slopes = 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec, mu=values)
+        utility_slope = 2.0 * dispersion_slope(params)
+        symmetric_slope = lambda v: utility_slope - delta_t_prime(0.5, spec, mu=v)
+    values = np.linspace(lo, hi, steps)
+    # a float freeness is evaluated with Python's **, so phi-steps go one by one
+    slopes = (np.array([symmetric_slope(v) for v in values.tolist()]) if parameter == "phi"
+              else symmetric_slope(values))
     runs = min(workers, steps)
     jobs = [(parameter, v.tolist(), sl.tolist(), params, spec)
             for v, sl in zip(np.array_split(values, runs), np.array_split(slopes, runs))]
@@ -701,7 +703,6 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     samples = [(value, eqs) for value, eqs, _ in results]
     diagnostics = [f"{parameter}={value!r}: {error}"
                    for value, _, error in results if error is not None]
-    symmetric_slope = lambda p: _symmetric_slope(*_with_parameter(parameter, p, params, spec))
     bifurcations = [pitchfork_criticality(parameter, p, params, spec)
                     for p in _grid_roots(symmetric_slope, values, slopes, 1e-12)]
     return Branch(parameter=parameter, samples=samples,

@@ -148,8 +148,7 @@ def freeness_from_tau(tau: float, sigma: float) -> float:
     """
     if not (tau > 1.0 and math.isfinite(tau)):
         raise ValueError(f"iceberg cost must be a finite number > 1, got {tau}")
-    if not (sigma > 1.0 and math.isfinite(sigma)):
-        raise ValueError(f"elasticity must be a finite number > 1, got {sigma}")
+    _elasticity(sigma)
     return tau ** (1.0 - sigma)
 
 
@@ -179,8 +178,7 @@ class ModelParams:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 1.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be a finite number > 1, got {self.sigma}")
+        _elasticity(float(self.sigma))  # one number, as phi below
         if (self.phi is None) == (self.tau is None):
             raise ValueError("supply exactly one of phi (freeness) or tau (iceberg cost)")
         if self.phi is None:
@@ -262,14 +260,28 @@ def _checked(values, inside, rule: str):
     ValueError that states the rule and names the first element outside it."""
     x = np.asarray(values, dtype=float)
     ok = inside(x[()])  # on a numpy scalar for scalar input: cheap comparisons
-    if np.count_nonzero(ok) != x.size:
+    if not (ok if x.ndim == 0 else np.count_nonzero(ok) == x.size):  # a scalar's bool is cheaper
         raise ValueError(f"{rule}, got {float(np.ravel(x)[~np.ravel(ok)][0])!r}")
     return x
+
+
+def _elasticity(sigma):
+    """sigma as a float array, checked to be an elasticity of substitution
+    (NaN is not)."""
+    return _checked(sigma, lambda x: (x > 1.0) & (x < math.inf),
+                    "sigma must be a finite number > 1")
 
 
 def _in_unit_interval(h):
     """h as a float array, checked to be population shares (NaN is not)."""
     return _checked(h, lambda x: (x >= 0.0) & (x <= 1.0), "population share must lie in [0, 1]")
+
+
+def _interior_share(h):
+    """h as a float array, checked to be shares strictly between the
+    boundaries (NaN is not)."""
+    return _checked(h, lambda x: (x > 0.0) & (x < 1.0),
+                    "population share must lie strictly inside (0, 1)")
 
 
 def _in_open_unit_interval(phi):
@@ -450,8 +462,9 @@ def demand(w_i: float, p_ij: float, P_i: float, sigma: float) -> float:
 
     Homogeneous of degree zero in (price, price index, income) jointly.
     """
-    if not (w_i > 0.0 and p_ij > 0.0 and P_i > 0.0 and sigma > 1.0):
-        raise ValueError("demand requires positive income, price, index and sigma > 1")
+    _elasticity(sigma)
+    if not (w_i > 0.0 and p_ij > 0.0 and P_i > 0.0):
+        raise ValueError("demand requires positive income, price and index")
     return p_ij ** (-sigma) * P_i ** (sigma - 1.0) * w_i
 
 

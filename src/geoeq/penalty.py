@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _checked, _in_unit_interval
+from .model import _checked, _in_unit_interval, _interior_share
 
 __all__ = ["PenaltySpec", "penalty", "delta_t", "delta_t_prime"]
 
@@ -140,8 +140,7 @@ def delta_t_prime(h, spec: PenaltySpec, *, mu=None):
     scalar = np.ndim(h) == 0 and (mu is None or np.ndim(mu) == 0)
     h_arr = _in_unit_interval(h)
     if spec.kind == LOGIT:
-        _checked(h_arr, lambda x: (x > 0.0) & (x < 1.0),
-                 "logit penalty slope requires shares strictly inside (0, 1)")
+        _interior_share(h_arr)
     weight = spec.mu if mu is None else _weights(spec, mu)
     if spec.kind == LOGIT:
         val = weight / (h_arr * (1.0 - h_arr))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _in_open_unit_interval, _wage_pieces, solve_wage
+from .model import (ModelParams, _checked, _in_open_unit_interval, _interior_share, _wage_pieces,
+                    solve_wage)
 
 __all__ = [
     "StabilityCoefficients",
@@ -141,8 +142,7 @@ def _slopes(w, params: ModelParams):
 
 def stability_coefficients(h_star: float, params: ModelParams) -> StabilityCoefficients:
     """Closed-form coefficient bundle at an interior share h_star."""
-    if not 0.0 < h_star < 1.0:
-        raise ValueError(f"interior share required, got {h_star}")
+    _interior_share(h_star)
     coefficients = _slopes(solve_wage(h_star, params), params)[0]
     return StabilityCoefficients(**{k: float(v) for k, v in vars(coefficients).items()})
 
@@ -153,8 +153,7 @@ def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
     Assembled from the implicit wage derivative; finite for every interior
     h because the only candidate singularities sit at the bracket ends.
     """
-    if not 0.0 < h_star < 1.0:
-        raise ValueError(f"interior share required, got {h_star}")
+    _interior_share(h_star)
     return float(_slopes(solve_wage(h_star, params), params)[1])
 
 
@@ -198,6 +197,6 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     the mirrored share has the opposite sign.  Negative whenever the
     crowded region's advantage shrinks as trade gets freer.
     """
-    if not 0.5 < h_star < 1.0:
-        raise ValueError(f"share in (1/2, 1) required, got {h_star}")
+    _checked(h_star, lambda x: (x > 0.5) & (x < 1.0),
+             "population share must lie strictly inside (1/2, 1)")
     return float(_slopes(solve_wage(h_star, params), params)[2])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -345,6 +346,63 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "gird" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: a config run never changes a later run's defaults
+
+
+def test_a_config_run_leaves_the_next_runs_defaults(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"grid": 32, "theta": 0.5}))
+    argv = ["shortrun", "--sigma", "2", "--phi", "0.5", "--format", "csv,json"]
+    assert main(["--config", str(config), *argv, "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert len(_read_csv(tmp_path / "a" / "shortrun.csv")[1]) == 32
+    _, rows = _read_csv(tmp_path / "b" / "shortrun.csv")
+    assert len(rows) == 512
+    doc = json.loads((tmp_path / "b" / "shortrun.json").read_text())
+    assert doc["config"]["theta"] == 1.0 and doc["config"]["grid"] == 512
+
+
+def test_a_rejected_config_run_leaves_the_next_runs_defaults(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"sigma": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "shortrun", "--phi", "0.5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    opts = parse_options(["shortrun", "--phi", "0.5"])
+    assert opts["sigma"] is None and opts["grid"] == 512 and opts["theta"] == 1.0
+
+
+def test_help_after_a_config_run_prints_the_built_in_defaults(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "csv", "out": str(tmp_path / "cfg")}))
+    assert main(["--config", str(config), "figure", "fig1", "--grid", "5"]) == 0
+    assert (tmp_path / "cfg" / "fig1.csv").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default out)" in text and "(default csv,json,svg)" in text
+    assert "cfg" not in text and "(default csv)" not in text
+
+
+def test_flags_only_runs_build_the_parser_at_most_once(tmp_path, monkeypatch):
+    # each build adds the subcommands once; parsing never does
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    for i in range(5):
+        assert main(["thresholds", "--sigma", "2", "--phi", "0.4", "--format", "csv",
+                     "--out", str(tmp_path / str(i))]) == 0
+    assert len(builds) <= 1
 
 
 _MODEL_ARGV = {

@@ -30,6 +30,7 @@ from geoeq import (
     freeness_from_tau,
     mu_p,
     penalty,
+    phi_b,
     price_indices,
     short_run_state,
     solve_wage,
@@ -38,7 +39,7 @@ from geoeq import (
 from geoeq import model
 from geoeq.equilibria import FD_STEP
 from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
-from geoeq.welfare import _slopes, delta_u
+from geoeq.welfare import _slopes, ddelta_u_dphi, delta_u, stability_coefficients
 from mp_reference import Economy
 
 SIGMAS = [1.5, 2.0, 2.5, 5.0, 10.0]
@@ -311,6 +312,39 @@ def test_a_bad_per_element_weight_is_named_wherever_one_enters(kind, mu):
                 call()
     with pytest.raises(ValueError, match=message):
         PenaltySpec(kind, mu)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 1.0, math.inf])
+def test_a_bad_elasticity_is_named_wherever_one_enters(sigma):
+    message = re.escape(f"sigma must be a finite number > 1, got {sigma!r}")
+    for call in (lambda: ModelParams(sigma=sigma, phi=0.4),
+                 lambda: ModelParams(sigma=sigma, tau=2.0),
+                 lambda: freeness_from_tau(2.0, sigma),
+                 lambda: phi_b(sigma, 0.2),
+                 lambda: demand(1.0, 1.0, 1.0, sigma)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_an_economy_takes_one_elasticity():
+    with pytest.raises(TypeError):
+        ModelParams(sigma=np.array([2.0, 3.0]), phi=0.4)
+
+
+@pytest.mark.parametrize("share", [math.nan, 0.0, 1.0])
+def test_a_boundary_share_is_named_by_every_slope(share):
+    # the slopes are finite only strictly inside (0, 1), and the freeness
+    # slope is defined on the upper half; a NaN fails the share rule first
+    message = (r"population share must lie (in \[0, 1\]|strictly inside \((0|1/2), 1\)), "
+               rf"got {share!r}")
+    logit = PenaltySpec("logit", 0.2)
+    for call in (lambda: ddelta_u_dh(share, _ECONOMY),
+                 lambda: ddelta_u_dphi(share, _ECONOMY),
+                 lambda: stability_coefficients(share, _ECONOMY),
+                 lambda: delta_t_prime(share, logit),
+                 lambda: delta_t_prime(np.array([0.3, share]), logit)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_demand_value_and_homogeneity():
