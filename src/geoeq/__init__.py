@@ -31,7 +31,6 @@ from .model import (
     SolverError,
     G_poly,
     consumption,
-    demand,
     dw_dh,
     dw_dphi,
     firm_counts,
@@ -69,7 +68,6 @@ __all__ = [
     "price_indices",
     "consumption",
     "firm_counts",
-    "demand",
     "dw_dh",
     "dw_dphi",
     "G_poly",

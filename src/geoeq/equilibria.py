@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, SolverError, _elasticity, _share_raw, _share_terms, _wage_pieces,
-                    brentq, solve_wage)
+from .model import (ModelParams, SolverError, _elasticity, _share_terms, _wage_pieces, brentq,
+                    solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, _finite_nonnegative, delta_t, delta_t_prime
 from .welfare import _delta_u_at, delta_u, dispersion_slope
 
@@ -172,13 +172,11 @@ def _stability_from_slope(slope: float) -> str:
 
 
 def _wage_terms(a, b):
-    """Shares h, g = 1 - h and log-odds ln(h/g) from the share terms a, b of
-    wages in [1, w_hi) (:func:`geoeq.model._share_terms`).
-
-    Both shares come from the closed form h = a/(a+b), 1 - h = b/(a+b),
-    and the log-odds is ln a - ln b, so nothing forms 1 - h by subtraction.
-    """
-    return a / (a + b), b / (a + b), np.log(a) - np.log(b)
+    """Shares h = a/(a+b), g = b/(a+b), log-odds ln a - ln b and a + b from
+    the share terms a, b (:func:`geoeq.model._share_terms`) of wages in
+    [1, w_hi): nothing forms 1 - h by subtraction."""
+    ab = a + b
+    return a / ab, b / ab, np.log(a) - np.log(b), ab
 
 
 def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
@@ -192,8 +190,8 @@ def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
 
 def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
     """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
-    h, g, log_odds = _wage_terms(*_share_terms(w, params))
-    return _delta_u_at(h, g, w, params) - _penalty_gap(h, g, log_odds, spec)
+    h, g, log_odds, ab = _wage_terms(*_share_terms(w, params))
+    return _delta_u_at(np.log(w), w, ab, params) - _penalty_gap(h, g, log_odds, spec)
 
 
 # Boundary probe shares: one FD step inside the boundary, the last double
@@ -222,14 +220,14 @@ def _upper_scan(params: ModelParams):
     """
     n = GRID_POINTS // 2 + 1
     wages = solve_wage(np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES), params)
-    nodes = np.maximum.accumulate(wages[:n])
-    a, b = _share_terms(nodes, params)
-    last = np.maximum.accumulate(np.where(b > 0.0, np.arange(n), 0))
-    nodes, a, b = nodes[last], a[last], b[last]
-    h, g, log_odds = _wage_terms(a, b)
-    du = _delta_u_at(np.append(h, _PROBES), np.append(g, 1.0 - _PROBES),
-                     np.append(nodes, wages[n:]), params)
-    scan = (nodes, h, g, log_odds, du[:n], du[n:])
+    wages[:n] = np.maximum.accumulate(wages[:n])
+    a, b = _share_terms(wages, params)
+    keep = np.append(np.maximum.accumulate(np.where(b[:n] > 0.0, np.arange(n), 0)),
+                     np.arange(n, wages.size))  # the probes keep their wages
+    w, a, b = wages[keep], a[keep], b[keep]
+    h, g, log_odds, _ = _wage_terms(a[:n], b[:n])
+    du = _delta_u_at(np.log(w), w, a + b, params)
+    scan = (w[:n], h, g, log_odds, du[:n], du[n:])
     for arr in scan:
         arr.setflags(write=False)
     return scan
@@ -242,7 +240,8 @@ def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
     values have opposite signs gets one bracketed root find to ``xtol``.
     """
     zero = fx == 0.0
-    change = np.append(fx[:-1] * fx[1:] < 0.0, False)
+    sign = np.sign(fx)  # a product of the values could underflow to 0 or overflow
+    change = np.append(sign[:-1] * sign[1:] < 0.0, False)
     return [float(x[i]) if zero[i]
             else float(brentq(f, float(x[i]), float(x[i + 1]), xtol=xtol, maxiter=200))
             for i in np.flatnonzero(zero | change)]
@@ -361,7 +360,7 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     would read rounding noise.
     """
     while (lo := 0.5 * (1.0 + hi)) > 1.0:
-        if f(lo) * value <= 0.0:
+        if np.sign(f(lo)) * value <= 0.0:  # not f(lo) * value: it can underflow to 0
             return brentq(f, lo, hi, xtol=1e-15, maxiter=200)
         hi = lo
     return None
@@ -380,12 +379,13 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
     f = lambda x: float(_delta_V_wage(x, params, spec))
     # The node at w = 1 is the symmetric point, zero by antisymmetry.
     wages = _grid_roots(f, nodes[1:], values[1:], 1e-15)
-    if abs(slope) >= MARGINAL_BAND and slope * values[1] < 0.0:
+    if abs(slope) >= MARGINAL_BAND and slope * np.sign(values[1]) < 0.0:
         w = _first_cell_root(f, float(nodes[1]), float(values[1]))
         if w is not None:
             wages.append(w)
     for w in wages:
-        _add_root(roots, float(_share_raw(w, params)), w)
+        a, b = _share_terms(w, params)
+        _add_root(roots, a / (a + b), w)
 
     pinned: list[Equilibrium] = []
     if not spec.bounded and values[-1] > 0.0:
@@ -457,20 +457,12 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     points appended.  Roots closer together than the scan resolution
     (about 1/GRID_POINTS) can be missed.
 
-    The work splits into a locate phase (scan, brackets, polish, and the
-    first-cell, near-boundary, pinned and boundary checks) and a finish
-    phase: the symmetric point, every root and every mirror get |delta_V|
-    and its central-FD slope at h* +- min(FD_STEP, ...) from a single
-    delta_V call on all those shares.  The sign-change test is blind in
-    the first scan cell, next to the symmetric root; a halving search
-    looks there when delta_V's closed-form slope at 1/2,
-    2 * dispersion_slope - delta_t_prime(1/2), is not marginal and has the
-    opposite sign to delta_V at the first node.  This is the one-economy
-    case of :func:`sweep`, which finishes all its steps in one such call.
-    The scan's nodes, shares and utility gap, and the utility gap at the
-    boundary probes, depend on the economy alone and are kept for the most
-    recent one, so calls that change only the penalty, such as the steps
-    of a mu-sweep, scan once.
+    The locate and finish phases are the module docstring's; this is the
+    one-economy case of :func:`sweep`.  The sign-change test is blind in
+    the first scan cell, next to the symmetric root, so a halving search
+    looks there when delta_V's closed-form slope at 1/2 is not marginal
+    and has the opposite sign to delta_V at the first node.  A SolverError
+    names the economy if delta_u or that slope leaves the double range.
 
     Under an unbounded penalty the outermost rest point approaches the
     boundary exponentially fast as the penalty weight shrinks (the gap is
@@ -644,18 +636,12 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     """Trace the equilibrium set along one parameter.
 
     Each step's sample is exactly what :func:`find_equilibria` returns
-    there.  Every step runs the locate phase on its own, on the same scan
-    of GRID_POINTS resolution, handed the same closed-form symmetric slope
-    find_equilibria computes; mu-steps share one economy, whose scan and
-    boundary probes are kept and reused.  Then the finish phase takes all
-    the steps together: the symmetric point, roots and mirrors of every
-    step get |delta_V| and its slope from one delta_V call, each share at
-    its own step's freeness or penalty weight.  A step whose locate or
-    finish raises is recorded in ``diagnostics`` with the text
-    find_equilibria would raise, and the other steps keep their rest
-    points.  With workers > 1 the steps are
-    split into one contiguous run per worker process, and each worker
-    finishes its run at once; the results do not depend on the split.
+    there: every step is located on its own (mu-steps share one economy's
+    scan), and the finish phase takes all steps in one delta_V call.  A
+    step whose locate or finish raises is recorded in ``diagnostics`` with
+    the text find_equilibria would raise; the other steps keep their rest
+    points.  With workers > 1 each worker process locates and finishes one
+    contiguous run of steps; the results do not depend on the split.
 
     Pitchforks of the symmetric point sit where that slope changes sign.
     It is evaluated once per step, on a mu-sweep in one array expression,
@@ -664,7 +650,7 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     bracketed root find on the same expression, and each pitchfork is
     classified via :func:`pitchfork_criticality`.  The slope needs no
     rest-point scan, so a step whose scan fails hides no pitchfork next to
-    it.
+    it; where the slope leaves the double range, the sweep raises SolverError.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.

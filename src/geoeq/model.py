@@ -44,7 +44,6 @@ __all__ = [
     "price_indices",
     "consumption",
     "firm_counts",
-    "demand",
     "dw_dh",
     "dw_dphi",
     "G_poly",
@@ -239,20 +238,15 @@ def _share_terms(w, params: ModelParams, phi=None):
     ``a`` vanishes cleanly at the lower end (h -> 0) and ``b`` at the upper
     end (h -> 1), so both shares come out without cancellation.  Roundoff
     can push either term a hair below zero at its bracket end; it is
-    clipped there.  ``phi``, if given, is a per-element freeness broadcast
-    against w in place of ``params.phi``.
+    clipped there, as (t + |t|)/2, which is exact and keeps a scalar w's
+    terms Python floats.  ``phi``, if given, is a per-element freeness
+    broadcast against w in place of ``params.phi``.
     """
     phi = params.phi if phi is None else phi
     X = w ** params.sigma
     a = X * (X - phi)
     b = w * (1.0 - phi * X)
-    return np.maximum(a, 0.0), np.maximum(b, 0.0)
-
-
-def _share_raw(w, params: ModelParams):
-    """Population share supported by wage w, without domain checks."""
-    a, b = _share_terms(w, params)
-    return a / (a + b)
+    return 0.5 * (a + abs(a)), 0.5 * (b + abs(b))
 
 
 def _checked(values, inside, rule: str):
@@ -311,7 +305,8 @@ def wage_share(w, params: ModelParams):
     Raises:
         ValueError: if any wage lies outside the admissible bracket.
     """
-    h = np.clip(_share_raw(_in_bracket(w, params), params), 0.0, 1.0)
+    a, b = _share_terms(_in_bracket(w, params), params)
+    h = np.clip(a / (a + b), 0.0, 1.0)
     return float(h) if np.ndim(w) == 0 else h
 
 
@@ -455,17 +450,6 @@ def firm_counts(h, params: ModelParams):
     if np.ndim(h) == 0:
         return float(h_arr), float(1.0 - h_arr)
     return h_arr.copy(), 1.0 - h_arr
-
-
-def demand(w_i: float, p_ij: float, P_i: float, sigma: float) -> float:
-    """CES demand of a consumer with income w_i for one variety.
-
-    Homogeneous of degree zero in (price, price index, income) jointly.
-    """
-    _elasticity(sigma)
-    if not (w_i > 0.0 and p_ij > 0.0 and P_i > 0.0):
-        raise ValueError("demand requires positive income, price and index")
-    return p_ij ** (-sigma) * P_i ** (sigma - 1.0) * w_i
 
 
 def G_poly(x, params: ModelParams):

@@ -5,24 +5,25 @@ h of the population does, evaluated at the market-clearing wage.  Its sign
 drives migration; its roots and slopes drive everything in
 :mod:`geoeq.equilibria`.
 
-Every closed-form slope comes from one kernel in the wage w, ``_slopes``,
-scalar or array, obtained by implicit differentiation of the wage map; the
-public slopes solve the wage of a share and call it, and the tests check
-it against the high-precision reference model.  Its intermediate
-coefficients are exposed as :class:`StabilityCoefficients` because their
-signs, not just the final value, are individually meaningful.
-``ddelta_u_dh_closed`` is a former name of ``ddelta_u_dh``, kept while
-the benchmark's span list names it.
+The gap and every slope are closed forms in the wage w, scalar or array:
+the gap ``_delta_u_at`` reads the consumption ratio C_L/C_R = w**m, and the
+slope kernel ``_slopes`` differentiates the wage map implicitly.  The
+public functions solve the wage of a share and call them; the tests check
+both against the high-precision reference model.  The slope coefficients
+are exposed as :class:`StabilityCoefficients` because their signs, not
+just the final value, are individually meaningful.  ``ddelta_u_dh_closed``
+is a former name of ``ddelta_u_dh``, kept while the benchmark names it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, _checked, _in_open_unit_interval, _interior_share, _wage_pieces,
-                    solve_wage)
+from .model import (ModelParams, SolverError, _checked, _in_open_unit_interval, _interior_share,
+                    _share_terms, _wage_pieces, solve_wage)
 
 __all__ = [
     "StabilityCoefficients",
@@ -34,15 +35,25 @@ __all__ = [
     "ddelta_u_dphi",
 ]
 
-# Below this distance from theta = 1 the isoelastic prefactor 1/(1 - theta)
-# loses too many digits, so evaluation routes through the log-utility limit.
+# theta this close to 1 is taken as 1: a convention shared with the benchmark's oracle.
 LOG_UTILITY_BAND = 1e-8
+
+# ln of the largest double, 709.7827..., less a margin for an exponent's rounding.
+_EXP_LIMIT = 709.78
 
 
 def _utility_theta(params: ModelParams) -> float:
-    """The curvature every utility formula here evaluates: theta, or exactly
-    1 inside LOG_UTILITY_BAND, where delta_u takes the log-utility limit."""
+    """theta, or exactly 1 inside LOG_UTILITY_BAND: the curvature every formula here takes."""
     return 1.0 if abs(params.theta - 1.0) < LOG_UTILITY_BAND else params.theta
+
+
+def _check_range(log_value, what: str, params: ModelParams, phi) -> None:
+    """A SolverError naming ``what`` and the economy where exp(log_value) overflows."""
+    bad = log_value > _EXP_LIMIT
+    if bad.any() if bad.ndim else bad:
+        phi = np.ravel(np.broadcast_to(phi, np.shape(bad)))[np.argmax(bad)]
+        raise SolverError(f"{what} leaves the double range at sigma={params.sigma!r}, "
+                          f"phi={float(phi)!r}, theta={params.theta!r}")
 
 
 def delta_u(h, params: ModelParams, *, phi=None):
@@ -53,39 +64,55 @@ def delta_u(h, params: ModelParams, *, phi=None):
     ``phi``, if given, is a per-element freeness broadcast against h in
     place of ``params.phi``, as in :func:`geoeq.model.solve_wage`.  A
     scalar share and the same share inside an array can differ in the
-    last bit: the wage is the same, but a scalar's powers go through
-    Python's ``**`` and an array's through numpy's ``power``.
+    last bit, as their wages' powers go through ``**`` and ``np.power``.
 
-    With curvature ``theta != 1`` the value is
+    At market clearing C_L/C_R = w**m, m = (2 sigma - 1)/(sigma - 1).  With
+    r = 1 - theta and the log-consumption gap L = m ln w, the value is
 
-        1/(1-theta) * (w**(1-theta) A**kappa - B**kappa),
-        kappa = (1-theta)/(sigma-1),
+        C_R**r expm1(r L) / r,   C_R**(sigma - 1) = (1 - phi**2) w / (a + b),
 
-    where A and B are the price-index brackets of L and R.  As theta -> 1
-    this degenerates to ln w + ln(A/B)/(sigma-1),
-    which is used inside LOG_UTILITY_BAND to keep the crossover smooth.
+    and its limit L at r = 0, with a, b the share terms of
+    :func:`geoeq.model._share_terms`.  ln w is taken one Newton step on
+    from the solved wage, to h.  A SolverError says where the value leaves
+    the double range.
     """
     h_arr = np.asarray(h, dtype=float)
-    val = _delta_u_at(h_arr, 1.0 - h_arr, solve_wage(h_arr, params, phi=phi), params, phi)
+    w = solve_wage(h_arr, params, phi=phi)
+    s, p = params.sigma, params.phi if phi is None else phi
+    a, b = _share_terms(w, params, phi)
+    ab = a + b
+    # one Newton step: the share residual h - a/(a + b) times
+    # d(ln w)/dh = (a + b)**2 / (w X G), with w X G = wxg, X = w**sigma
+    wxg = s * (1.0 - p) * (1.0 + p) * w ** (2.0 * s + 1.0) + (s - 1.0) * a * b
+    val = _delta_u_at(np.log(w) + (h_arr * ab - a) * ab / wxg, w, ab, params, phi)
     return float(val) if np.ndim(h) == 0 else val
 
 
-def _delta_u_at(h, g, w, params: ModelParams, phi=None):
-    """delta_u from shares h and g = 1 - h and the wage w that supports them.
+def _delta_u_at(log_w, w, ab, params: ModelParams, phi=None):
+    """delta_u at wages w, given ln w and the share denominator ab = a + b.
 
-    No wage solve and no domain checks: callers that walk the wage supply
-    both shares from the closed form of :func:`geoeq.model._share_terms`.
-    ``phi``, if given, is a per-element freeness in place of ``params.phi``.
+    No wage solve and no domain checks; ``phi`` is as in :func:`delta_u`.
+    e**top is the larger of C_L**r = C_R**r e**x (x = r L) and C_R**r, and
+    the powers over it, e**(x - x+) and e**(-x+) with x+ = max(x, 0),
+    include an exact 1: nothing cancels or overflows while the value fits.
     """
-    s, th = params.sigma, _utility_theta(params)
+    s, r = params.sigma, 1.0 - _utility_theta(params)
+    gap = (2.0 * s - 1.0) / (s - 1.0) * log_w
+    if r == 0.0:
+        return gap
     p = params.phi if phi is None else phi
-    wm = w ** (1.0 - s)
-    A = h * wm + g * p
-    B = h * p * wm + g
-    if th == 1.0:
-        return np.log(w) + np.log(A / B) / (s - 1.0)
-    kappa = (1.0 - th) / (s - 1.0)
-    return 1.0 / (1.0 - th) * (w ** (1.0 - th) * A ** kappa - B ** kappa)
+    x = r * gap
+    x_plus = 0.5 * (x + abs(x))
+    top = r / (s - 1.0) * np.log((1.0 - p) * (1.0 + p) * w / ab) + x_plus
+    q = (np.expm1(x - x_plus) - np.expm1(-x_plus)) / r  # |q| < 1/|r|
+    if r < 0.0:  # both powers exceed 1: where exp(top) would overflow, fold |q| into it
+        over = top > _EXP_LIMIT + math.log(min(1.0, -r))
+        if over.any() if over.ndim else over:
+            with np.errstate(divide="ignore"):  # ln 0 at w = 1
+                top = np.where(over, top + np.log(abs(q)), top)
+            q = np.where(over, np.sign(q), q)
+            _check_range(top, "utility gap", params, p)
+    return np.exp(top) * q
 
 
 @dataclass(frozen=True)
@@ -177,13 +204,17 @@ def dispersion_slope(params: ModelParams, *, phi=None):
     the pair stays consistent; see the equilibria module.  ``phi``, if
     given, is a freeness (scalar or array) in place of ``params.phi``, as
     in :func:`delta_u`, and checked as ``params.phi`` is; a float freeness
-    is evaluated with Python's ``**``.
+    is evaluated with Python's ``**``.  A SolverError says where the slope
+    overflows, as it can for theta > 1 near sigma = 1.
     """
     s = params.sigma
     if phi is not None:
         _in_open_unit_interval(phi)
     p = params.phi if phi is None else phi
     kappa = (1.0 - _utility_theta(params)) / (s - 1.0)
+    if kappa < 0.0:  # ((1+phi)/2)**kappa exceeds 1 and can overflow
+        _check_range(np.log(2.0 * (2.0 * s - 1.0) * (1.0 - p) / ((s - 1.0) * (2.0 * s + p - 1.0)))
+                     + kappa * np.log((1.0 + p) / 2.0), "symmetric slope", params, p)
     return (
         2.0 * (2.0 * s - 1.0) * (1.0 - p) * ((1.0 + p) / 2.0) ** kappa
         / ((s - 1.0) * (2.0 * s + p - 1.0))

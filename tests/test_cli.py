@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,20 @@ def test_equilibria_near_sigma_one_at_low_freeness(tmp_path, theta):
     assert doc["config"]["effective_model"]["tau"] == math.inf
     ratio = doc["shadow_checks"]["symmetric_slope_convention"]["ratio"]
     assert math.isnan(ratio) if theta == "0" else ratio == pytest.approx(2.0, rel=1e-12)
+
+
+def test_equilibria_names_a_utility_gap_past_the_double_range(tmp_path, capsys):
+    # kappa = (1 - theta)/(sigma - 1) = -520: C_R**(1 - theta) passes the
+    # largest double near h = 1, where a run once reported residual inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["equilibria", "--sigma", "1.0073018454685185",
+                     "--phi", "0.17308615542210273", "--theta", "4.8004072756093965",
+                     "--penalty", "logit", "--mu", "2.744522675670923", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "utility gap leaves the double range" in err
+    assert "sigma=1.0073018454685185" in err and "theta=4.8004072756093965" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -374,9 +375,9 @@ def _check_upper_scan(params):
     assert np.all(np.diff(nodes) >= 0.0)
     assert np.all(b > 0.0) and np.all(np.isfinite(log_odds))
     assert np.array_equal(h, a / (a + b)) and np.array_equal(g, b / (a + b))
-    # the probes' delta_u is the scalar one's to a few ulps of its conditioning:
-    # the isoelastic form raises O(1) brackets to (1 - theta)/(sigma - 1) and
-    # divides their difference by 1 - theta
+    # the probes' delta_u (at their solved wages) is the scalar one's (one
+    # Newton step on, at the probe shares) to a few ulps of a conditioning
+    # that grows with |1 - theta|/(sigma - 1) and as theta nears 1
     scalar = np.array([delta_u(float(x), params) for x in equilibria._PROBES])
     gap = abs(1.0 - params.theta)
     cond = 1.0 if gap < LOG_UTILITY_BAND else (1.0 + gap / (params.sigma - 1.0)) / min(1.0, gap)
@@ -639,6 +640,18 @@ def test_threshold_phi_crossings_report_an_exact_zero_at_the_last_node():
     assert threshold_phi_crossings(p, dispersion_threshold(p.with_phi(last))) == [last]
 
 
+@pytest.mark.parametrize("scale", [1e-200, 2e300])
+def test_grid_roots_compare_signs_not_products(scale):
+    # neighbouring values +-5e-201 multiply to -0.0, which hid the root, and
+    # +-1e300 overflow with a RuntimeWarning; a sign comparison sees both
+    f = lambda x: scale * (x - 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nodes in ([0.0, 1.0], [0.0, 0.5, 1.0]):  # a zero node brackets nothing more
+            x = np.array(nodes)
+            assert equilibria._grid_roots(f, x, f(x), 1e-15) == [0.5]
+
+
 # ---------------------------------------------------------------------------
 # bifurcations and sweeps
 
@@ -872,6 +885,26 @@ def test_sweep_samples_equal_the_per_step_solve_on_fig6_economies(parameter, lo,
     if parameter == "mu" and spec.kind == "logit" and lo == 0.0:
         assert {(KIND_BOUNDARY, False, False), (KIND_BOUNDARY, True, False),
                 (KIND_PARTIAL, False, True)} <= kinds
+
+
+# Near sigma = 1 with theta > 1, kappa = (1 - theta)/(sigma - 1) is large and
+# negative: ((1 + phi)/2)**kappa and the utility powers can pass the largest
+# double.  In a 300-draw run of this strategy 188 did, each a SolverError
+# naming the quantity and the economy; the others solved with finite residuals.
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(log_gap=st.floats(-4.0, -1.2), theta=st.floats(1.18, 5.0), phi=st.floats(1e-6, 1.0 - 1e-6),
+       log_mu=st.floats(-300.0, 6.0), kind=st.sampled_from(["logit", "linear"]))
+def test_economies_near_sigma_one_solve_or_name_the_overflow(log_gap, theta, phi, log_mu, kind):
+    params = ModelParams(sigma=1.0 + 10.0 ** log_gap, phi=phi, theta=theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eqs = find_equilibria(params, PenaltySpec(kind=kind, mu=10.0 ** log_mu))
+        except SolverError as exc:
+            assert "leaves the double range" in str(exc)
+            assert f"sigma={params.sigma!r}" in str(exc) and f"theta={theta!r}" in str(exc)
+            return
+    assert eqs and all(math.isfinite(e.residual) for e in eqs)
 
 
 def test_delta_V_of_mixed_economies_matches_each_economys_own_call():

@@ -22,7 +22,6 @@ from geoeq import (
     delta_t,
     delta_t_prime,
     delta_V,
-    demand,
     dispersion_slope,
     dw_dh,
     dw_dphi,
@@ -38,7 +37,7 @@ from geoeq import (
 )
 from geoeq import model
 from geoeq.equilibria import FD_STEP
-from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_raw, brentq
+from geoeq.model import WAGE_RESIDUAL_TOL, _WAGE_ULPS, _share_terms, brentq
 from geoeq.welfare import _slopes, ddelta_u_dphi, delta_u, stability_coefficients
 from mp_reference import Economy
 
@@ -196,7 +195,7 @@ def test_roundtrip_property(sigma, phi, h):
 
 
 # ---------------------------------------------------------------------------
-# prices, consumption, firms, demand
+# prices, consumption, firms
 
 
 def test_price_indices_symmetric_point():
@@ -320,8 +319,7 @@ def test_a_bad_elasticity_is_named_wherever_one_enters(sigma):
     for call in (lambda: ModelParams(sigma=sigma, phi=0.4),
                  lambda: ModelParams(sigma=sigma, tau=2.0),
                  lambda: freeness_from_tau(2.0, sigma),
-                 lambda: phi_b(sigma, 0.2),
-                 lambda: demand(1.0, 1.0, 1.0, sigma)):
+                 lambda: phi_b(sigma, 0.2)):
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -345,19 +343,6 @@ def test_a_boundary_share_is_named_by_every_slope(share):
                  lambda: delta_t_prime(np.array([0.3, share]), logit)):
         with pytest.raises(ValueError, match=message):
             call()
-
-
-def test_demand_value_and_homogeneity():
-    d = demand(1.2, 1.1, 0.9, 2.5)
-    assert d == pytest.approx(1.1 ** -2.5 * 0.9 ** 1.5 * 1.2, rel=1e-14)
-    assert demand(2.4, 2.2, 1.8, 2.5) == pytest.approx(d, rel=1e-12)
-
-
-def test_demand_validation():
-    with pytest.raises(ValueError):
-        demand(-1.0, 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        demand(1.0, 1.0, 1.0, 0.9)
 
 
 def test_short_run_state_is_consistent():
@@ -479,6 +464,12 @@ def _near_edge_share(k, low):
 
 
 EPS = float(np.finfo(float).eps)
+
+
+def _share_raw(w, params):
+    """The share that wage w supports, a/(a + b), without domain checks."""
+    a, b = _share_terms(w, params)
+    return a / (a + b)
 
 
 def _wage_error_in_eps(h, sigma, phi):
