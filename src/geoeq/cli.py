@@ -38,7 +38,6 @@ from .equilibria import (
 )
 from .model import (
     ModelParams,
-    SingularityError,
     SolverError,
     short_run_state,
     solve_wage,
@@ -288,8 +287,9 @@ def run_equilibria(opts: dict) -> int:
     convention = {
         "utility_slope_at_half": slope_half,
         "symmetric_display_form": display,
-        # the display form underflows to 0 when ((1+phi)/2)**kappa does
-        "ratio": slope_half / display if display != 0.0 else math.nan,
+        # the display form underflows to 0 when ((1+phi)/2)**kappa does:
+        # the ratio is then undefined, null rather than a NaN that JSON lacks
+        "ratio": slope_half / display if display != 0.0 else None,
     }
     doc = {
         "command": "equilibria",
@@ -596,7 +596,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, SingularityError, ArithmeticError) as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, SolverError, _elasticity, _share_terms, _wage_pieces, brentq,
-                    solve_wage)
+from .model import (G_poly, ModelParams, SolverError, _elasticity, _share_terms, _solve_state,
+                    _wage_state, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, _finite_nonnegative, delta_t, delta_t_prime
 from .welfare import _delta_u_at, delta_u, dispersion_slope
 
@@ -190,7 +190,8 @@ def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
 
 def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
     """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
-    h, g, log_odds, ab = _wage_terms(*_share_terms(w, params))
+    _, a, b = _share_terms(w, params)
+    h, g, log_odds, ab = _wage_terms(a, b)
     return _delta_u_at(np.log(w), w, ab, params) - _penalty_gap(h, g, log_odds, spec)
 
 
@@ -212,17 +213,18 @@ def _upper_scan(params: ModelParams):
 
     Near phi = 1 neighbouring solved wages can tie or swap by a spacing of
     doubles, and w**sigma can round past 1/phi, which clips a node's b to 0
-    (share 1, log-odds inf) at nodes that need not be contiguous.  So the
-    nodes are made non-decreasing, and each node whose b is 0 is replaced
-    by the last node before it whose b is not: the first node, the
-    symmetric point w = 1, has b = 1 - phi.  A tied cell brackets nothing,
-    and the scan keeps its GRID_POINTS // 2 + 1 nodes.
+    (share 1, log-odds inf) at nodes that need not be contiguous.  So each
+    node takes the wage and share terms of the last node up to it that
+    holds the running maximum wage and has b > 0: the nodes are
+    non-decreasing, and the first node, the symmetric point w = 1, has
+    b = 1 - phi.  A tied cell brackets nothing, and the scan keeps its
+    GRID_POINTS // 2 + 1 nodes.
     """
     n = GRID_POINTS // 2 + 1
-    wages = solve_wage(np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES), params)
-    wages[:n] = np.maximum.accumulate(wages[:n])
-    a, b = _share_terms(wages, params)
-    keep = np.append(np.maximum.accumulate(np.where(b[:n] > 0.0, np.arange(n), 0)),
+    wages, _, a, b = _solve_state(np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES),
+                                  params)
+    held = (wages[:n] == np.maximum.accumulate(wages[:n])) & (b[:n] > 0.0)
+    keep = np.append(np.maximum.accumulate(np.where(held, np.arange(n), 0)),
                      np.arange(n, wages.size))  # the probes keep their wages
     w, a, b = wages[keep], a[keep], b[keep]
     h, g, log_odds, _ = _wage_terms(a[:n], b[:n])
@@ -384,7 +386,7 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
         if w is not None:
             wages.append(w)
     for w in wages:
-        a, b = _share_terms(w, params)
+        _, a, b = _share_terms(w, params)
         _add_root(roots, a / (a + b), w)
 
     pinned: list[Equilibrium] = []
@@ -518,8 +520,10 @@ def mu_p(w: float, sigma: float, phi: float) -> float:
     end of the wage bracket, so every weight below mu_d supports some
     asymmetric rest point.
     """
-    _, X, _, G = _wage_pieces(w, ModelParams(sigma=sigma, phi=phi))
-    return float((2.0 * sigma - 1.0) * (X - phi) * (1.0 - X * phi) / ((sigma - 1.0) * G))
+    params = ModelParams(sigma=sigma, phi=phi)
+    X = _wage_state(w, params)[1]
+    return float((2.0 * sigma - 1.0) * (X - phi) * (1.0 - X * phi)
+                 / ((sigma - 1.0) * G_poly(X, params)))
 
 
 def phi_b(sigma: float, mu: float) -> float | None:
@@ -574,9 +578,7 @@ def _with_parameter(parameter: str, value: float, params: ModelParams,
                     spec: PenaltySpec) -> tuple[ModelParams, PenaltySpec]:
     if parameter == "phi":
         return params.with_phi(value), spec
-    if parameter == "mu":
-        if spec.kind not in (LOGIT, LINEAR):
-            raise ValueError("mu sweeps require a named penalty family")
+    if parameter == "mu":  # a custom spec takes no weight: replace raises
         return params, replace(spec, mu=value)
     raise ValueError(f"unknown sweep parameter {parameter!r}; use 'phi' or 'mu'")
 

@@ -17,11 +17,13 @@ u = ln((X - phi)/(1 - phi X)),
 c = (sigma - 1)/sigma.  The right-hand side has slope in [1, 2) in u, so
 Newton's method started at u = ln(h/(1 - h)) contracts on every share
 without a bracket; :func:`solve_wage` runs it for scalars and arrays
-alike.  Code that asks "what happens at share h" composes with
-:func:`solve_wage`; code free to choose where it looks, such as the
-rest-point scan in :mod:`geoeq.equilibria`, walks the wage instead and
-reads both shares off the closed form without solving anything.  The
-bracketed root finds of :mod:`geoeq.equilibria` use the module's own Brent
+alike, and inside the package hands back the wage state (w, X, a, b): the
+wage with its share terms, h = a/(a + b).  Every closed-form slope reads
+the wage map's slope dh/dw = X G/(a + b)**2 off it, G = :func:`G_poly` (X).
+Code that asks "what happens at share h" composes with the solve; code
+free to choose where it looks, such as the rest-point scan in
+:mod:`geoeq.equilibria`, walks the wage instead and reads both shares off
+the closed form.  The bracketed root finds there use this module's Brent
 solver (``brentq``): the iteration of ``scipy.optimize.brentq``, root for
 root, without scipy's import cost, so the package needs numpy only.
 """
@@ -71,7 +73,7 @@ _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 class SingularityError(ArithmeticError):
-    """A derivative formula hit a vanishing denominator."""
+    """A derivative formula hit a vanishing denominator (none can: G_poly > 0)."""
 
 
 class SolverError(RuntimeError):
@@ -184,13 +186,11 @@ class ModelParams:
             object.__setattr__(self, "phi", freeness_from_tau(self.tau, self.sigma))
         _in_open_unit_interval(float(self.phi))  # tau**(1 - sigma) can round to 0 or 1
         if self.tau is None:
-            # Near sigma = 1 the implied iceberg cost exceeds every double: a
-            # Python float raises where a numpy float returns inf.
-            with np.errstate(over="ignore"):
-                try:
-                    tau = self.phi ** (1.0 / (1.0 - self.sigma))
-                except OverflowError:
-                    tau = math.inf
+            # Near sigma = 1 the implied iceberg cost exceeds every double.
+            try:
+                tau = float(self.phi) ** (1.0 / (1.0 - float(self.sigma)))
+            except OverflowError:
+                tau = math.inf
             object.__setattr__(self, "tau", tau)
         if not (self.theta >= 0.0 and math.isfinite(self.theta)):
             raise ValueError(f"theta must be a finite number >= 0, got {self.theta}")
@@ -226,7 +226,8 @@ class ShortRunState:
 
 
 def _share_terms(w, params: ModelParams, phi=None):
-    """The two non-negative weights whose ratio gives the share at wage w.
+    """X = w**sigma and the two non-negative weights a, b whose ratio gives
+    the share at wage w.
 
     The textbook ratio subtracts ``phi`` from ``w**sigma`` top and bottom,
     which cancels catastrophically near the lower bracket end.  Multiplying
@@ -238,15 +239,15 @@ def _share_terms(w, params: ModelParams, phi=None):
     ``a`` vanishes cleanly at the lower end (h -> 0) and ``b`` at the upper
     end (h -> 1), so both shares come out without cancellation.  Roundoff
     can push either term a hair below zero at its bracket end; it is
-    clipped there, as (t + |t|)/2, which is exact and keeps a scalar w's
-    terms Python floats.  ``phi``, if given, is a per-element freeness
+    clipped there, as (t + |t|)/2, which is exact and keeps a Python float
+    w's terms Python floats.  ``phi``, if given, is a per-element freeness
     broadcast against w in place of ``params.phi``.
     """
     phi = params.phi if phi is None else phi
     X = w ** params.sigma
     a = X * (X - phi)
     b = w * (1.0 - phi * X)
-    return 0.5 * (a + abs(a)), 0.5 * (b + abs(b))
+    return X, 0.5 * (a + abs(a)), 0.5 * (b + abs(b))
 
 
 def _checked(values, inside, rule: str):
@@ -284,16 +285,16 @@ def _in_open_unit_interval(phi):
                     "freeness of trade phi must lie strictly inside (0, 1)")
 
 
-def _in_bracket(w, params: ModelParams):
-    """w as a float array, checked against the admissible bracket: a
-    ValueError names the first wage outside it (NaN is outside)."""
+def _wage_state(w, params: ModelParams):
+    """The wage state (w, X, a, b) at wages w after the one bracket check,
+    which names the first wage outside (NaN is); a scalar w as numpy scalars."""
     x = np.asarray(w, dtype=float)
     lo, hi = params.wage_bracket
     inside = (x >= lo * (1.0 - _BRACKET_SLACK)) & (x <= hi * (1.0 + _BRACKET_SLACK))
     if not inside.all():
         raise ValueError(f"wage {x[~inside][0]} outside the admissible bracket "
                          f"[{lo:.6g}, {hi:.6g}] for sigma={params.sigma}, phi={params.phi}")
-    return x
+    return (x[()], *_share_terms(x[()], params))
 
 
 def wage_share(w, params: ModelParams):
@@ -305,7 +306,7 @@ def wage_share(w, params: ModelParams):
     Raises:
         ValueError: if any wage lies outside the admissible bracket.
     """
-    a, b = _share_terms(_in_bracket(w, params), params)
+    _, _, a, b = _wage_state(w, params)
     h = np.clip(a / (a + b), 0.0, 1.0)
     return float(h) if np.ndim(w) == 0 else h
 
@@ -324,47 +325,17 @@ def _log_power(u, phi):
     return ln_x, (1.0 - phi * phi) * t / ((1.0 + phi * t) * pt)
 
 
-def _freeness_terms(phi, shape, params: ModelParams):
-    """phi, the wage-bracket ends and ln(1/phi): at params' freeness, or per element.
-
-    A per-element freeness is checked and broadcast to ``shape``.  Either
-    way the lower end is numpy's ``power``, the expression of
-    :attr:`ModelParams.wage_bracket`, which gives a scalar the bits of its
-    array loop, so a share of a mixed array meets the same bracket as in
-    its own economy's call.
-    """
-    phi = params.phi if phi is None else np.broadcast_to(_in_open_unit_interval(phi), shape)
-    lo = np.power(phi, 1.0 / params.sigma)
-    return phi, lo, 1.0 / lo, -np.log(phi)
-
-
-def solve_wage(h, params: ModelParams, *, phi=None):
-    """Relative wage clearing markets at population share h.
-
-    Solves ln(h/(1 - h)) = u + c ln X(u) for the log-odds u of X = w**sigma
-    (see the module docstring) by Newton's method.  The equation's slope
-    lies in [1, 1 + c(1 - phi)/(1 + phi)], inside [1, 2), so from any start
-    every Newton step shrinks the error and no bracket or fallback is
-    needed; from a start that replaces ln X by its tangent at u = 0, cut
-    off at +-ln(1/phi), two to four steps reach double precision.  Each share
-    stops on its own, so it gets the same wage alone as inside any array.
-    The wage is X**(1/sigma), clipped to the wage bracket.  It is exact at
-    h = 1/2, where u = 0, and the bracket ends are returned at h = 0 and 1.
-    Accepts scalars or arrays.  ``phi``, if given, is a per-element
-    freeness broadcast against h in place of ``params.phi``, so one call
-    serves shares of economies that differ only in it; each share gets the
-    same wage as in its own economy's call.
-
-    Raises:
-        ValueError: if any h lies outside [0, 1] or per-element phi outside (0, 1).
-        SolverError: if a wage misses its backward-error check: |h(w) - h|
-            may not exceed WAGE_RESIDUAL_TOL or, where one spacing of w
-            moves h by more, _WAGE_ULPS such spacings.
-    """
+def _solve_state(h, params: ModelParams, phi=None):
+    """The wage state (w, X, a, b) at shares h: :func:`solve_wage`'s wage (a
+    numpy scalar for a scalar share) and the share terms its check forms."""
     x = _in_unit_interval(h)[()]  # a numpy scalar for scalar input: cheap arithmetic
     s = params.sigma
     c = (s - 1.0) / s
-    phi, lo, hi, lim = _freeness_terms(phi, np.shape(x), params)
+    phi = params.phi if phi is None else np.broadcast_to(_in_open_unit_interval(phi), np.shape(x))
+    # numpy's power, as in ModelParams.wage_bracket: a scalar gets the bits of
+    # the array loop, so a share meets one bracket alone or in a mixed array
+    lo = np.power(phi, 1.0 / s)
+    hi, lim = 1.0 / lo, -np.log(phi)
     ends = (x == 0.0) | (x == 1.0)
     has_ends = np.count_nonzero(ends)
     x_in = np.where(ends, 0.5, x)[()] if has_ends else x
@@ -394,15 +365,14 @@ def solve_wage(h, params: ModelParams, *, phi=None):
     if has_ends:
         w = np.where(ends, np.where(x == 0.0, lo, hi), w)[()]
     # backward error: |h(w) - h| against WAGE_RESIDUAL_TOL or, where that is
-    # missed, _WAGE_ULPS spacings of w times
-    # dh/dw = sigma ((1 - phi**2) X**2 + c a b/w)/(a + b)**2
-    a, b = _share_terms(w, params, phi)
-    residual = np.abs(a / (a + b) - x)
+    # missed, _WAGE_ULPS spacings of w times dh/dw = X G/(a + b)**2
+    X, a, b = _share_terms(w, params, phi)
+    ab = a + b
+    residual = np.abs(a / ab - x)
     allowed = WAGE_RESIDUAL_TOL
     missed = ~(residual <= allowed)  # a NaN residual misses too
     if np.count_nonzero(missed):
-        x_ab, a_ab, b_ab = w ** s / (a + b), a / (a + b), b / (a + b)
-        dh_dw = s * ((1.0 - phi * phi) * x_ab * x_ab + c * a_ab * b_ab / w)
+        dh_dw = X / ab * G_poly(X, params, phi=phi) / ab
         allowed = np.maximum(allowed, _WAGE_ULPS * np.spacing(w) * dh_dw)
         missed = ~(residual <= allowed)
     if np.count_nonzero(missed):
@@ -411,6 +381,33 @@ def solve_wage(h, params: ModelParams, *, phi=None):
             f"wage solve residual {np.ravel(residual)[i]:.3e} exceeds "
             f"{np.ravel(allowed)[i]:.1e} at h={np.ravel(x)[i]!r}"
         )
+    return w, X, a, b
+
+
+def solve_wage(h, params: ModelParams, *, phi=None):
+    """Relative wage clearing markets at population share h.
+
+    Solves ln(h/(1 - h)) = u + c ln X(u) for the log-odds u of X = w**sigma
+    (see the module docstring) by Newton's method.  The equation's slope
+    lies in [1, 1 + c(1 - phi)/(1 + phi)], inside [1, 2), so from any start
+    every Newton step shrinks the error and no bracket or fallback is
+    needed; from a start that replaces ln X by its tangent at u = 0, cut
+    off at +-ln(1/phi), two to four steps reach double precision.  Each share
+    stops on its own, so it gets the same wage alone as inside any array.
+    The wage is X**(1/sigma), clipped to the wage bracket.  It is exact at
+    h = 1/2, where u = 0, and the bracket ends are returned at h = 0 and 1.
+    Accepts scalars or arrays.  ``phi``, if given, is a per-element
+    freeness broadcast against h in place of ``params.phi``, so one call
+    serves shares of economies that differ only in it; each share gets the
+    same wage as in its own economy's call.
+
+    Raises:
+        ValueError: if any h lies outside [0, 1] or per-element phi outside (0, 1).
+        SolverError: if a wage misses its backward-error check: |h(w) - h|
+            may not exceed WAGE_RESIDUAL_TOL or, where one spacing of w
+            moves h by more, _WAGE_ULPS such spacings.
+    """
+    w = _solve_state(h, params, phi)[0]
     return float(w) if np.ndim(h) == 0 else w
 
 
@@ -452,50 +449,29 @@ def firm_counts(h, params: ModelParams):
     return h_arr.copy(), 1.0 - h_arr
 
 
-def G_poly(x, params: ModelParams):
-    """Concave quadratic governing the implicit wage derivatives.
+def G_poly(x, params: ModelParams, *, phi=None):
+    """The wage map's slope: dh/dw = X G/(a + b)**2 at x = X = w**sigma, with
+    a + b the share terms' sum; scalar or array, ``phi`` as in :func:`_share_terms`.
 
-    Evaluated at ``x = w**sigma``; strictly positive on [phi, 1/phi], which
-    is what keeps the wage strictly increasing in h on the bracket.  The
-    quadratic (2 sigma - phi**2 - 1) x - (sigma - 1) phi (1 + x**2) is
-    written as (sigma - 1)[(1 - phi)(1 + x**2) - (x - 1)**2] + (1 - phi**2) x,
-    with 1 - phi**2 as (1 - phi)(1 + phi): every term keeps its relative
-    accuracy as phi -> 1, where the first form cancels.
+    G = sigma (1 - phi)(1 + phi) x + (sigma - 1)(x - phi)(1 - phi x) is a
+    positive term plus one non-negative on [phi, 1/phi]: nothing cancels as
+    phi nears 0 or 1, and G > 0 keeps the wage increasing in h (inside the
+    bracket slack the second term is above -1e-12 of the first).
     """
-    s, p = params.sigma, params.phi
-    x = np.asarray(x, dtype=float)
-    val = ((s - 1.0) * ((1.0 - p) * (1.0 + x * x) - (x - 1.0) * (x - 1.0))
-           + (1.0 - p) * (1.0 + p) * x)
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def _wage_pieces(w, params: ModelParams):
-    """w, X = w**sigma, D = X**2 - (w + 1) phi X + w (the share denominator
-    a + b of :func:`_share_terms`, positive) and G = G_poly(X) at wages w in
-    the bracket, scalar or array: the inputs of every closed-form slope.  A
-    scalar w comes back as a numpy scalar, whose ``**`` is libm's ``pow``
-    as a Python float's is.  G is positive on the bracket; a
-    SingularityError names the first wage where it is not.
-    """
-    x = _in_bracket(w, params)
-    w = x[()]
-    X = w ** params.sigma
-    G = G_poly(X, params)
-    positive = np.greater(G, 0.0)
-    if not positive.all():
-        raise SingularityError(f"G_poly is not positive at w={x[~positive][0]}")
-    return w, X, X * X - (w + 1.0) * params.phi * X + w, G
+    s, p = params.sigma, params.phi if phi is None else phi
+    return s * (1.0 - p) * (1.0 + p) * x + (s - 1.0) * (x - p) * (1.0 - p * x)
 
 
 def dw_dh(w: float, params: ModelParams) -> float:
     """Slope of the implicit wage in the population share, at wage w.
 
-    dw/dh = D**2 / (X G) with X = w**sigma and D = X**2 - (w + 1) phi X + w.
-    Strictly positive on the bracket: attracting consumers to a region
-    raises its relative wage.
+    dw/dh = (a + b)**2 / (X G) with X, a, b the share terms and G =
+    :func:`G_poly` (X).  Strictly positive on the bracket: attracting
+    consumers to a region raises its relative wage.
     """
-    _, X, D, G = _wage_pieces(w, params)
-    return float(D * D / (X * G))
+    _, X, a, b = _wage_state(w, params)
+    ab = a + b
+    return float(ab * ab / (X * G_poly(X, params)))
 
 
 def dw_dphi(w: float, params: ModelParams) -> float:
@@ -504,8 +480,8 @@ def dw_dphi(w: float, params: ModelParams) -> float:
     Negative for w > 1, positive for w < 1, zero at w = 1: freer trade
     compresses wage differentials.
     """
-    w, X, _, G = _wage_pieces(w, params)
-    return float(-w * (X * X - 1.0) / G)
+    w, X, _, _ = _wage_state(w, params)
+    return float(-w * (X * X - 1.0) / G_poly(X, params))
 
 
 def short_run_state(h, params: ModelParams) -> ShortRunState:

@@ -38,24 +38,28 @@ class PenaltySpec:
     """Choice of congestion-penalty family.
 
     ``kind`` is one of "logit", "linear", "custom".  The named families
-    are data-only (picklable, usable across worker processes); a custom
-    family carries its own callables and must keep t antisymmetrizable,
-    i.e. finite on [0, 1) with t(0) = 0.
+    are data-only (picklable, usable across worker processes) with weight
+    ``mu`` (0.2 unless given); a custom family has no ``mu`` (None), carries
+    its own callables and must keep t antisymmetrizable, i.e. finite on
+    [0, 1) with t(0) = 0.
     """
 
     kind: str = LOGIT
-    mu: float = 0.2
+    mu: float | None = None
     t: Callable[[float], float] | None = None
     t_prime: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (LOGIT, LINEAR):
+            object.__setattr__(self, "mu", 0.2 if self.mu is None else self.mu)
             _finite_nonnegative(float(self.mu))  # float(): one weight, not an array
             if self.t is not None or self.t_prime is not None:
                 raise ValueError(f"{self.kind} penalty does not accept custom callables")
         elif self.kind == CUSTOM:
             if self.t is None or self.t_prime is None:
                 raise ValueError("custom penalty requires both t and t_prime callables")
+            if self.mu is not None:
+                raise ValueError("custom penalty takes no weight mu; its callables carry it")
         else:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
 

@@ -8,10 +8,12 @@ drives migration; its roots and slopes drive everything in
 The gap and every slope are closed forms in the wage w, scalar or array:
 the gap ``_delta_u_at`` reads the consumption ratio C_L/C_R = w**m, and the
 slope kernel ``_slopes`` differentiates the wage map implicitly.  The
-public functions solve the wage of a share and call them; the tests check
-both against the high-precision reference model.  The slope coefficients
-are exposed as :class:`StabilityCoefficients` because their signs, not
-just the final value, are individually meaningful.  ``ddelta_u_dh_closed``
+public functions solve the wage state of a share, the wage with its share
+terms (:func:`geoeq.model._solve_state`), and pass it on, so nothing forms
+those terms twice; the tests check both against the high-precision
+reference model.  The slope coefficients are exposed as
+:class:`StabilityCoefficients` because their signs, not just the final
+value, are individually meaningful.  ``ddelta_u_dh_closed``
 is a former name of ``ddelta_u_dh``, kept while the benchmark names it.
 """
 
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, SolverError, _checked, _in_open_unit_interval, _interior_share,
-                    _share_terms, _wage_pieces, solve_wage)
+from .model import (G_poly, ModelParams, SolverError, _checked, _in_open_unit_interval,
+                    _interior_share, _solve_state)
 
 __all__ = [
     "StabilityCoefficients",
@@ -56,6 +58,25 @@ def _check_range(log_value, what: str, params: ModelParams, phi) -> None:
                           f"phi={float(phi)!r}, theta={params.theta!r}")
 
 
+def _scaled_exp(top, q, over, what: str, params: ModelParams, phi):
+    """e**top q, with ln|q| folded into top where ``over`` holds; a
+    SolverError names ``what`` where the product leaves the double range."""
+    if over.any() if over.ndim else over:
+        with np.errstate(divide="ignore"):  # ln 0 where q = 0
+            top = np.where(over, top + np.log(abs(q)), top)
+        q = np.where(over, np.sign(q), q)
+        _check_range(top, what, params, phi)
+    return np.exp(top) * q
+
+
+def _power_sum(c1, l1, c2, l2, what: str, params: ModelParams):
+    """c1 e**l1 + c2 e**l2, the larger power factored out as in :func:`_delta_u_at`."""
+    top = np.maximum(l1, l2)
+    q = c1 * np.exp(l1 - top) + c2 * np.exp(l2 - top)
+    return _scaled_exp(top, q, top + np.log(np.maximum(abs(q), 1.0)) > _EXP_LIMIT,
+                       what, params, params.phi)
+
+
 def delta_u(h, params: ModelParams, *, phi=None):
     """Utility advantage of region L at population share h.
 
@@ -71,20 +92,18 @@ def delta_u(h, params: ModelParams, *, phi=None):
 
         C_R**r expm1(r L) / r,   C_R**(sigma - 1) = (1 - phi**2) w / (a + b),
 
-    and its limit L at r = 0, with a, b the share terms of
-    :func:`geoeq.model._share_terms`.  ln w is taken one Newton step on
-    from the solved wage, to h.  A SolverError says where the value leaves
-    the double range.
+    and its limit L at r = 0, with a, b the share terms of the solved
+    wage (:func:`geoeq.model._solve_state`).  ln w is taken one Newton step
+    on from the solved wage, to h.  A SolverError says where the value
+    leaves the double range.
     """
     h_arr = np.asarray(h, dtype=float)
-    w = solve_wage(h_arr, params, phi=phi)
-    s, p = params.sigma, params.phi if phi is None else phi
-    a, b = _share_terms(w, params, phi)
+    w, X, a, b = _solve_state(h_arr, params, phi)
     ab = a + b
     # one Newton step: the share residual h - a/(a + b) times
-    # d(ln w)/dh = (a + b)**2 / (w X G), with w X G = wxg, X = w**sigma
-    wxg = s * (1.0 - p) * (1.0 + p) * w ** (2.0 * s + 1.0) + (s - 1.0) * a * b
-    val = _delta_u_at(np.log(w) + (h_arr * ab - a) * ab / wxg, w, ab, params, phi)
+    # d(ln w)/dh = (a + b)**2 / (w X G)
+    step = (h_arr * ab - a) * ab / (w * X * G_poly(X, params, phi=phi))
+    val = _delta_u_at(np.log(w) + step, w, ab, params, phi)
     return float(val) if np.ndim(h) == 0 else val
 
 
@@ -106,12 +125,8 @@ def _delta_u_at(log_w, w, ab, params: ModelParams, phi=None):
     top = r / (s - 1.0) * np.log((1.0 - p) * (1.0 + p) * w / ab) + x_plus
     q = (np.expm1(x - x_plus) - np.expm1(-x_plus)) / r  # |q| < 1/|r|
     if r < 0.0:  # both powers exceed 1: where exp(top) would overflow, fold |q| into it
-        over = top > _EXP_LIMIT + math.log(min(1.0, -r))
-        if over.any() if over.ndim else over:
-            with np.errstate(divide="ignore"):  # ln 0 at w = 1
-                top = np.where(over, top + np.log(abs(q)), top)
-            q = np.where(over, np.sign(q), q)
-            _check_range(top, "utility gap", params, p)
+        return _scaled_exp(top, q, top > _EXP_LIMIT + math.log(min(1.0, -r)),
+                           "utility gap", params, p)
     return np.exp(top) * q
 
 
@@ -119,15 +134,14 @@ def _delta_u_at(log_w, w, ab, params: ModelParams, phi=None):
 class StabilityCoefficients:
     """Sign-carrying pieces of the closed-form utility-differential slopes.
 
-    With X = w**sigma, D = X**2 - (w + 1) phi X + w > 0 (the share
-    denominator a + b of the wage map) and G = G_poly(X) > 0 on the
-    bracket: ``zeta``/``varphi``/``psi`` assemble the slope in the
-    population share, with zeta = -D/((sigma - 1) G) < 0 on the open
-    bracket, so the bracketed utility factor carries the sign of the
-    slope; ``a1``/``a2``/``a3`` assemble the slope in the freeness of
-    trade, with a3 = -(sigma - 1)(D/X) G < 0, and ``Psi`` is the freeness
-    slope stripped of the positive factor w: Psi < 0 means freer trade
-    erodes the attraction of the crowded region.
+    With X = w**sigma, a + b > 0 the wage map's denominator and G =
+    G_poly(X) > 0: ``zeta``/``varphi``/``psi`` assemble the slope in the
+    share, with zeta = -(a + b)/((sigma - 1) G) < 0, so the bracketed
+    utility factor carries its sign; ``a1``/``a2``/``a3`` assemble the
+    slope in the freeness, with a3 = -(sigma - 1)((a + b)/X) G < 0, and
+    ``Psi`` is that slope stripped of its positive factor w core**-e (see
+    :func:`_slopes`): Psi < 0 means freer trade erodes the attraction of
+    the crowded region.
     """
 
     zeta: float
@@ -139,39 +153,42 @@ class StabilityCoefficients:
     Psi: float
 
 
-def _slopes(w, params: ModelParams):
-    """The closed-form slopes at wages w, scalar or array: the
-    :class:`StabilityCoefficients` (of numpy values), d(delta_u)/dh and
-    d(delta_u)/d(phi) at fixed share, all from one
-    :func:`geoeq.model._wage_pieces` call, which checks the wages.
+def _slopes(w, X, a, b, params: ModelParams):
+    """The coefficients zeta ... a3 of :class:`StabilityCoefficients`,
+    d(delta_u)/dh, d(delta_u)/d(phi) and ln X**-e at the wage state (w, X,
+    a, b), scalar or array.  With core = C_R**(sigma - 1) = (1 - phi**2)
+    w/(a + b), kappa = (1 - theta)/(sigma - 1) and e = 1 - kappa, the slopes
+    are zeta (varphi (X core)**kappa + psi core**kappa / w) and -(w/a3)(a1
+    (X core)**-e + a2 core**-e).  Near sigma = 1 those powers leave the
+    double range where the slopes do not: they are formed in logs.
     """
     s, p, th = params.sigma, params.phi, _utility_theta(params)
-    w, X, D, G = _wage_pieces(w, params)
-    zeta = -D / ((s - 1.0) * G)
+    ab = a + b
+    G = G_poly(X, params)
+    zeta = -ab / ((s - 1.0) * G)
     varphi = w ** (-th - s) * (p * (s + (s - 1.0) * w) * X - 2.0 * s * w + w)
     psi = (s - 1.0) * p + (1.0 - 2.0 * s) * X + s * p * w
-    a1 = w ** (1.0 - th) * (p * X - 1.0) * (
-        -2.0 * s + 2.0 * (s - 1.0) * p * X + p * p + 1.0
-    )
-    a2 = w ** (-s) * (X - p) * (
-        2.0 * (s - 1.0) * p + (p * p + 1.0 - 2.0 * s) * X
-    )
-    a3 = -(s - 1.0) * (D / X) * G
+    a1 = w ** (1.0 - th) * (p * X - 1.0) * (-2.0 * s + 2.0 * (s - 1.0) * p * X + p * p + 1.0)
+    a2 = w ** (-s) * (X - p) * (2.0 * (s - 1.0) * p + (p * p + 1.0 - 2.0 * s) * X)
+    a3 = -(s - 1.0) * (ab / X) * G
     kappa = (1.0 - th) / (s - 1.0)
     e = (th + s - 2.0) / (s - 1.0)
-    Psi = -(a1 * w ** (-s * e) + a2) / a3
-    core = (1.0 - p * p) * w / D
-    du_dh = zeta * ((varphi * w ** (s * (1.0 - th) / (s - 1.0)) + psi / w) * core ** kappa)
-    du_dphi = -(w / a3) * (a1 * ((1.0 - p * p) * w * X / D) ** (-e) + a2 * core ** (-e))
-    return (StabilityCoefficients(zeta=zeta, varphi=varphi, psi=psi, a1=a1, a2=a2, a3=a3,
-                                  Psi=Psi), du_dh, du_dphi)
+    log_x = s * np.log(w)
+    log_core = np.log((1.0 - p) * (1.0 + p) * w / ab)
+    du_dh = _power_sum(zeta * varphi, kappa * (log_x + log_core), zeta * psi / w,
+                       kappa * log_core, "utility slope in h", params)
+    du_dphi = _power_sum(-w * a1 / a3, -e * (log_x + log_core), -w * a2 / a3, -e * log_core,
+                         "utility slope in phi", params)
+    return (zeta, varphi, psi, a1, a2, a3), du_dh, du_dphi, -e * log_x
 
 
 def stability_coefficients(h_star: float, params: ModelParams) -> StabilityCoefficients:
-    """Closed-form coefficient bundle at an interior share h_star."""
+    """Closed-form coefficient bundle at an interior share h_star; Psi =
+    -(a1 X**-e + a2)/a3 is formed in logs as the slopes are."""
     _interior_share(h_star)
-    coefficients = _slopes(solve_wage(h_star, params), params)[0]
-    return StabilityCoefficients(**{k: float(v) for k, v in vars(coefficients).items()})
+    (zeta, varphi, psi, a1, a2, a3), _, _, log_x_e = _slopes(*_solve_state(h_star, params), params)
+    Psi = _power_sum(-a1 / a3, log_x_e, -a2 / a3, 0.0, "Psi", params)
+    return StabilityCoefficients(*(float(v) for v in (zeta, varphi, psi, a1, a2, a3, Psi)))
 
 
 def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
@@ -181,7 +198,7 @@ def ddelta_u_dh(h_star: float, params: ModelParams) -> float:
     h because the only candidate singularities sit at the bracket ends.
     """
     _interior_share(h_star)
-    return float(_slopes(solve_wage(h_star, params), params)[1])
+    return float(_slopes(*_solve_state(h_star, params), params)[1])
 
 
 def ddelta_u_dh_closed(h_star: float, params: ModelParams) -> float:
@@ -230,4 +247,4 @@ def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:
     """
     _checked(h_star, lambda x: (x > 0.5) & (x < 1.0),
              "population share must lie strictly inside (1/2, 1)")
-    return float(_slopes(solve_wage(h_star, params), params)[2])
+    return float(_slopes(*_solve_state(h_star, params), params)[2])

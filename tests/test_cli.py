@@ -218,14 +218,14 @@ def test_equilibria_shadow_checks_cross_validate_slopes(tmp_path):
 @pytest.mark.parametrize("theta", ["1", "0"])
 def test_equilibria_near_sigma_one_at_low_freeness(tmp_path, theta):
     # the iceberg cost overflows to inf; at theta = 0 the symmetric slope
-    # underflows to 0, so the convention ratio is undefined
+    # underflows to 0, so the convention ratio is undefined (null)
     code = main(["equilibria", "--sigma", "1.0001", "--phi", "1e-5", "--theta", theta,
                  "--out", str(tmp_path)])
     assert code == 0
     doc = json.loads((tmp_path / "equilibria.json").read_text())
     assert doc["config"]["effective_model"]["tau"] == math.inf
     ratio = doc["shadow_checks"]["symmetric_slope_convention"]["ratio"]
-    assert math.isnan(ratio) if theta == "0" else ratio == pytest.approx(2.0, rel=1e-12)
+    assert ratio is None if theta == "0" else ratio == pytest.approx(2.0, rel=1e-12)
 
 
 def test_equilibria_names_a_utility_gap_past_the_double_range(tmp_path, capsys):
@@ -240,6 +240,23 @@ def test_equilibria_names_a_utility_gap_past_the_double_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "utility gap leaves the double range" in err
     assert "sigma=1.0073018454685185" in err and "theta=4.8004072756093965" in err
+
+
+def test_equilibria_near_sigma_one_publishes_finite_slope_checks(tmp_path):
+    # kappa = 1/(sigma - 1) = 1e4: w**(sigma kappa) and C_R**(sigma - 1)
+    # raised to kappa pass the double range near h = 1 while their product,
+    # and the slope, do not; the 40-digit dV/dh there is 12.6337192953647
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["equilibria", "--sigma", "1.0001", "--phi", "0.784066355987984",
+                     "--theta", "0", "--penalty", "logit", "--mu", "1e-3", "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "equilibria.json").read_text()
+    assert "NaN" not in text
+    checks = json.loads(text)["shadow_checks"]["slope_cross_checks"]
+    slopes = [c["closed_form_slope"] for c in checks if c["h_star"] != 0.5]
+    assert len(slopes) == 2
+    assert all(abs(x / 12.6337192953647 - 1.0) <= 1e-9 for x in slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma
 def _check_upper_scan(params):
     """The scan's invariants; returns its share gaps."""
     nodes, h, g, log_odds, du, probe_du = equilibria._upper_scan(params)
-    a, b = _share_terms(nodes, params)
+    _, a, b = _share_terms(nodes, params)
     assert nodes[0] == 1.0 and nodes.size == GRID_POINTS // 2 + 1
     assert np.all(np.diff(nodes) >= 0.0)
     assert np.all(b > 0.0) and np.all(np.isfinite(log_odds))

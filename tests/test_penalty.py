@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,17 @@ def test_spec_validation():
         PenaltySpec(kind="custom", t=_square)  # missing derivative
     with pytest.raises(ValueError):
         PenaltySpec(kind="logit", t=_square, t_prime=_square_prime)
+
+
+def test_only_the_named_families_take_a_weight():
+    assert CUSTOM.mu is None
+    for mu in (0.3, math.nan, -5.0):
+        with pytest.raises(ValueError, match="custom penalty takes no weight"):
+            PenaltySpec(kind="custom", mu=mu, t=_square, t_prime=_square_prime)
+    assert PenaltySpec().mu == PenaltySpec(kind="linear").mu == 0.2
+    assert dataclasses.replace(PenaltySpec(kind="linear"), mu=0.7).mu == 0.7
+    with pytest.raises(ValueError, match="penalty weight"):
+        dataclasses.replace(LOGIT, mu=math.nan)
 
 
 def test_boundedness():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geoeq import (ModelParams, PenaltySpec, ddelta_u_dh, ddelta_u_dphi, delta_t_prime, delta_u,
                    dispersion_slope)
-from geoeq.model import _share_terms
+from geoeq.model import _share_terms, _wage_state
 from geoeq.welfare import (LOG_UTILITY_BAND, _delta_u_at, _slopes, ddelta_u_dh_closed,
                            stability_coefficients)
 from mp_reference import Economy
@@ -91,7 +91,7 @@ def test_both_routes_of_the_utility_gap_meet_the_reference_model(sigma, phi, the
                                                                  tail):
     params, ref = ModelParams(sigma=sigma, phi=phi, theta=theta), Economy(sigma, phi, theta, dps=40)
     w = 1.0 + fraction * (params.wage_bracket[1] - 1.0)
-    a, b = _share_terms(w, params)
+    _, a, b = _share_terms(w, params)
     truth = ref.delta_V(w)
     assert abs(_delta_u_at(np.log(w), w, a + b, params) - truth) <= 1e-14 * abs(truth)
     for share in (h, 1.0 - 10.0 ** -tail):
@@ -264,10 +264,10 @@ def test_the_slope_kernel_meets_the_reference_model(sigma, phi, theta, fractions
     # inside the log-utility band the kernel evaluates theta = 1
     ref = Economy(sigma, phi, 1.0 if abs(theta - 1.0) < LOG_UTILITY_BAND else theta)
     w = 1.0 + np.array(fractions) * (params.wage_bracket[1] - 1.0)
-    c, du_dh, du_dphi = _slopes(w, params)
+    (_, _, _, a1, a2, _), du_dh, du_dphi, _ = _slopes(*_wage_state(w, params), params)
     e = (theta + sigma - 2.0) / (sigma - 1.0)
-    t1 = c.a1 * w ** (-sigma * e)
-    scale = np.abs(du_dphi) * np.maximum(np.abs(t1), np.abs(c.a2)) / np.abs(t1 + c.a2)
+    t1 = a1 * w ** (-sigma * e)
+    scale = np.abs(du_dphi) * np.maximum(np.abs(t1), np.abs(a2)) / np.abs(t1 + a2)
     for x, dh, dphi, at in zip(w.tolist(), du_dh.tolist(), du_dphi.tolist(), scale.tolist()):
         h = ref.shares(x)[0]
         truth = float(ref.dV_dh(h))
