@@ -27,7 +27,6 @@ from .equilibria import (
 from .model import (
     ModelParams,
     ShortRunState,
-    SingularityError,
     SolverError,
     G_poly,
     consumption,
@@ -60,7 +59,6 @@ __all__ = [
     "BifurcationPoint",
     "Branch",
     "StabilityCoefficients",
-    "SingularityError",
     "SolverError",
     "freeness_from_tau",
     "wage_share",

@@ -23,13 +23,14 @@ their economy once.
 
 Solving is split in two phases.  The locate phase runs per economy: scan,
 brackets, polish, the first-cell search, near-boundary chase, pinned and
-boundary checks.  It is handed delta_V's closed-form slope at 1/2, which
-decides whether a rest point hides inside the first scan cell.  The
-finish phase takes the located rest points of any number of economies
-that differ only in freeness and penalty weight, and computes |delta_V|
-and its central-FD slope for the symmetric point, every root and every
-mirror in one delta_V call, each share at its own economy's freeness and
-weight.  :func:`find_equilibria` is the one-economy case; :func:`sweep`
+boundary checks.  It is handed delta_V's closed-form slope at 1/2
+(:func:`_symmetric_slope`, one expression for one economy or all the
+steps of a sweep), which decides whether a rest point hides inside the
+first scan cell.  The finish phase takes the located rest points of any
+number of economies that differ only in freeness and penalty weight, and
+computes |delta_V| and its central-FD slope for the symmetric point,
+every root and every mirror in one delta_V call, each share at its own
+economy's freeness and weight.  :func:`find_equilibria` is the one-economy case; :func:`sweep`
 finishes all its steps at once.
 """
 
@@ -159,8 +160,7 @@ def delta_V(h, params: ModelParams, spec: PenaltySpec, *, phi=None, mu=None):
     a per-element freeness and penalty weight broadcast against h in place
     of ``params.phi`` and ``spec.mu``, so one call serves shares of
     economies that differ only in them, each share getting its own
-    economy's value.  As with :func:`geoeq.welfare.delta_u`, a scalar
-    share and the same share inside an array can differ in the last bit.
+    economy's value.
     """
     return delta_u(h, params, phi=phi) - delta_t(h, spec, mu=mu)
 
@@ -342,13 +342,14 @@ def _mirrored(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return [*pairs, *((1.0 - r, 1.0 / w) for r, w in pairs)]
 
 
-def _symmetric_slope(params: ModelParams, spec: PenaltySpec) -> float:
-    """delta_V's slope at h = 1/2 in closed form.
+def _symmetric_slope(params: ModelParams, spec: PenaltySpec, *, phi=None, mu=None):
+    """delta_V's slope at h = 1/2 in closed form, at a freeness ``phi`` or a
+    penalty weight ``mu`` (scalar or array) in place of the economy's.
 
     The utility slope there is exactly twice the display form
     :func:`geoeq.welfare.dispersion_slope`.
     """
-    return 2.0 * dispersion_slope(params) - delta_t_prime(0.5, spec)
+    return 2.0 * dispersion_slope(params, phi=phi) - delta_t_prime(0.5, spec, mu=mu)
 
 
 def _first_cell_root(f, hi: float, value: float) -> float | None:
@@ -387,7 +388,7 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
             wages.append(w)
     for w in wages:
         _, a, b = _share_terms(w, params)
-        _add_root(roots, a / (a + b), w)
+        _add_root(roots, float(a / (a + b)), w)
 
     pinned: list[Equilibrium] = []
     if not spec.bounded and values[-1] > 0.0:
@@ -646,13 +647,13 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     contiguous run of steps; the results do not depend on the split.
 
     Pitchforks of the symmetric point sit where that slope changes sign.
-    It is evaluated once per step, on a mu-sweep in one array expression,
-    on a phi-sweep as one scalar per step with the penalty slope taken
-    once; each sign change between neighbouring steps is polished by a
-    bracketed root find on the same expression, and each pitchfork is
-    classified via :func:`pitchfork_criticality`.  The slope needs no
-    rest-point scan, so a step whose scan fails hides no pitchfork next to
-    it; where the slope leaves the double range, the sweep raises SolverError.
+    :func:`_symmetric_slope` gives it at all steps as one array, and each
+    sign change between neighbouring steps is polished by a bracketed root
+    find on the same expression at a float parameter, which gets the bits
+    it would get inside the array; each pitchfork is classified via
+    :func:`pitchfork_criticality`.  The slope needs no rest-point scan, so
+    a step whose scan fails hides no pitchfork next to it; where the slope
+    leaves the double range, the sweep raises SolverError.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
@@ -666,18 +667,11 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    # the symmetric slope at parameter value(s) v, the float _symmetric_slope
-    # gives there, without building the economy or the penalty at v
-    if parameter == "phi":
-        penalty_slope = delta_t_prime(0.5, spec)
-        symmetric_slope = lambda v: 2.0 * dispersion_slope(params, phi=v) - penalty_slope
-    else:
-        utility_slope = 2.0 * dispersion_slope(params)
-        symmetric_slope = lambda v: utility_slope - delta_t_prime(0.5, spec, mu=v)
+    # the symmetric slope at parameter values v, without building the
+    # economy or the penalty at v
+    symmetric_slope = lambda v: _symmetric_slope(params, spec, **{parameter: v})
     values = np.linspace(lo, hi, steps)
-    # a float freeness is evaluated with Python's **, so phi-steps go one by one
-    slopes = (np.array([symmetric_slope(v) for v in values.tolist()]) if parameter == "phi"
-              else symmetric_slope(values))
+    slopes = symmetric_slope(values)
     runs = min(workers, steps)
     jobs = [(parameter, v.tolist(), sl.tolist(), params, spec)
             for v, sl in zip(np.array_split(values, runs), np.array_split(slopes, runs))]

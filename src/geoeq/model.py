@@ -26,6 +26,12 @@ free to choose where it looks, such as the rest-point scan in
 the closed form.  The bracketed root finds there use this module's Brent
 solver (``brentq``): the iteration of ``scipy.optimize.brentq``, root for
 root, without scipy's import cost, so the package needs numpy only.
+
+A scalar is the 0-d case of an array: every power of a wage, a share term
+or a freeness, here and in :mod:`geoeq.welfare`, is numpy's (``np.power``,
+or ``**`` on an ndarray), never ``**`` on a Python or numpy scalar, which
+takes libm's pow and can round differently.  So a scalar gets the bits it
+gets inside any array.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "ShortRunState",
-    "SingularityError",
     "SolverError",
     "freeness_from_tau",
     "wage_share",
@@ -70,10 +75,6 @@ _BRACKET_SLACK = 1e-12
 
 # Relative part of brentq's stopping tolerance, scipy's floor for it.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-
-
-class SingularityError(ArithmeticError):
-    """A derivative formula hit a vanishing denominator (none can: G_poly > 0)."""
 
 
 class SolverError(RuntimeError):
@@ -239,12 +240,11 @@ def _share_terms(w, params: ModelParams, phi=None):
     ``a`` vanishes cleanly at the lower end (h -> 0) and ``b`` at the upper
     end (h -> 1), so both shares come out without cancellation.  Roundoff
     can push either term a hair below zero at its bracket end; it is
-    clipped there, as (t + |t|)/2, which is exact and keeps a Python float
-    w's terms Python floats.  ``phi``, if given, is a per-element freeness
-    broadcast against w in place of ``params.phi``.
+    clipped there, as (t + |t|)/2, which is exact.  ``phi``, if given, is a
+    per-element freeness broadcast against w in place of ``params.phi``.
     """
     phi = params.phi if phi is None else phi
-    X = w ** params.sigma
+    X = np.power(w, params.sigma)
     a = X * (X - phi)
     b = w * (1.0 - phi * X)
     return X, 0.5 * (a + abs(a)), 0.5 * (b + abs(b))
@@ -307,7 +307,7 @@ def wage_share(w, params: ModelParams):
         ValueError: if any wage lies outside the admissible bracket.
     """
     _, _, a, b = _wage_state(w, params)
-    h = np.clip(a / (a + b), 0.0, 1.0)
+    h = a / (a + b)  # in [0, 1]: a, b >= 0 and never both 0 on the bracket
     return float(h) if np.ndim(w) == 0 else h
 
 
@@ -332,9 +332,7 @@ def _solve_state(h, params: ModelParams, phi=None):
     s = params.sigma
     c = (s - 1.0) / s
     phi = params.phi if phi is None else np.broadcast_to(_in_open_unit_interval(phi), np.shape(x))
-    # numpy's power, as in ModelParams.wage_bracket: a scalar gets the bits of
-    # the array loop, so a share meets one bracket alone or in a mixed array
-    lo = np.power(phi, 1.0 / s)
+    lo = np.power(phi, 1.0 / s)  # as in ModelParams.wage_bracket
     hi, lim = 1.0 / lo, -np.log(phi)
     ends = (x == 0.0) | (x == 1.0)
     has_ends = np.count_nonzero(ends)
@@ -357,8 +355,6 @@ def _solve_state(h, params: ModelParams, phi=None):
         step = (u - target + c * ln_x) / (1.0 + c * slope)
         u = u - step * active  # converged shares stay put: their step is finite
         active = active & (np.abs(step) > tol)
-    # np.power, not **: on numpy scalars ** takes libm's pow, which can round
-    # differently from the array loop
     t = np.exp(-np.abs(u))
     w = np.minimum(np.maximum(np.power((1.0 + phi * t) / (phi + t), np.copysign(1.0 / s, u)),
                               lo), hi)

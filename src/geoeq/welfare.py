@@ -5,13 +5,15 @@ h of the population does, evaluated at the market-clearing wage.  Its sign
 drives migration; its roots and slopes drive everything in
 :mod:`geoeq.equilibria`.
 
-The gap and every slope are closed forms in the wage w, scalar or array:
-the gap ``_delta_u_at`` reads the consumption ratio C_L/C_R = w**m, and the
-slope kernel ``_slopes`` differentiates the wage map implicitly.  The
-public functions solve the wage state of a share, the wage with its share
-terms (:func:`geoeq.model._solve_state`), and pass it on, so nothing forms
-those terms twice; the tests check both against the high-precision
-reference model.  The slope coefficients are exposed as
+The gap and every slope are closed forms in the wage w, one expression for
+scalars and arrays, whose powers are numpy's (see :mod:`geoeq.model`), so
+a scalar gets the bits it gets inside any array: the gap ``_delta_u_at``
+reads the consumption ratio C_L/C_R = w**m, and the slope kernel
+``_slopes`` differentiates the wage map implicitly.  The public functions
+solve the wage state of a share, the wage with its share terms
+(:func:`geoeq.model._solve_state`), and pass it on, so nothing forms those
+terms twice; the tests check both against the high-precision reference
+model.  The slope coefficients are exposed as
 :class:`StabilityCoefficients` because their signs, not just the final
 value, are individually meaningful.  ``ddelta_u_dh_closed``
 is a former name of ``ddelta_u_dh``, kept while the benchmark names it.
@@ -83,9 +85,7 @@ def delta_u(h, params: ModelParams, *, phi=None):
     Antisymmetric about h = 1/2 and zero there.  Accepts scalars or
     arrays; each point is evaluated at its own market-clearing wage.
     ``phi``, if given, is a per-element freeness broadcast against h in
-    place of ``params.phi``, as in :func:`geoeq.model.solve_wage`.  A
-    scalar share and the same share inside an array can differ in the
-    last bit, as their wages' powers go through ``**`` and ``np.power``.
+    place of ``params.phi``, as in :func:`geoeq.model.solve_wage`.
 
     At market clearing C_L/C_R = w**m, m = (2 sigma - 1)/(sigma - 1).  With
     r = 1 - theta and the log-consumption gap L = m ln w, the value is
@@ -161,15 +161,19 @@ def _slopes(w, X, a, b, params: ModelParams):
     are zeta (varphi (X core)**kappa + psi core**kappa / w) and -(w/a3)(a1
     (X core)**-e + a2 core**-e).  Near sigma = 1 those powers leave the
     double range where the slopes do not: they are formed in logs.
+    varphi and psi are O(1 - phi) at w = 1; written in the share terms,
+    varphi's bracket as sigma phi X (1 - w) - (2 sigma - 1) b and psi as
+    sigma phi (w - 1) - (2 sigma - 1) a/X, they take no cancellation there.
     """
     s, p, th = params.sigma, params.phi, _utility_theta(params)
     ab = a + b
     G = G_poly(X, params)
     zeta = -ab / ((s - 1.0) * G)
-    varphi = w ** (-th - s) * (p * (s + (s - 1.0) * w) * X - 2.0 * s * w + w)
-    psi = (s - 1.0) * p + (1.0 - 2.0 * s) * X + s * p * w
-    a1 = w ** (1.0 - th) * (p * X - 1.0) * (-2.0 * s + 2.0 * (s - 1.0) * p * X + p * p + 1.0)
-    a2 = w ** (-s) * (X - p) * (2.0 * (s - 1.0) * p + (p * p + 1.0 - 2.0 * s) * X)
+    varphi = np.power(w, -th - s) * (s * p * X * (1.0 - w) - (2.0 * s - 1.0) * b)
+    psi = s * p * (w - 1.0) - (2.0 * s - 1.0) * (a / X)
+    a1 = (np.power(w, 1.0 - th) * (p * X - 1.0)
+          * (-2.0 * s + 2.0 * (s - 1.0) * p * X + p * p + 1.0))
+    a2 = np.power(w, -s) * (X - p) * (2.0 * (s - 1.0) * p + (p * p + 1.0 - 2.0 * s) * X)
     a3 = -(s - 1.0) * (ab / X) * G
     kappa = (1.0 - th) / (s - 1.0)
     e = (th + s - 2.0) / (s - 1.0)
@@ -220,9 +224,8 @@ def dispersion_slope(params: ModelParams, *, phi=None):
     (``mu_d`` and friends) halve the penalty side by the same factor, so
     the pair stays consistent; see the equilibria module.  ``phi``, if
     given, is a freeness (scalar or array) in place of ``params.phi``, as
-    in :func:`delta_u`, and checked as ``params.phi`` is; a float freeness
-    is evaluated with Python's ``**``.  A SolverError says where the slope
-    overflows, as it can for theta > 1 near sigma = 1.
+    in :func:`delta_u`, and checked as ``params.phi`` is.  A SolverError
+    says where the slope overflows, as it can for theta > 1 near sigma = 1.
     """
     s = params.sigma
     if phi is not None:
@@ -232,10 +235,9 @@ def dispersion_slope(params: ModelParams, *, phi=None):
     if kappa < 0.0:  # ((1+phi)/2)**kappa exceeds 1 and can overflow
         _check_range(np.log(2.0 * (2.0 * s - 1.0) * (1.0 - p) / ((s - 1.0) * (2.0 * s + p - 1.0)))
                      + kappa * np.log((1.0 + p) / 2.0), "symmetric slope", params, p)
-    return (
-        2.0 * (2.0 * s - 1.0) * (1.0 - p) * ((1.0 + p) / 2.0) ** kappa
-        / ((s - 1.0) * (2.0 * s + p - 1.0))
-    )
+    slope = (2.0 * (2.0 * s - 1.0) * (1.0 - p) * np.power((1.0 + p) / 2.0, kappa)
+             / ((s - 1.0) * (2.0 * s + p - 1.0)))
+    return float(slope) if np.ndim(slope) == 0 else slope
 
 
 def ddelta_u_dphi(h_star: float, params: ModelParams) -> float:

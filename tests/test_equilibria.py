@@ -1,7 +1,7 @@
 import itertools
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import geoeq
 from geoeq import (
     Equilibrium,
     ModelParams,
@@ -463,6 +464,61 @@ def test_fig6_left_records_carry_python_floats():
             value = getattr(e, field.name)
             if not isinstance(value, str):
                 assert type(value) is float, (field.name, e)
+
+
+_P = ModelParams(sigma=2.5, phi=0.3, theta=0.5)
+_LINEAR03 = PenaltySpec(kind="linear", mu=0.3)
+
+
+def _numbers(*records):
+    """The fields of dataclass records that are not labels."""
+    return [v for r in records for v in astuple(r) if not isinstance(v, str)]
+
+
+# each public function's scalar results, at scalar inputs and per-element
+# keywords, from a scalar input
+_SCALAR_RESULTS = {
+    "freeness_from_tau": lambda: [geoeq.freeness_from_tau(1.5, 2.5)],
+    "wage_share": lambda: [geoeq.wage_share(1.1, _P)],
+    "solve_wage": lambda: [solve_wage(0.7, _P), solve_wage(0.7, _P, phi=0.6)],
+    "price_indices": lambda: geoeq.price_indices(0.7, 1.1, _P),
+    "consumption": lambda: geoeq.consumption(0.7, _P),
+    "firm_counts": lambda: geoeq.firm_counts(0.7, _P),
+    "G_poly": lambda: [geoeq.G_poly(1.2, _P), geoeq.G_poly(1.2, _P, phi=0.6)],
+    "dw_dh": lambda: [geoeq.dw_dh(1.1, _P)],
+    "dw_dphi": lambda: [geoeq.dw_dphi(1.1, _P)],
+    "short_run_state": lambda: _numbers(geoeq.short_run_state(0.7, _P)),
+    "delta_u": lambda: [delta_u(0.7, _P), delta_u(0.7, _P, phi=0.6)],
+    "ddelta_u_dh": lambda: [geoeq.ddelta_u_dh(0.7, _P)],
+    "ddelta_u_dphi": lambda: [ddelta_u_dphi(0.7, _P)],
+    "stability_coefficients": lambda: _numbers(geoeq.stability_coefficients(0.7, _P)),
+    "dispersion_slope": lambda: [geoeq.dispersion_slope(_P), geoeq.dispersion_slope(_P, phi=0.6)],
+    "penalty": lambda: [geoeq.penalty(0.7, LOGIT02), geoeq.penalty(0.7, _LINEAR03)],
+    "delta_t": lambda: [geoeq.delta_t(0.7, LOGIT02), geoeq.delta_t(0.7, _LINEAR03, mu=0.5)],
+    "delta_t_prime": lambda: [geoeq.delta_t_prime(0.7, LOGIT02),
+                              geoeq.delta_t_prime(0.7, _LINEAR03, mu=0.5)],
+    "delta_V": lambda: [delta_V(0.7, _P, LOGIT02), delta_V(0.7, _P, _LINEAR03, phi=0.6, mu=0.5)],
+    "mu_d": lambda: [mu_d(2.5, 0.3)],
+    "mu_p": lambda: [mu_p(1.1, 2.5, 0.3)],
+    "phi_b": lambda: [phi_b(2.0, 0.2)],
+    "dispersion_threshold": lambda: [dispersion_threshold(_P), dispersion_threshold(_P, phi=0.6)],
+    "threshold_phi_crossings": lambda: threshold_phi_crossings(_P, 0.2),
+    "find_equilibria": lambda: _numbers(*find_equilibria(_P, PenaltySpec(kind="logit", mu=0.05))),
+    "pitchfork_criticality": lambda: _numbers(pitchfork_criticality("mu", 0.3, _P, LOGIT02)),
+    "sweep": lambda: _sweep_numbers(sweep("phi", 0.1, 0.9, 9, _P, LOGIT02)),
+}
+
+
+def _sweep_numbers(branch):
+    """A branch's parameter values and the numbers of its records."""
+    return [*(x for value, eqs in branch.samples for x in (value, *_numbers(*eqs))),
+            *_numbers(*branch.bifurcations)]
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_RESULTS))
+def test_scalar_results_are_python_floats(name):
+    values = _SCALAR_RESULTS[name]()
+    assert values and all(type(v) is float for v in values), [type(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoeq import (ModelParams, PenaltySpec, ddelta_u_dh, ddelta_u_dphi, delta_t_prime, delta_u,
-                   dispersion_slope)
-from geoeq.model import _share_terms, _wage_state
+from geoeq import (ModelParams, PenaltySpec, SolverError, ddelta_u_dh, ddelta_u_dphi, delta_V,
+                   delta_t_prime, delta_u, dispersion_slope, solve_wage)
+from geoeq.model import _share_terms, _solve_state, _wage_state
 from geoeq.welfare import (LOG_UTILITY_BAND, _delta_u_at, _slopes, ddelta_u_dh_closed,
                            stability_coefficients)
 from mp_reference import Economy
@@ -56,8 +58,7 @@ def test_delta_u_antisymmetry_on_grid():
 def test_delta_u_array_matches_scalar():
     h = np.linspace(0.05, 0.95, 19)
     du = delta_u(h, P25)
-    scalars = np.array([delta_u(float(x), P25) for x in h])
-    assert np.max(np.abs(du - scalars)) <= 1e-13
+    assert du.tolist() == [delta_u(x, P25) for x in h.tolist()]
 
 
 def test_delta_u_curvature_ordering_in_the_crowded_region():
@@ -137,6 +138,24 @@ def test_display_convention_is_half_the_true_slope():
         p = ModelParams(sigma=sigma, phi=phi, theta=theta)
         assert ddelta_u_dh(0.5, p) == pytest.approx(2.0 * dispersion_slope(p),
                                                     rel=1e-10)
+
+
+# ddelta_u_dh(1/2) is O(1 - phi), and so are varphi and psi at w = 1: formed
+# from O(1) terms, they lost relative accuracy like eps/(1 - phi), up to
+# 3.1e-5 over these draws.
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    log_sigma=st.floats(-3.0, 0.5),
+    log_phi=st.floats(-12.0, -2.0),
+    theta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+@example(log_sigma=math.log10(0.03921), log_phi=math.log10(7e-12), theta=0.0)
+@example(log_sigma=math.log10(0.00664), log_phi=-11.0, theta=1.0)
+def test_symmetric_slope_keeps_its_accuracy_as_freeness_nears_one(log_sigma, log_phi, theta):
+    sigma, phi = 1.0 + 10.0 ** log_sigma, 1.0 - 10.0 ** log_phi
+    truth = float(Economy(sigma, phi, theta, dps=60).dV_dh(0.5))
+    assert abs(ddelta_u_dh(0.5, ModelParams(sigma=sigma, phi=phi, theta=theta)) / truth - 1.0) \
+        <= 1e-12
 
 
 def test_dispersion_slope_frozen_value_and_curvature_factor():
@@ -274,3 +293,53 @@ def test_the_slope_kernel_meets_the_reference_model(sigma, phi, theta, fractions
         assert abs(dh - truth) <= 1e-12 * abs(truth)
         truth = float(ref.ddelta_u_dphi(h))
         assert abs(dphi - truth) <= 1e-12 * max(abs(truth), at)
+
+
+# ---------------------------------------------------------------------------
+# a scalar is the 0-d case
+
+
+def _same_bits(f, xs):
+    """f at each float of xs is a float, equal to f's entry for it in one
+    array call over the floats where it does not raise SolverError."""
+    values, done = [], []
+    for x in xs:
+        try:
+            values.append(f(x))
+            done.append(x)
+        except SolverError:
+            pass
+    if len(done) < len(xs):
+        with pytest.raises(SolverError):
+            f(np.array(xs))
+    assert all(type(v) is float for v in values)
+    if done:
+        assert f(np.array(done)).tolist() == values
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    sigma=st.floats(1.01, 20.0),
+    phi=st.floats(1e-6, 1.0 - 1e-6),
+    theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]), st.floats(0.0, 5.0)),
+    inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    ulps=st.integers(1, 4),
+    phis=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4),
+    mu=st.floats(0.0, 2.0),
+)
+def test_a_scalar_gets_the_bits_of_its_array_entry(sigma, phi, theta, inner, ulps, phis, mu):
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    # 0, 1/2, 1 and shares a few ulps from either end
+    shares = [0.0, 0.5, 1.0, ulps * 5e-324, ulps * EPS / 2.0, 1.0 - ulps * EPS / 2.0, *inner]
+    _same_bits(lambda h: solve_wage(h, params), shares)
+    _same_bits(lambda h: delta_u(h, params), shares)
+    for kind in ("logit", "linear"):
+        spec = PenaltySpec(kind=kind, mu=mu)
+        _same_bits(lambda h: delta_V(h, params, spec), shares)
+    _same_bits(lambda p: dispersion_slope(params, phi=p), phis)
+    # the scalar slopes against the slope kernel on the array's wage state
+    for pick, keep, slope in ((1, lambda h: 0.0 < h < 1.0, ddelta_u_dh),
+                              (2, lambda h: 0.5 < h < 1.0, ddelta_u_dphi)):
+        _same_bits(lambda h: slope(h, params) if np.ndim(h) == 0
+                   else _slopes(*_solve_state(h, params), params)[pick],
+                   [h for h in shares if keep(h)])
