@@ -17,9 +17,10 @@ relative wage rather than the share: the upper half is the wage interval
 without any wage solve.  One array wage solve lays the scan, at the
 wages of evenly spaced shares, and solves the boundary probes with it.
 The part of the scan that does not depend on the penalty (nodes, shares,
-and the utility gap at the nodes and at the probes) is kept for the most
-recent economy, so the steps of a penalty-weight sweep scan and probe
-their economy once.
+and the utility gap at the nodes and at the probes) is one row per
+economy: a penalty-weight sweep lays its economy's row once and hands it
+to every step, and a freeness sweep lays the rows of a few steps at a
+time in one wage solve, each share at its own step's freeness.
 
 Solving is split in two phases.  The locate phase runs per economy: scan,
 brackets, polish, the first-cell search, near-boundary chase, pinned and
@@ -36,7 +37,6 @@ finishes all its steps at once.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,60 +179,94 @@ def _wage_terms(a, b):
     return a / ab, b / ab, np.log(a) - np.log(b), ab
 
 
-def _penalty_gap(h, g, log_odds, spec: PenaltySpec):
-    """delta_t at shares h, g = 1 - h whose log-odds ln(h/g) is given."""
+def _penalty_gap(h, g, log_odds, spec: PenaltySpec, mu=None):
+    """delta_t at shares h, g = 1 - h whose log-odds ln(h/g) is given; ``mu``,
+    if given, is the weight in place of ``spec.mu`` (named families only)."""
+    weight = spec.mu if mu is None else mu
     if spec.kind == LOGIT:
-        return spec.mu * log_odds
+        return weight * log_odds
     if spec.kind == LINEAR:
-        return spec.mu * (h - g)
+        return weight * (h - g)
     return delta_t(h, spec)
 
 
-def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec):
-    """delta_V at the shares that wages w in [1, w_hi) support, with no wage solve."""
+def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec, mu=None):
+    """delta_V at the shares that wages w in [1, w_hi) support, with no wage
+    solve; ``mu`` is as in :func:`_penalty_gap`."""
     _, a, b = _share_terms(w, params)
     h, g, log_odds, ab = _wage_terms(a, b)
-    return _delta_u_at(np.log(w), w, ab, params) - _penalty_gap(h, g, log_odds, spec)
+    return _delta_u_at(np.log(w), w, ab, params) - _penalty_gap(h, g, log_odds, spec, mu)
 
 
 # Boundary probe shares: one FD step inside the boundary, the last double
 # below 1, and the boundary itself.
 _PROBES = np.array([1.0 - FD_STEP, np.nextafter(1.0, 0.0), 1.0])
 
+# Freeness-sweep steps whose scans one wage solve lays.  On a 2-vCPU
+# x86-64 VM with 48 KiB of L1d per core, a step's scan took about 300 us
+# laid alone, 185 in blocks of 4, 165-170 in blocks of 6 or 8, 200 in
+# blocks of 12 or 16 and 250 in one block of 48 (first quartile of 30
+# interleaved rounds): small blocks pay per-call overhead, large ones
+# have temporaries that leave the cache.  Blocks of 4 take most of the
+# gain with half the temporaries of 8.
+_SCAN_BLOCK = 4
 
-@functools.lru_cache(maxsize=1)
-def _upper_scan(params: ModelParams):
-    """The penalty-free part of the rest-point scan, kept for the last economy.
+
+def _upper_scan(params: ModelParams, phi=None):
+    """The penalty-free part of the rest-point scan, one row per economy.
 
     One wage solve lays the scan: the wages of GRID_POINTS // 2 + 1 shares
     spread evenly over [1/2, 1 - GRID_EDGE] are the nodes, and the same
     call solves the boundary probes (_PROBES).  Returns the nodes and, at
     every node, the two shares, the log-odds and delta_u, then delta_u at
-    the probes, all read-only.  A penalty-weight sweep moves none of them,
-    so its steps after the first reuse them.
+    the probes, all read-only 2-D arrays.  ``phi``, if given, is a sequence
+    of freeness values in place of ``params.phi``, one row each, and every
+    row equals the one row that economy's own call lays.  A penalty weight
+    moves none of them.
 
     Near phi = 1 neighbouring solved wages can tie or swap by a spacing of
     doubles, and w**sigma can round past 1/phi, which clips a node's b to 0
     (share 1, log-odds inf) at nodes that need not be contiguous.  So each
-    node takes the wage and share terms of the last node up to it that
-    holds the running maximum wage and has b > 0: the nodes are
+    node takes the wage and share terms of the last node up to it in its
+    row that holds the running maximum wage and has b > 0: the nodes are
     non-decreasing, and the first node, the symmetric point w = 1, has
     b = 1 - phi.  A tied cell brackets nothing, and the scan keeps its
     GRID_POINTS // 2 + 1 nodes.
     """
     n = GRID_POINTS // 2 + 1
-    wages, _, a, b = _solve_state(np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES),
-                                  params)
-    held = (wages[:n] == np.maximum.accumulate(wages[:n])) & (b[:n] > 0.0)
-    keep = np.append(np.maximum.accumulate(np.where(held, np.arange(n), 0)),
-                     np.arange(n, wages.size))  # the probes keep their wages
-    w, a, b = wages[keep], a[keep], b[keep]
-    h, g, log_odds, _ = _wage_terms(a[:n], b[:n])
-    du = _delta_u_at(np.log(w), w, a + b, params)
-    scan = (w[:n], h, g, log_odds, du[:n], du[n:])
+    shares = np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES)
+    if phi is not None:
+        phi = np.reshape(phi, (-1, 1))  # one row per freeness
+    rows = 1 if phi is None else phi.shape[0]
+    w, _, a, b = _solve_state(np.broadcast_to(shares, (rows, shares.size)), params, phi)
+    held = (w[:, :n] == np.maximum.accumulate(w[:, :n], axis=1)) & (b[:, :n] > 0.0)
+    if not held.all():  # the probes keep their wages
+        keep = np.maximum.accumulate(np.where(held, np.arange(n), 0), axis=1)
+        keep += shares.size * np.arange(rows)[:, None]  # flat indices of the row-major arrays
+        for x in (w, a, b):
+            x[:, :n] = x.take(keep)
+    h, g, log_odds, _ = _wage_terms(a[:, :n], b[:, :n])
+    du = _delta_u_at(np.log(w), w, a + b, params, phi)
+    scan = (w[:, :n], h, g, log_odds, du[:, :n], du[:, n:])
     for arr in scan:
         arr.setflags(write=False)
     return scan
+
+
+def _scan_rows(params: ModelParams, phi=None) -> list:
+    """The rows of :func:`_upper_scan`, one tuple of six arrays per economy,
+    or the exception that economy's own scan raises.
+
+    A block of economies that raises is laid again one economy at a time,
+    so a failure stays with its economy and carries the text that
+    :func:`find_equilibria` gives there.
+    """
+    try:
+        return list(zip(*_upper_scan(params, phi)))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        if phi is None:
+            return [exc]
+        return [row for value in phi for row in _scan_rows(params.with_phi(value))]
 
 
 def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
@@ -283,9 +317,9 @@ def _interior_equilibria(pairs: list[tuple[float, float]], residual: np.ndarray,
             for (h_star, w_star), sl, res in zip(pairs, slope.tolist(), residual.tolist())]
 
 
-def _per_share(values: list[float], counts: list[int]):
-    """Each value repeated for its economy's shares, or None if all are equal."""
-    if all(v == values[0] for v in values):
+def _per_share(values: list[float], counts: list[int], default: float | None):
+    """Each value repeated for its economy's shares, or None if all equal ``default``."""
+    if all(v == default for v in values):
         return None
     return np.repeat(values, counts)
 
@@ -299,17 +333,26 @@ def _boundary_pair(params: ModelParams, stability: str, slope: float,
                         slope=slope, residual=residual) for h_star, w in ((0.0, lo), (1.0, hi))]
 
 
-def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
+def _bounded(spec: PenaltySpec, mu=None) -> bool:
+    """Whether the penalty stays finite at h = 1, at weight ``mu`` if given
+    (named families only) in place of ``spec.mu``."""
+    return spec.bounded if mu is None else spec.kind == LINEAR or mu == 0.0
+
+
+def _boundary_equilibria(params: ModelParams, spec: PenaltySpec, probe_du,
+                         mu=None) -> list[Equilibrium]:
     """Endpoint rest points, admissible only under a bounded penalty.
 
     h = 1 is at rest when no one wants to leave the crowded region, i.e.
     delta_V(1) >= 0; within MARGINAL_BAND of zero it is marginal.  The
-    mirror point h = 0 follows by antisymmetry.
+    mirror point h = 0 follows by antisymmetry.  ``probe_du`` is delta_u
+    at the probes, from the economy's scan row (:func:`_upper_scan`);
+    ``mu`` is as in :func:`_bounded`.
     """
-    if not spec.bounded:
+    if not _bounded(spec, mu):
         return []
-    *_, probe_du = _upper_scan(params)
-    v_step, v_full = (probe_du[::2] - delta_t(_PROBES[::2], spec)).tolist()  # at 1 - FD_STEP, 1
+    # at 1 - FD_STEP and 1
+    v_step, v_full = (probe_du[::2] - delta_t(_PROBES[::2], spec, mu=mu)).tolist()
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
@@ -320,12 +363,15 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilib
 class _Located:
     """One economy's rest points as the locate phase leaves them.
 
-    ``roots`` are the upper-half rest points (h*, w), not yet finished;
-    ``edge`` the pinned or boundary rest points, final as they stand.
+    ``mu`` is the economy's penalty weight, in place of ``spec.mu`` (see
+    :func:`_locate`); ``roots`` are the upper-half rest points (h*, w), not
+    yet finished; ``edge`` the pinned or boundary rest points, final as
+    they stand.
     """
 
     params: ModelParams
     spec: PenaltySpec
+    mu: float | None
     roots: list[tuple[float, float]]
     edge: list[Equilibrium]
 
@@ -369,17 +415,22 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     return None
 
 
-def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
+def _locate(params: ModelParams, spec: PenaltySpec, slope: float, scan,
+            mu=None) -> _Located:
     """The locate phase of :func:`find_equilibria`: everything but the finish.
 
     ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
-    decides whether the first scan cell is searched.
+    decides whether the first scan cell is searched.  ``scan`` is the
+    economy's row of :func:`_upper_scan`.  ``mu``, if given, is the
+    penalty weight in place of ``spec.mu`` (named families only), so the
+    steps of a penalty-weight sweep build no penalty of their own, except
+    for the chase past the scan edge.
     """
-    nodes, h, g, log_odds, du, probe_du = _upper_scan(params)
-    values = du - _penalty_gap(h, g, log_odds, spec)
+    nodes, h, g, log_odds, du, probe_du = scan
+    values = du - _penalty_gap(h, g, log_odds, spec, mu)
 
     roots: list[tuple[float, float]] = []
-    f = lambda x: float(_delta_V_wage(x, params, spec))
+    f = lambda x: float(_delta_V_wage(x, params, spec, mu))
     # The node at w = 1 is the symmetric point, zero by antisymmetry.
     wages = _grid_roots(f, nodes[1:], values[1:], 1e-15)
     if abs(slope) >= MARGINAL_BAND and slope * np.sign(values[1]) < 0.0:
@@ -391,22 +442,26 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float) -> _Located:
         _add_root(roots, float(a / (a + b)), w)
 
     pinned: list[Equilibrium] = []
-    if not spec.bounded and values[-1] > 0.0:
+    if not _bounded(spec, mu) and values[-1] > 0.0:
         # The net incentive still presses outward at the window edge, so the
         # outermost rest point lies between 1 - GRID_EDGE and 1.  Chase it
         # through the last representable shares; if even the closest double
         # to 1 still flows outward, the rest point is below the resolution
         # of the floating-point grid and is reported pinned at the boundary.
-        f_h = lambda x: float(delta_V(x, params, spec))
+        # The chase's many scalar calls take one penalty at the weight, not
+        # a per-element weight that each call would check again.
+        penalty = spec if mu is None else replace(spec, mu=mu)
+        f_h = lambda x: float(delta_V(x, params, penalty))
         h_last = float(_PROBES[1])
-        v_last = float(probe_du[1] - delta_t(h_last, spec))
+        v_last = float(probe_du[1] - delta_t(h_last, penalty))
         if v_last <= 0.0:
             r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
                                                      xtol=1e-16, maxiter=200)
             _add_root(roots, r, solve_wage(r, params))
         else:
             pinned = _boundary_pair(params, STABLE, float("-inf"), v_last)
-    return _Located(params, spec, roots, [*pinned, *_boundary_equilibria(params, spec)])
+    return _Located(params, spec, spec.mu if mu is None else mu, roots,
+                    [*pinned, *_boundary_equilibria(params, spec, probe_du, mu)])
 
 
 def _finish(located: list[_Located]) -> list:
@@ -429,8 +484,8 @@ def _finish(located: list[_Located]) -> list:
         residual, slope = _incentive_and_slope(
             np.array([h_star for p in pairs for h_star, _ in p]),
             located[0].params, located[0].spec,
-            phi=_per_share([loc.params.phi for loc in located], counts),
-            mu=_per_share([loc.spec.mu for loc in located], counts))
+            phi=_per_share([loc.params.phi for loc in located], counts, located[0].params.phi),
+            mu=_per_share([loc.mu for loc in located], counts, located[0].spec.mu))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         if len(located) == 1:
             return [exc]
@@ -475,7 +530,8 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     stable, slope -inf, with ``residual`` carrying the outward incentive at
     the closest representable interior share.
     """
-    found, = _finish([_locate(params, spec, _symmetric_slope(params, spec))])
+    scan, = zip(*_upper_scan(params))
+    found, = _finish([_locate(params, spec, _symmetric_slope(params, spec), scan)])
     if isinstance(found, Exception):
         raise found
     return found
@@ -615,6 +671,24 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
                             criticality=crit, third_derivative=third)
 
 
+def _step_scans(parameter: str, values: list[float], params: ModelParams):
+    """(economy, penalty weight or None, scan row or exception) per sweep step.
+
+    A penalty-weight sweep lays its economy's row once; a freeness sweep
+    lays _SCAN_BLOCK steps' rows per wage solve, and drops each block once
+    its steps have taken their rows.
+    """
+    if parameter == "mu":
+        scan, = _scan_rows(params)
+        for value in values:
+            yield params, value, scan
+        return
+    for start in range(0, len(values), _SCAN_BLOCK):
+        block = values[start:start + _SCAN_BLOCK]
+        for value, scan in zip(block, _scan_rows(params, block)):
+            yield params.with_phi(value), None, scan
+
+
 def _sweep_chunk(job):
     """Locate a run of sweep steps one by one, then finish them all at once.
 
@@ -623,9 +697,12 @@ def _sweep_chunk(job):
     """
     parameter, values, slopes, params, spec = job
     steps = []
-    for value, slope in zip(values, slopes):
+    for (economy, mu, scan), slope in zip(_step_scans(parameter, values, params), slopes):
+        if isinstance(scan, Exception):
+            steps.append(scan)
+            continue
         try:
-            steps.append(_locate(*_with_parameter(parameter, value, params, spec), slope))
+            steps.append(_locate(economy, spec, slope, scan, mu))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             steps.append(exc)
     finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
@@ -639,12 +716,14 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     """Trace the equilibrium set along one parameter.
 
     Each step's sample is exactly what :func:`find_equilibria` returns
-    there: every step is located on its own (mu-steps share one economy's
-    scan), and the finish phase takes all steps in one delta_V call.  A
-    step whose locate or finish raises is recorded in ``diagnostics`` with
-    the text find_equilibria would raise; the other steps keep their rest
-    points.  With workers > 1 each worker process locates and finishes one
-    contiguous run of steps; the results do not depend on the split.
+    there: every step is located on its own, from its own row of scan
+    arrays (mu-steps share one economy's row, phi-steps lay theirs a block
+    of steps at a time), and the finish phase takes all steps in one
+    delta_V call.  A step whose scan, locate or finish raises is recorded
+    in ``diagnostics`` with the text find_equilibria would raise; the other
+    steps keep their rest points.  With workers > 1 each worker process
+    locates and finishes one contiguous run of steps; the results do not
+    depend on the split.
 
     Pitchforks of the symmetric point sit where that slope changes sign.
     :func:`_symmetric_slope` gives it at all steps as one array, and each

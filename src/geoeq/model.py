@@ -331,7 +331,13 @@ def _solve_state(h, params: ModelParams, phi=None):
     x = _in_unit_interval(h)[()]  # a numpy scalar for scalar input: cheap arithmetic
     s = params.sigma
     c = (s - 1.0) / s
-    phi = params.phi if phi is None else np.broadcast_to(_in_open_unit_interval(phi), np.shape(x))
+    if phi is not None:
+        # per-element phi keeps its own shape, which need only broadcast to
+        # h's: a column of freeness values costs one term per row, not per share
+        phi = _in_open_unit_interval(phi)
+        np.broadcast_to(phi, np.shape(x))
+    else:
+        phi = params.phi
     lo = np.power(phi, 1.0 / s)  # as in ModelParams.wage_bracket
     hi, lim = 1.0 / lo, -np.log(phi)
     ends = (x == 0.0) | (x == 1.0)

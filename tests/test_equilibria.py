@@ -274,7 +274,7 @@ def _share_scan_equilibria(params, spec):
                       for h, w in zip((0.0, 1.0), params.wage_bracket)]
     for r in roots:
         found += [interior(r), interior(1.0 - r)]
-    found += _boundary_equilibria(params, spec)
+    found += _boundary_equilibria(params, spec, _scan_row(params)[5])
     return sorted(found, key=lambda e: e.h_star)
 
 
@@ -368,9 +368,16 @@ def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma
     assert [len(eqs) for _, eqs in branch.samples] == [3, 3] and sizes == [6]
 
 
+def _scan_row(params):
+    """The one row of scan arrays that an economy's own scan lays."""
+    arrays = equilibria._upper_scan(params)
+    assert all(arr.shape[0] == 1 for arr in arrays)
+    return tuple(arr[0] for arr in arrays)
+
+
 def _check_upper_scan(params):
     """The scan's invariants; returns its share gaps."""
-    nodes, h, g, log_odds, du, probe_du = equilibria._upper_scan(params)
+    nodes, h, g, log_odds, du, probe_du = _scan_row(params)
     _, a, b = _share_terms(nodes, params)
     assert nodes[0] == 1.0 and nodes.size == GRID_POINTS // 2 + 1
     assert np.all(np.diff(nodes) >= 0.0)
@@ -442,8 +449,11 @@ def test_rest_points_at_freeness_near_one_match_an_mpmath_oracle(phi):
     assert eqs[0].slope == pytest.approx(float(ref.dV_dh(0.5)), rel=1e-7)
 
 
-@pytest.mark.parametrize("sigma,phi", [(50.0, 0.99999999992475), (200.0, 1.0 - 1e-9),
-                                       (50.0, 1.0 - 1e-14)])
+# economies near free trade where some scan nodes' w**sigma rounds past 1/phi
+_POWER_PAST_THE_BRACKET = [(50.0, 0.99999999992475), (200.0, 1.0 - 1e-9), (50.0, 1.0 - 1e-14)]
+
+
+@pytest.mark.parametrize("sigma,phi", _POWER_PAST_THE_BRACKET)
 def test_scan_edge_where_the_power_rounds_past_the_bracket(sigma, phi):
     # some scan nodes' X = w**sigma rounds past 1/phi here, which clips their
     # b to 0: a scan that kept them would take log(0), a RuntimeWarning that
@@ -576,35 +586,62 @@ def test_batched_finish_matches_the_scalar_oracle(group):
 
 
 # ---------------------------------------------------------------------------
-# the penalty-free scan, kept for the last economy
+# the penalty-free scan, one row per economy
 
 
 def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
-    equilibria._upper_scan.cache_clear()
-    cached = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
-    info = equilibria._upper_scan.cache_info()
-    # the zero-weight step's boundary check reads the probes from it once more
-    assert (info.misses, info.hits) == (1, 13)
+    upper_scan = equilibria._upper_scan
+    laid = []
+
+    def counted(p, phi=None):
+        laid.append((p, phi))
+        return upper_scan(p, phi)
+
+    monkeypatch.setattr(equilibria, "_upper_scan", counted)
+    reused = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
+    # one row for the economy, handed to all 13 steps, the zero-weight
+    # step's boundary check included
+    assert laid == [(params, None)]
 
     locate = equilibria._locate
 
-    def fresh_scan(p, spec, slope):
-        equilibria._upper_scan.cache_clear()
-        return locate(p, spec, slope)
+    def fresh_scan(p, spec, slope, scan, mu=None):
+        return locate(p, spec, slope, _scan_row(p), mu)
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
+    laid.clear()
     fresh = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
-    assert repr(cached.samples) == repr(fresh.samples)
-    assert repr(cached.bifurcations) == repr(fresh.bifurcations)
+    assert len(laid) == 1 + 13  # the sweep's row, then one fresh row per step
+    assert repr(reused.samples) == repr(fresh.samples)
+    assert repr(reused.bifurcations) == repr(fresh.bifurcations)
 
 
-def test_cached_scan_arrays_are_read_only():
+def test_scan_arrays_are_read_only():
     arrays = equilibria._upper_scan(ModelParams(sigma=2.0, phi=0.4))
     assert len(arrays) == 6
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# (sigma, freeness range, theta): ranges that end near free trade fill held
+# nodes forward in some rows
+_BLOCK_ECONOMIES = [(2.0, 0.05, 0.95, theta) for theta in (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0)] + \
+    [(sigma, 0.999, phi, 0.0) for sigma, phi in _POWER_PAST_THE_BRACKET]
+
+
+@pytest.mark.parametrize("sigma,lo,hi,theta", _BLOCK_ECONOMIES)
+def test_block_rows_are_each_economys_own_scan(sigma, lo, hi, theta):
+    params = ModelParams(sigma=sigma, phi=0.5, theta=theta)
+    values = np.linspace(lo, hi, 5).tolist()
+    block = equilibria._upper_scan(params, values)
+    for i, value in enumerate(values):
+        for arr, own in zip(block, _scan_row(params.with_phi(value))):
+            row = arr[i]
+            assert np.array_equal(row, own) and row.tobytes() == own.tobytes(), value
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +898,10 @@ def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
     locate = equilibria._locate
 
-    def failing_scan(p, spec, slope):
+    def failing_scan(p, spec, slope, scan, mu=None):
         if p.phi == 0.7:
             raise SolverError("injected failure")
-        return locate(p, spec, slope)
+        return locate(p, spec, slope, scan, mu)
 
     monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
@@ -941,6 +978,58 @@ def test_sweep_samples_equal_the_per_step_solve_on_fig6_economies(parameter, lo,
     if parameter == "mu" and spec.kind == "logit" and lo == 0.0:
         assert {(KIND_BOUNDARY, False, False), (KIND_BOUNDARY, True, False),
                 (KIND_PARTIAL, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("steps", [2, 3, 4, 5, 8, 9])
+def test_phi_sweep_blocks_keep_the_per_step_solve(steps, workers):
+    # a freeness sweep lays its steps' scans in blocks of four: these step
+    # counts leave full, partial and one-step blocks, in each worker's run too
+    for theta in (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+        params = ModelParams(sigma=2.0, phi=0.5, theta=theta)
+        for kind in ("logit", "linear"):
+            spec = PenaltySpec(kind=kind, mu=dispersion_threshold(params))
+            _assert_sweep_is_the_per_step_solve("phi", 0.05, 0.95, steps, params, spec, workers)
+
+
+@pytest.mark.parametrize("sigma,phi", _POWER_PAST_THE_BRACKET)
+def test_phi_sweeps_into_the_power_rounding_past_the_bracket_keep_the_per_step_solve(sigma, phi):
+    for kind in ("logit", "linear"):
+        # the last of four steps in the second block fills held nodes forward
+        _assert_sweep_is_the_per_step_solve("phi", 0.999, phi, 8, ModelParams(sigma=sigma, phi=0.5),
+                                            PenaltySpec(kind=kind, mu=0.2))
+
+
+# Near sigma = 1 the utility gap of this economy passes the largest double at
+# the freeness values 0.1 to 0.25 and fits at 0.275 and 0.3.
+_MIXED = (ModelParams(sigma=1.0073018454685185, phi=0.2, theta=4.8004072756093965),
+          PenaltySpec(kind="logit", mu=2.744522675670923))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_block_whose_steps_partly_fail_keeps_each_steps_text(workers):
+    params, spec = _MIXED
+    values = np.linspace(0.1, 0.3, 9).tolist()
+    branch = _assert_sweep_is_the_per_step_solve("phi", 0.1, 0.3, 9, params, spec, workers)
+    assert branch.diagnostics == [
+        f"phi={v!r}: SolverError: utility gap leaves the double range at "
+        f"sigma={params.sigma!r}, phi={v!r}, theta={params.theta!r}" for v in values[:7]]
+    assert [len(eqs) for _, eqs in branch.samples] == [0] * 7 + [3, 3]
+
+
+def test_a_failing_block_is_laid_again_one_economy_at_a_time(monkeypatch):
+    params, spec = _MIXED
+    upper_scan = equilibria._upper_scan
+    laid = []
+
+    def counted(p, phi=None):
+        laid.append(None if phi is None else len(phi))
+        return upper_scan(p, phi)
+
+    monkeypatch.setattr(equilibria, "_upper_scan", counted)
+    sweep("phi", 0.1, 0.3, 9, params, spec)
+    # steps 1-4 all fail, steps 5-8 fail but for 8, and step 9 solves alone
+    assert laid == [4, None, None, None, None, 4, None, None, None, None, 1]
 
 
 # Near sigma = 1 with theta > 1, kappa = (1 - theta)/(sigma - 1) is large and
