@@ -14,13 +14,18 @@ the symmetric point is always a root.  It brackets and polishes in the
 relative wage rather than the share: the upper half is the wage interval
 [1, w_hi), on which both shares are closed forms of w
 (:func:`geoeq.model._share_terms`), so the polish evaluates delta_V
-without any wage solve.  One array wage solve lays the scan, at the
-wages of evenly spaced shares, and solves the boundary probes with it.
-The part of the scan that does not depend on the penalty (nodes, shares,
-and the utility gap at the nodes and at the probes) is one row per
-economy: a penalty-weight sweep lays its economy's row once and hands it
-to every step, and a freeness sweep lays the rows of a few steps at a
-time in one wage solve, each share at its own step's freeness.
+without any wage solve.  One array wage solve lays an economy's scan, at
+the wages of evenly spaced shares, and solves the boundary probes with
+it.  The part of the scan that does not depend on the penalty (nodes,
+shares, and the utility gap at the nodes and at the probes) is one row
+per economy, and a penalty-weight sweep lays its economy's row once and
+hands it to every step.  Every 32nd node is a coarse node, and a read
+rule on delta_V and its closed-form slope at the coarse nodes
+(:func:`_read_cells`) says which coarse cells can hold roots that their
+ends do not show.  A freeness sweep lays the rows of many steps in two
+wage solves, each share at its own step's freeness: the coarse nodes,
+then the nodes of the cells the rule reads.  A dense row brackets only
+inside the cells the same rule reads, so both give the same rest points.
 
 Solving is split in two phases.  The locate phase runs per economy: scan,
 brackets, polish, the first-cell search, near-boundary chase, pinned and
@@ -44,7 +49,7 @@ import numpy as np
 from .model import (G_poly, ModelParams, SolverError, _elasticity, _share_terms, _solve_state,
                     _wage_state, brentq, solve_wage)
 from .penalty import LINEAR, LOGIT, PenaltySpec, _finite_nonnegative, delta_t, delta_t_prime
-from .welfare import _delta_u_at, delta_u, dispersion_slope
+from .welfare import _delta_u_at, _slopes, delta_u, dispersion_slope
 
 __all__ = [
     "Equilibrium",
@@ -190,38 +195,53 @@ def _penalty_gap(h, g, log_odds, spec: PenaltySpec, mu=None):
     return delta_t(h, spec)
 
 
-def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec, mu=None):
+def _delta_V_wage(w, params: ModelParams, spec: PenaltySpec, mu=None, phi=None):
     """delta_V at the shares that wages w in [1, w_hi) support, with no wage
-    solve; ``mu`` is as in :func:`_penalty_gap`."""
-    _, a, b = _share_terms(w, params)
+    solve; ``mu`` is as in :func:`_penalty_gap`, ``phi`` as in :func:`delta_V`."""
+    _, a, b = _share_terms(w, params, phi)
     h, g, log_odds, ab = _wage_terms(a, b)
-    return _delta_u_at(np.log(w), w, ab, params) - _penalty_gap(h, g, log_odds, spec, mu)
+    return _delta_u_at(np.log(w), w, ab, params, phi) - _penalty_gap(h, g, log_odds, spec, mu)
 
 
 # Boundary probe shares: one FD step inside the boundary, the last double
 # below 1, and the boundary itself.
 _PROBES = np.array([1.0 - FD_STEP, np.nextafter(1.0, 0.0), 1.0])
 
-# Freeness-sweep steps whose scans one wage solve lays.  On a 2-vCPU
-# x86-64 VM with 48 KiB of L1d per core, a step's scan took about 300 us
-# laid alone, 185 in blocks of 4, 165-170 in blocks of 6 or 8, 200 in
-# blocks of 12 or 16 and 250 in one block of 48 (first quartile of 30
-# interleaved rounds): small blocks pay per-call overhead, large ones
-# have temporaries that leave the cache.  Blocks of 4 take most of the
-# gain with half the temporaries of 8.
-_SCAN_BLOCK = 4
+# The dense scan row: the wages of _NODES shares spread evenly over
+# [1/2, 1 - GRID_EDGE], then the probes.
+_NODES = GRID_POINTS // 2 + 1
+_SHARES = np.append(np.linspace(0.5, 1.0 - GRID_EDGE, _NODES), _PROBES)
+
+# A freeness sweep lays every _STRIDE-th dense node, the coarse row, and the
+# dense nodes of only the coarse cells that the read rule reads
+# (:func:`_read_cells`).  _COARSE indexes _SHARES: the coarse nodes, then
+# the probes; _WIDTH is the coarse cells' share widths.
+_STRIDE = 32
+_COARSE = np.append(np.arange(0, _NODES, _STRIDE), np.arange(_NODES, _SHARES.size))
+_WIDTH = np.diff(_SHARES[:_NODES:_STRIDE])
+
+# A coarse cell whose wage rises by at most this many spacings of doubles
+# can hold nodes that tie or swap (freeness near 1), which only the dense
+# row's forward fill resolves: its step lays its dense row.  Past it, every
+# dense node rose at least 64 spacings above its neighbour on 2,000 random
+# economies, far beyond the wage solve's error of a spacing or two.
+_RISE_ULPS = 64.0 * _STRIDE
+
+# Freeness-sweep steps per lay, which bounds a lay's memory on long sweeps.
+# A 181-step sweep took the same time laid 32 steps at a time as in one lay.
+_LAY_STEPS = 32
 
 
 def _upper_scan(params: ModelParams, phi=None):
-    """The penalty-free part of the rest-point scan, one row per economy.
+    """The penalty-free part of the dense rest-point scan, one row per economy.
 
-    One wage solve lays the scan: the wages of GRID_POINTS // 2 + 1 shares
-    spread evenly over [1/2, 1 - GRID_EDGE] are the nodes, and the same
-    call solves the boundary probes (_PROBES).  Returns the nodes and, at
-    every node, the two shares, the log-odds and delta_u, then delta_u at
-    the probes, all read-only 2-D arrays.  ``phi``, if given, is a sequence
-    of freeness values in place of ``params.phi``, one row each, and every
-    row equals the one row that economy's own call lays.  A penalty weight
+    One wage solve lays the scan: the wages of the _NODES shares spread
+    evenly over [1/2, 1 - GRID_EDGE] are the nodes, and the same call
+    solves the boundary probes (_PROBES).  Returns the nodes and, at every
+    node, the two shares, the log-odds and delta_u, then delta_u at the
+    probes, all read-only 2-D arrays.  ``phi``, if given, is a sequence of
+    freeness values in place of ``params.phi``, one row each, and every row
+    equals the one row that economy's own call lays.  A penalty weight
     moves none of them.
 
     Near phi = 1 neighbouring solved wages can tie or swap by a spacing of
@@ -231,18 +251,17 @@ def _upper_scan(params: ModelParams, phi=None):
     row that holds the running maximum wage and has b > 0: the nodes are
     non-decreasing, and the first node, the symmetric point w = 1, has
     b = 1 - phi.  A tied cell brackets nothing, and the scan keeps its
-    GRID_POINTS // 2 + 1 nodes.
+    _NODES nodes.
     """
-    n = GRID_POINTS // 2 + 1
-    shares = np.append(np.linspace(0.5, 1.0 - GRID_EDGE, n), _PROBES)
+    n = _NODES
     if phi is not None:
         phi = np.reshape(phi, (-1, 1))  # one row per freeness
     rows = 1 if phi is None else phi.shape[0]
-    w, _, a, b = _solve_state(np.broadcast_to(shares, (rows, shares.size)), params, phi)
+    w, _, a, b = _solve_state(np.broadcast_to(_SHARES, (rows, _SHARES.size)), params, phi)
     held = (w[:, :n] == np.maximum.accumulate(w[:, :n], axis=1)) & (b[:, :n] > 0.0)
     if not held.all():  # the probes keep their wages
         keep = np.maximum.accumulate(np.where(held, np.arange(n), 0), axis=1)
-        keep += shares.size * np.arange(rows)[:, None]  # flat indices of the row-major arrays
+        keep += _SHARES.size * np.arange(rows)[:, None]  # flat indices of the row-major arrays
         for x in (w, a, b):
             x[:, :n] = x.take(keep)
     h, g, log_odds, _ = _wage_terms(a[:, :n], b[:, :n])
@@ -253,34 +272,128 @@ def _upper_scan(params: ModelParams, phi=None):
     return scan
 
 
-def _scan_rows(params: ModelParams, phi=None) -> list:
-    """The rows of :func:`_upper_scan`, one tuple of six arrays per economy,
-    or the exception that economy's own scan raises.
+def _incentive_slopes(w, X, a, b, h, params: ModelParams, spec: PenaltySpec, phi=None, mu=None):
+    """delta_V's closed-form slope in h at the wage states (w, X, a, b) of
+    shares h: :func:`geoeq.welfare._slopes`' d(delta_u)/dh less the
+    penalty's; ``phi`` and ``mu`` are per-element, as in :func:`delta_V`."""
+    return _slopes(w, X, a, b, params, phi)[1] - delta_t_prime(h, spec, mu=mu)
 
-    A block of economies that raises is laid again one economy at a time,
-    so a failure stays with its economy and carries the text that
-    :func:`find_equilibria` gives there.
+
+def _read_cells(values, slopes, width):
+    """The read rule: whether each cell between neighbouring coarse nodes is read.
+
+    ``values`` and ``slopes`` hold delta_V and its slope in h at the nodes
+    along the last axis; ``width`` is the cells' share widths.  A cell is
+    read where delta_V changes sign or vanishes between its ends, or where
+    delta_V may have an extremum inside it: the slope changes sign or
+    vanishes between the ends, or the cubic Hermite interpolant through the
+    ends' values and slopes changes sign inside.  A non-finite input reads
+    the cell.  Elementwise, so a cell gets the same answer in any array.
+    """
+    v0, v1 = values[..., :-1], values[..., 1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m0, m1 = slopes[..., :-1] * width, slopes[..., 1:] * width
+        # the interpolant v0 + m0 t + c2 t**2 + c3 t**3 on t in [0, 1]
+        c2 = 3.0 * (v1 - v0) - 2.0 * m0 - m1
+        c3 = 2.0 * (v0 - v1) + m0 + m1
+        read = ~((np.sign(v0) * np.sign(v1) > 0.0) & (np.sign(m0) * np.sign(m1) > 0.0)
+                 & np.isfinite(c2) & np.isfinite(c3))
+        # its extrema, the roots of m0 + 2 c2 t + 3 c3 t**2, as the stable
+        # pair q/(3 c3) and m0/q; no real root is a NaN, which reads nothing
+        q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c3 * m0), c2))
+        for t in (q / (3.0 * c3), m0 / q):
+            p = v0 + t * (m0 + t * (c2 + t * c3))
+            read |= (t > 0.0) & (t < 1.0) & ~(np.sign(p) == np.sign(v0))
+    return read
+
+
+def _sparse_rows(params: ModelParams, spec: PenaltySpec, phi) -> list:
+    """Scan rows of freeness-sweep steps, laid in two wage solves.
+
+    The first solves every step's coarse row, the dense nodes 0, _STRIDE,
+    2 _STRIDE, ... and the probes, at its freeness ``phi``; the read rule
+    (:func:`_read_cells`) picks the coarse cells to read, and the second
+    solves those cells' dense nodes, the first cell's always.  A step's row
+    is its coarse nodes plus its read cells: each node carries the bits of
+    the dense row of :func:`_upper_scan`, whose every share stops its own
+    wage solve.  Where the coarse row cannot show that the dense row's
+    forward fill leaves the laid nodes alone, at a node with b = 0 or a
+    cell whose wage rises by at most _RISE_ULPS spacings of doubles, the
+    step takes its dense row.  Returns one tuple of read-only arrays per
+    step, as :func:`_upper_scan`'s rows.
+    """
+    k = _NODES // _STRIDE + 1  # coarse nodes
+    col = np.reshape(phi, (-1, 1))
+    w, X, a, b = _solve_state(np.broadcast_to(_SHARES[_COARSE], (col.size, _COARSE.size)),
+                              params, col)
+    du = _delta_u_at(np.log(w), w, a + b, params, col)
+    wk = w[:, :k]
+    sparse = (np.all(b[:, :k] > 0.0, axis=1)
+              & np.all(np.diff(wk, axis=1) > _RISE_ULPS * np.spacing(wk[:, 1:]), axis=1))
+    steps = np.flatnonzero(sparse)
+    w, X, a, b, du, col = (x[steps] for x in (w, X, a, b, du, col))
+    probe_du = du[:, k:]
+    w, X, a, b, du = (x[:, :k] for x in (w, X, a, b, du))
+    h, g, log_odds, _ = _wage_terms(a, b)
+    read = _read_cells(du - _penalty_gap(h, g, log_odds, spec),
+                       _incentive_slopes(w, X, a, b, h, params, spec, col), _WIDTH)
+    read[:, 0] = True  # the first-cell search reads nodes[1]
+    step, cell = np.nonzero(read)
+    index = cell[:, None] * _STRIDE + np.arange(1, _STRIDE)
+    w_in, _, a_in, b_in = _solve_state(_SHARES[index], params, col[step])
+    du_in = _delta_u_at(np.log(w_in), w_in, a_in + b_in, params, col[step])
+    # merge each step's coarse nodes and read cells in dense-node order
+    order = np.argsort(np.append(np.arange(steps.size)[:, None] * _NODES + _COARSE[:k],
+                                 step[:, None] * _NODES + index), kind="stable")
+    w, a, b, du = (np.append(x, x_in)[order] for x, x_in in ((w, w_in), (a, a_in), (b, b_in),
+                                                               (du, du_in)))
+    h, g, log_odds, _ = _wage_terms(a, b)
+    for arr in (w, h, g, log_odds, du, probe_du):
+        arr.setflags(write=False)
+    ends = np.cumsum(k + (_STRIDE - 1) * np.count_nonzero(read, axis=1))[:-1]
+    laid = zip(*(np.split(x, ends) for x in (w, h, g, log_odds, du)), probe_du)
+    if sparse.all():
+        return list(laid)
+    dense = zip(*_upper_scan(params, np.reshape(phi, -1)[~sparse]))
+    return [next(laid if s else dense) for s in sparse]
+
+
+def _scan_rows(params: ModelParams, spec: PenaltySpec, phi=None) -> list:
+    """Scan rows, one tuple of six arrays per economy, or the exception
+    that economy's own scan raises: the dense row of :func:`_upper_scan`
+    for one economy, or the rows of :func:`_sparse_rows` for the freeness
+    values ``phi``.
+
+    A lay of several economies that raises is laid again one economy at a
+    time, each its dense row, so a failure stays with its economy and
+    carries the text that :func:`find_equilibria` gives there.
     """
     try:
-        return list(zip(*_upper_scan(params, phi)))
+        return list(zip(*_upper_scan(params))) if phi is None else _sparse_rows(params, spec, phi)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         if phi is None:
             return [exc]
-        return [row for value in phi for row in _scan_rows(params.with_phi(value))]
+        return [row for value in phi for row in _scan_rows(params.with_phi(value), spec)]
 
 
-def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> list[float]:
+def _root_cells(fx: np.ndarray) -> np.ndarray:
+    """Indices i along an ordered grid's values fx where fx[i] is exactly
+    zero or fx changes sign between nodes i and i + 1."""
+    sign = np.sign(fx)  # a product of the values could underflow to 0 or overflow
+    return np.flatnonzero((fx == 0.0) | np.append(sign[:-1] * sign[1:] < 0.0, False))
+
+
+def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float, cells=None) -> list[float]:
     """Roots of f along an ordered grid x with values fx = f(x), in grid order.
 
     A node where fx is exactly zero is a root as it stands; a cell whose end
     values have opposite signs gets one bracketed root find to ``xtol``.
+    ``cells``, if given, are the indices to take in place of every such
+    node and cell (:func:`_root_cells`).
     """
-    zero = fx == 0.0
-    sign = np.sign(fx)  # a product of the values could underflow to 0 or overflow
-    change = np.append(sign[:-1] * sign[1:] < 0.0, False)
-    return [float(x[i]) if zero[i]
+    return [float(x[i]) if fx[i] == 0.0
             else float(brentq(f, float(x[i]), float(x[i + 1]), xtol=xtol, maxiter=200))
-            for i in np.flatnonzero(zero | change)]
+            for i in (_root_cells(fx) if cells is None else cells)]
 
 
 def _incentive_and_slope(h, params: ModelParams, spec: PenaltySpec, phi=None, mu=None):
@@ -324,13 +437,16 @@ def _per_share(values: list[float], counts: list[int], default: float | None):
     return np.repeat(values, counts)
 
 
-def _boundary_pair(params: ModelParams, stability: str, slope: float,
-                   residual: float) -> list[Equilibrium]:
+def _boundary_pair(params: ModelParams, stability: str, slope: float, residual: float,
+                   phi=None) -> list[Equilibrium]:
     """The boundary rest points h = 0 and h = 1, at the wage-bracket ends:
-    mirror images, so they share their stability, slope and residual."""
-    lo, hi = params.wage_bracket
+    mirror images, so they share their stability, slope and residual.
+    ``phi``, if given, is the freeness in place of ``params.phi``."""
+    # as in ModelParams.wage_bracket
+    lo = float(np.power(params.phi if phi is None else phi, 1.0 / params.sigma))
     return [Equilibrium(h_star=h_star, w=w, kind=KIND_BOUNDARY, stability=stability,
-                        slope=slope, residual=residual) for h_star, w in ((0.0, lo), (1.0, hi))]
+                        slope=slope, residual=residual)
+            for h_star, w in ((0.0, lo), (1.0, 1.0 / lo))]
 
 
 def _bounded(spec: PenaltySpec, mu=None) -> bool:
@@ -340,14 +456,15 @@ def _bounded(spec: PenaltySpec, mu=None) -> bool:
 
 
 def _boundary_equilibria(params: ModelParams, spec: PenaltySpec, probe_du,
-                         mu=None) -> list[Equilibrium]:
+                         mu=None, phi=None) -> list[Equilibrium]:
     """Endpoint rest points, admissible only under a bounded penalty.
 
     h = 1 is at rest when no one wants to leave the crowded region, i.e.
     delta_V(1) >= 0; within MARGINAL_BAND of zero it is marginal.  The
     mirror point h = 0 follows by antisymmetry.  ``probe_du`` is delta_u
     at the probes, from the economy's scan row (:func:`_upper_scan`);
-    ``mu`` is as in :func:`_bounded`.
+    ``mu`` is as in :func:`_bounded`, ``phi`` the freeness in place of
+    ``params.phi``.
     """
     if not _bounded(spec, mu):
         return []
@@ -356,21 +473,22 @@ def _boundary_equilibria(params: ModelParams, spec: PenaltySpec, probe_du,
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
-    return _boundary_pair(params, stability, (v_full - v_step) / FD_STEP, abs(v_full))
+    return _boundary_pair(params, stability, (v_full - v_step) / FD_STEP, abs(v_full), phi)
 
 
 @dataclass
 class _Located:
     """One economy's rest points as the locate phase leaves them.
 
-    ``mu`` is the economy's penalty weight, in place of ``spec.mu`` (see
-    :func:`_locate`); ``roots`` are the upper-half rest points (h*, w), not
-    yet finished; ``edge`` the pinned or boundary rest points, final as
-    they stand.
+    ``phi`` and ``mu`` are the economy's freeness and penalty weight, in
+    place of ``params.phi`` and ``spec.mu`` (see :func:`_locate`); ``roots``
+    are the upper-half rest points (h*, w), not yet finished; ``edge`` the
+    pinned or boundary rest points, final as they stand.
     """
 
     params: ModelParams
     spec: PenaltySpec
+    phi: float
     mu: float | None
     roots: list[tuple[float, float]]
     edge: list[Equilibrium]
@@ -415,30 +533,68 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     return None
 
 
+def _read_root_cells(cells: list[int], nodes, h, values, params: ModelParams,
+                     spec: PenaltySpec, phi=None, mu=None) -> list[int]:
+    """The root cells (:func:`_root_cells`) of a dense scan row with nodes,
+    shares h and delta_V values, less those inside a coarse cell that the
+    read rule does not read.
+
+    Only a coarse cell whose ends share a sign can go unread, and only one
+    holding a root cell is asked about (:func:`_read_cells`, on its ends
+    alone), so a dense row brackets what a freeness-sweep row, laid with
+    the read cells only (:func:`_sparse_rows`), brackets.  Where the rule
+    cannot be evaluated, the cells are read.  ``phi`` and ``mu`` are as in
+    :func:`_locate`.  A few root cells are the common case, so they are
+    checked one by one.
+    """
+    ends = values[::_STRIDE].tolist()
+    # a zero at the last node counts to the last cell, which it makes read
+    coarse = [min(i // _STRIDE, _WIDTH.size - 1) for i in cells]
+    # ends sharing a sign: the read rule's sign(v0) sign(v1) > 0, NaN excluded
+    ask = sorted({c for c in coarse if c > 0 and ((ends[c] > 0.0 and ends[c + 1] > 0.0)
+                                                 or (ends[c] < 0.0 and ends[c + 1] < 0.0))})
+    if not ask:
+        return cells
+    at = (np.array(ask)[:, None] + [0, 1]) * _STRIDE  # the asked cells' ends
+    w = nodes[at]
+    try:
+        slopes = _incentive_slopes(w, *_share_terms(w, params, phi), h[at], params, spec, phi, mu)
+        read = _read_cells(values[at], slopes, _WIDTH[ask][:, None])[:, 0].tolist()
+    except (ValueError, ArithmeticError, RuntimeError):
+        return cells
+    unread = {c for c, r in zip(ask, read) if not r}
+    return [i for i, c in zip(cells, coarse) if c not in unread]
+
+
 def _locate(params: ModelParams, spec: PenaltySpec, slope: float, scan,
-            mu=None) -> _Located:
+            mu=None, phi=None) -> _Located:
     """The locate phase of :func:`find_equilibria`: everything but the finish.
 
     ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
     decides whether the first scan cell is searched.  ``scan`` is the
-    economy's row of :func:`_upper_scan`.  ``mu``, if given, is the
-    penalty weight in place of ``spec.mu`` (named families only), so the
-    steps of a penalty-weight sweep build no penalty of their own, except
-    for the chase past the scan edge.
+    economy's scan row (:func:`_scan_rows`); a dense one has its root
+    cells read as a sparse one's are (:func:`_read_root_cells`).  ``mu``
+    and ``phi``, if given, are the penalty weight and freeness in place of
+    ``spec.mu`` (named families only) and ``params.phi``, so the steps of a
+    sweep build no economy or penalty of their own, except for the chase
+    past the scan edge.
     """
     nodes, h, g, log_odds, du, probe_du = scan
     values = du - _penalty_gap(h, g, log_odds, spec, mu)
 
     roots: list[tuple[float, float]] = []
-    f = lambda x: float(_delta_V_wage(x, params, spec, mu))
+    f = lambda x: float(_delta_V_wage(x, params, spec, mu, phi))
     # The node at w = 1 is the symmetric point, zero by antisymmetry.
-    wages = _grid_roots(f, nodes[1:], values[1:], 1e-15)
+    cells = (_root_cells(values[1:]) + 1).tolist()
+    if cells and nodes.size == _NODES:
+        cells = _read_root_cells(cells, nodes, h, values, params, spec, phi, mu)
+    wages = _grid_roots(f, nodes, values, 1e-15, cells)
     if abs(slope) >= MARGINAL_BAND and slope * np.sign(values[1]) < 0.0:
         w = _first_cell_root(f, float(nodes[1]), float(values[1]))
         if w is not None:
             wages.append(w)
     for w in wages:
-        _, a, b = _share_terms(w, params)
+        _, a, b = _share_terms(w, params, phi)
         _add_root(roots, float(a / (a + b)), w)
 
     pinned: list[Equilibrium] = []
@@ -448,20 +604,23 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float, scan,
         # through the last representable shares; if even the closest double
         # to 1 still flows outward, the rest point is below the resolution
         # of the floating-point grid and is reported pinned at the boundary.
-        # The chase's many scalar calls take one penalty at the weight, not
-        # a per-element weight that each call would check again.
+        # The chase's many scalar calls take one economy at the freeness and
+        # one penalty at the weight, not per-element values that each call
+        # would check again.
         penalty = spec if mu is None else replace(spec, mu=mu)
-        f_h = lambda x: float(delta_V(x, params, penalty))
+        economy = params if phi is None else params.with_phi(phi)
+        f_h = lambda x: float(delta_V(x, economy, penalty))
         h_last = float(_PROBES[1])
         v_last = float(probe_du[1] - delta_t(h_last, penalty))
         if v_last <= 0.0:
             r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
                                                      xtol=1e-16, maxiter=200)
-            _add_root(roots, r, solve_wage(r, params))
+            _add_root(roots, r, solve_wage(r, economy))
         else:
-            pinned = _boundary_pair(params, STABLE, float("-inf"), v_last)
-    return _Located(params, spec, spec.mu if mu is None else mu, roots,
-                    [*pinned, *_boundary_equilibria(params, spec, probe_du, mu)])
+            pinned = _boundary_pair(economy, STABLE, float("-inf"), v_last)
+    return _Located(params, spec, params.phi if phi is None else phi,
+                    spec.mu if mu is None else mu, roots,
+                    [*pinned, *_boundary_equilibria(params, spec, probe_du, mu, phi)])
 
 
 def _finish(located: list[_Located]) -> list:
@@ -484,7 +643,7 @@ def _finish(located: list[_Located]) -> list:
         residual, slope = _incentive_and_slope(
             np.array([h_star for p in pairs for h_star, _ in p]),
             located[0].params, located[0].spec,
-            phi=_per_share([loc.params.phi for loc in located], counts, located[0].params.phi),
+            phi=_per_share([loc.phi for loc in located], counts, located[0].params.phi),
             mu=_per_share([loc.mu for loc in located], counts, located[0].spec.mu))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         if len(located) == 1:
@@ -512,8 +671,17 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     GRID_POINTS // 2 + 1 evenly spaced shares, from one wage solve, and
     each root is reported at the share h* = h(w*) of its polished wage.
     The asymmetric roots are mirrored across 1/2 and admissible boundary
-    points appended.  Roots closer together than the scan resolution
-    (about 1/GRID_POINTS) can be missed.
+    points appended.
+
+    Every 32nd node is a coarse node, and the scan reads a coarse cell's
+    nodes only where the read rule (:func:`_read_cells`) reads the cell:
+    where delta_V changes sign or vanishes between its ends, or may have an
+    extremum inside, by the closed-form slope changing sign between the
+    ends or the cubic Hermite interpolant through the ends' values and
+    slopes changing sign inside; the first cell is always read.  An unread
+    cell's ends share a sign, so by Rolle's theorem it holds a pair of
+    roots only if delta_V has an extremum there that both tests miss; a
+    read cell brackets roots at the full resolution (about 1/GRID_POINTS).
 
     The locate and finish phases are the module docstring's; this is the
     one-economy case of :func:`sweep`.  The sign-change test is blind in
@@ -671,22 +839,24 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
                             criticality=crit, third_derivative=third)
 
 
-def _step_scans(parameter: str, values: list[float], params: ModelParams):
-    """(economy, penalty weight or None, scan row or exception) per sweep step.
+def _step_scans(parameter: str, values: list[float], params: ModelParams,
+                spec: PenaltySpec):
+    """(freeness or None, penalty weight or None, scan row or exception) per
+    sweep step.
 
-    A penalty-weight sweep lays its economy's row once; a freeness sweep
-    lays _SCAN_BLOCK steps' rows per wage solve, and drops each block once
-    its steps have taken their rows.
+    A penalty-weight sweep lays its economy's dense row once; a freeness
+    sweep lays _LAY_STEPS steps' rows at a time (:func:`_sparse_rows`), and
+    drops them once those steps have taken their rows.
     """
     if parameter == "mu":
-        scan, = _scan_rows(params)
+        scan, = _scan_rows(params, spec)
         for value in values:
-            yield params, value, scan
+            yield None, value, scan
         return
-    for start in range(0, len(values), _SCAN_BLOCK):
-        block = values[start:start + _SCAN_BLOCK]
-        for value, scan in zip(block, _scan_rows(params, block)):
-            yield params.with_phi(value), None, scan
+    for start in range(0, len(values), _LAY_STEPS):
+        block = values[start:start + _LAY_STEPS]
+        for value, scan in zip(block, _scan_rows(params, spec, block)):
+            yield value, None, scan
 
 
 def _sweep_chunk(job):
@@ -697,12 +867,12 @@ def _sweep_chunk(job):
     """
     parameter, values, slopes, params, spec = job
     steps = []
-    for (economy, mu, scan), slope in zip(_step_scans(parameter, values, params), slopes):
+    for (phi, mu, scan), slope in zip(_step_scans(parameter, values, params, spec), slopes):
         if isinstance(scan, Exception):
             steps.append(scan)
             continue
         try:
-            steps.append(_locate(economy, spec, slope, scan, mu))
+            steps.append(_locate(params, spec, slope, scan, mu, phi))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             steps.append(exc)
     finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
@@ -717,10 +887,13 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
 
     Each step's sample is exactly what :func:`find_equilibria` returns
     there: every step is located on its own, from its own row of scan
-    arrays (mu-steps share one economy's row, phi-steps lay theirs a block
-    of steps at a time), and the finish phase takes all steps in one
-    delta_V call.  A step whose scan, locate or finish raises is recorded
-    in ``diagnostics`` with the text find_equilibria would raise; the other
+    arrays, and the finish phase takes all steps in one delta_V call.
+    mu-steps share one economy's dense row; phi-steps lay a coarse row and
+    the cells the read rule reads, many steps per wage solve
+    (:func:`_sparse_rows`), and find_equilibria's dense row brackets only
+    inside the cells that rule reads, so both bracket the same cells.  A
+    step whose scan, locate or finish raises is recorded in
+    ``diagnostics`` with the text find_equilibria would raise; the other
     steps keep their rest points.  With workers > 1 each worker process
     locates and finishes one contiguous run of steps; the results do not
     depend on the split.

@@ -71,12 +71,13 @@ def _scaled_exp(top, q, over, what: str, params: ModelParams, phi):
     return np.exp(top) * q
 
 
-def _power_sum(c1, l1, c2, l2, what: str, params: ModelParams):
-    """c1 e**l1 + c2 e**l2, the larger power factored out as in :func:`_delta_u_at`."""
+def _power_sum(c1, l1, c2, l2, what: str, params: ModelParams, phi=None):
+    """c1 e**l1 + c2 e**l2, the larger power factored out as in :func:`_delta_u_at`;
+    ``phi``, if given, is the per-element freeness a SolverError names."""
     top = np.maximum(l1, l2)
     q = c1 * np.exp(l1 - top) + c2 * np.exp(l2 - top)
     return _scaled_exp(top, q, top + np.log(np.maximum(abs(q), 1.0)) > _EXP_LIMIT,
-                       what, params, params.phi)
+                       what, params, params.phi if phi is None else phi)
 
 
 def delta_u(h, params: ModelParams, *, phi=None):
@@ -153,21 +154,24 @@ class StabilityCoefficients:
     Psi: float
 
 
-def _slopes(w, X, a, b, params: ModelParams):
+def _slopes(w, X, a, b, params: ModelParams, phi=None):
     """The coefficients zeta ... a3 of :class:`StabilityCoefficients`,
     d(delta_u)/dh, d(delta_u)/d(phi) and ln X**-e at the wage state (w, X,
-    a, b), scalar or array.  With core = C_R**(sigma - 1) = (1 - phi**2)
-    w/(a + b), kappa = (1 - theta)/(sigma - 1) and e = 1 - kappa, the slopes
-    are zeta (varphi (X core)**kappa + psi core**kappa / w) and -(w/a3)(a1
-    (X core)**-e + a2 core**-e).  Near sigma = 1 those powers leave the
-    double range where the slopes do not: they are formed in logs.
+    a, b), scalar or array; ``phi``, if given, is a per-element freeness in
+    place of ``params.phi``, as in :func:`delta_u`.  With core =
+    C_R**(sigma - 1) = (1 - phi**2) w/(a + b), kappa = (1 - theta)/(sigma - 1)
+    and e = 1 - kappa, the slopes are zeta (varphi (X core)**kappa + psi
+    core**kappa / w) and -(w/a3)(a1 (X core)**-e + a2 core**-e).  Near
+    sigma = 1 those powers leave the double range where the slopes do not:
+    they are formed in logs.
     varphi and psi are O(1 - phi) at w = 1; written in the share terms,
     varphi's bracket as sigma phi X (1 - w) - (2 sigma - 1) b and psi as
     sigma phi (w - 1) - (2 sigma - 1) a/X, they take no cancellation there.
     """
-    s, p, th = params.sigma, params.phi, _utility_theta(params)
+    s, th = params.sigma, _utility_theta(params)
+    p = params.phi if phi is None else phi
     ab = a + b
-    G = G_poly(X, params)
+    G = G_poly(X, params, phi=p)
     zeta = -ab / ((s - 1.0) * G)
     varphi = np.power(w, -th - s) * (s * p * X * (1.0 - w) - (2.0 * s - 1.0) * b)
     psi = s * p * (w - 1.0) - (2.0 * s - 1.0) * (a / X)
@@ -180,9 +184,9 @@ def _slopes(w, X, a, b, params: ModelParams):
     log_x = s * np.log(w)
     log_core = np.log((1.0 - p) * (1.0 + p) * w / ab)
     du_dh = _power_sum(zeta * varphi, kappa * (log_x + log_core), zeta * psi / w,
-                       kappa * log_core, "utility slope in h", params)
+                       kappa * log_core, "utility slope in h", params, p)
     du_dphi = _power_sum(-w * a1 / a3, -e * (log_x + log_core), -w * a2 / a3, -e * log_core,
-                         "utility slope in phi", params)
+                         "utility slope in phi", params, p)
     return (zeta, varphi, psi, a1, a2, a3), du_dh, du_dphi, -e * log_x
 
 

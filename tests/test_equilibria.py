@@ -1,5 +1,6 @@
 import itertools
 import math
+import unittest.mock
 import warnings
 from dataclasses import astuple, fields, replace
 
@@ -606,8 +607,8 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
     locate = equilibria._locate
 
-    def fresh_scan(p, spec, slope, scan, mu=None):
-        return locate(p, spec, slope, _scan_row(p), mu)
+    def fresh_scan(p, spec, slope, scan, mu=None, phi=None):
+        return locate(p, spec, slope, _scan_row(p), mu, phi)
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
     laid.clear()
@@ -626,22 +627,150 @@ def test_scan_arrays_are_read_only():
 
 
 # (sigma, freeness range, theta): ranges that end near free trade fill held
-# nodes forward in some rows
+# nodes forward in some dense rows, whose steps lay their dense rows
 _BLOCK_ECONOMIES = [(2.0, 0.05, 0.95, theta) for theta in (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0)] + \
     [(sigma, 0.999, phi, 0.0) for sigma, phi in _POWER_PAST_THE_BRACKET]
 
 
 @pytest.mark.parametrize("sigma,lo,hi,theta", _BLOCK_ECONOMIES)
 def test_block_rows_are_each_economys_own_scan(sigma, lo, hi, theta):
+    # every laid node carries the six values of its economy's dense row,
+    # bit for bit, and a row lays every coarse node and each coarse cell
+    # whole or not at all
     params = ModelParams(sigma=sigma, phi=0.5, theta=theta)
     values = np.linspace(lo, hi, 5).tolist()
-    block = equilibria._upper_scan(params, values)
-    for i, value in enumerate(values):
-        for arr, own in zip(block, _scan_row(params.with_phi(value))):
-            row = arr[i]
-            assert np.array_equal(row, own) and row.tobytes() == own.tobytes(), value
+    stride, nodes = equilibria._STRIDE, GRID_POINTS // 2 + 1
+    for value, row in zip(values, equilibria._sparse_rows(params, LOGIT02, values)):
+        own = _scan_row(params.with_phi(value))
+        laid = np.searchsorted(own[0], row[0])  # the dense nodes rise strictly
+        if row[0].size == nodes:
+            laid = np.arange(nodes)
+        for arr, dense in zip(row, own):
+            at = dense if arr is row[5] else dense[laid]
+            assert arr.tobytes() == at.tobytes(), value
             with pytest.raises(ValueError):
-                row[0] = 0.0
+                arr[0] = 0.0
+        cells = np.bincount(laid[laid % stride > 0] // stride, minlength=nodes // stride)
+        assert set(cells.tolist()) <= {0, stride - 1} and cells[0] == stride - 1, value
+        assert set(range(0, nodes, stride)) <= set(laid.tolist()), value
+        # only the last step of a range ending near free trade lays its dense row
+        assert (row[0].size == nodes) == (value == hi > 0.99), value
+
+
+def test_a_phi_sweep_lays_each_run_of_steps_in_two_wage_solves(monkeypatch):
+    params = ModelParams(sigma=2.0, phi=0.4, theta=0.0)
+    solve_state = equilibria._solve_state
+    shapes = []
+
+    def counted(h, p, phi=None):
+        shapes.append(np.shape(h))
+        return solve_state(h, p, phi)
+
+    monkeypatch.setattr(equilibria, "_solve_state", counted)
+    sweep("phi", 0.02, 0.98, 40, params, LOGIT02)
+    monkeypatch.undo()
+    # 32 steps' coarse rows (and probes), then their read cells; the same
+    # for the other 8 steps
+    coarse = (GRID_POINTS // 2) // equilibria._STRIDE + 4
+    assert [shape[1] for shape in shapes] == [coarse, equilibria._STRIDE - 1] * 2
+    assert [shapes[0][0], shapes[2][0]] == [32, 8]
+    # a few read cells per step (127 here) of the 32 a dense row reads
+    assert shapes[1][0] + shapes[3][0] <= 4 * 40
+    assert not _assert_sweep_is_the_per_step_solve("phi", 0.02, 0.98, 40, params,
+                                                   LOGIT02).diagnostics
+
+
+# ---------------------------------------------------------------------------
+# the read rule against the dense scan that reads every cell
+
+
+def _all_cells_equilibria(params, spec):
+    """find_equilibria on its dense row with every coarse cell read: the
+    scan at its full resolution, the read rule's oracle."""
+    with unittest.mock.patch.object(equilibria, "_read_cells",
+                                    lambda values, slopes, width: np.ones(
+                                        np.shape(values[..., 1:]), dtype=bool)):
+        return find_equilibria(params, spec)
+
+
+def _assert_sweep_reads_every_root(parameter, lo, hi, steps, params, spec):
+    """The sweep is the per-step solve, and each step's rest points are the
+    all-cells scan's, to the bit of h*; a step that fails fails in both."""
+    branch = _assert_sweep_is_the_per_step_solve(parameter, lo, hi, steps, params, spec)
+    for value, eqs in branch.samples:
+        p2, s2 = (params.with_phi(value), spec) if parameter == "phi" \
+            else (params, replace(spec, mu=value))
+        try:
+            oracle = _all_cells_equilibria(p2, s2)
+        except (ValueError, ArithmeticError, RuntimeError):
+            oracle = []
+        assert [(e.kind, e.stability, e.h_star.hex()) for e in eqs] == \
+            [(e.kind, e.stability, e.h_star.hex()) for e in oracle], (parameter, value)
+    return branch
+
+
+# the economies on which the read rule was built: sigma up to 7.3, the whole
+# freeness range, the log band from both sides and weights over three decades
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    log_gap=st.floats(-1.3, 0.8),
+    phi=st.floats(0.02, 0.98),
+    theta=st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]),
+    kind=st.sampled_from(["logit", "linear"]),
+    log_mu=st.floats(-2.5, 0.5),
+)
+def test_phi_sweeps_read_every_root_of_the_all_cells_scan(log_gap, phi, theta, kind, log_mu):
+    params = ModelParams(sigma=1.0 + 10.0 ** log_gap, phi=phi, theta=theta)
+    spec = PenaltySpec(kind=kind, mu=10.0 ** log_mu)
+    _assert_sweep_reads_every_root("phi", phi - 0.01, phi + 0.01, 3, params, spec)
+
+
+# a fold economy: two rest points of the upper half meet and vanish
+_FOLD = ModelParams(sigma=1.1, phi=0.3, theta=0.5)
+
+
+@pytest.mark.parametrize("parameter,lo,hi,counts,last", [
+    # 5 rest points up to mu = 0.6733, then 3, then 1
+    ("mu", 0.64, 0.68, {5: 236, 3: 98, 1: 67}, (5, 0.6733)),
+    # at mu = 0.66: 1 rest point up to phi = 0.2795, 5 from 0.28 to 0.309, then 3
+    ("phi", 0.2, 0.4, {1: 160, 5: 59, 3: 182}, (1, 0.2795)),
+])
+def test_fold_sweeps_keep_the_dense_scans_rest_points(parameter, lo, hi, counts, last):
+    branch = sweep(parameter, lo, hi, 401, _FOLD, PenaltySpec(kind="logit", mu=0.66))
+    sizes = [len(eqs) for _, eqs in branch.samples]
+    assert {n: sizes.count(n) for n in set(sizes)} == counts
+    assert max(v for v, eqs in branch.samples if len(eqs) == last[0]) == last[1]
+    if parameter == "phi":
+        _assert_sweep_reads_every_root(parameter, lo, hi, 401, _FOLD,
+                                       PenaltySpec(kind="logit", mu=0.66))
+
+
+def test_a_dense_row_asks_the_read_rule_about_a_root_pair_in_one_coarse_cell(monkeypatch):
+    # Just below the fold at sigma = 1.1, phi = 0.29, theta = 0.5 (about
+    # mu = 0.666617), the two upper rest points lie in one coarse cell
+    # (dense nodes 576 to 608) whose ends share a sign: the dense row
+    # brackets both, and the rule, asked about that cell alone, reads it
+    # by its slope's sign change
+    params = ModelParams(sigma=1.1, phi=0.29, theta=0.5)
+    spec = PenaltySpec(kind="logit", mu=0.6666)
+    read_cells = equilibria._read_cells
+    asked = []
+
+    def counted(values, slopes, width):
+        read = read_cells(values, slopes, width)
+        if np.shape(values) == (1, 2):
+            asked.append((np.sign(values).tolist(), np.sign(slopes).tolist(), read.tolist()))
+        return read
+
+    monkeypatch.setattr(equilibria, "_read_cells", counted)
+    eqs = find_equilibria(params, spec)
+    assert asked == [([[-1.0, -1.0]], [[1.0, -1.0]], [[True]])]
+    assert len(eqs) == 5
+    upper = [(e.h_star - 0.5) / ((0.5 - GRID_EDGE) / (GRID_POINTS // 2)) for e in eqs[3:]]
+    assert 576 < upper[0] < upper[1] < 608
+    # and a mu-sweep's dense row, and a phi-sweep's read cells, keep the pair
+    _assert_sweep_reads_every_root("mu", 0.6665, 0.6666, 2, params, spec)
+    _assert_sweep_reads_every_root("phi", 0.29, 0.2901, 2, params, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +1027,10 @@ def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
     locate = equilibria._locate
 
-    def failing_scan(p, spec, slope, scan, mu=None):
-        if p.phi == 0.7:
+    def failing_scan(p, spec, slope, scan, mu=None, phi=None):
+        if phi == 0.7:
             raise SolverError("injected failure")
-        return locate(p, spec, slope, scan, mu)
+        return locate(p, spec, slope, scan, mu, phi)
 
     monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
@@ -981,10 +1110,10 @@ def test_sweep_samples_equal_the_per_step_solve_on_fig6_economies(parameter, lo,
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("steps", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("steps", [2, 3, 4, 5, 8, 9, 33, 67])
 def test_phi_sweep_blocks_keep_the_per_step_solve(steps, workers):
-    # a freeness sweep lays its steps' scans in blocks of four: these step
-    # counts leave full, partial and one-step blocks, in each worker's run too
+    # a freeness sweep lays its steps' scans 32 steps at a time: these step
+    # counts leave full, partial and one-step lays, in each worker's run too
     for theta in (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
         params = ModelParams(sigma=2.0, phi=0.5, theta=theta)
         for kind in ("logit", "linear"):
@@ -995,7 +1124,7 @@ def test_phi_sweep_blocks_keep_the_per_step_solve(steps, workers):
 @pytest.mark.parametrize("sigma,phi", _POWER_PAST_THE_BRACKET)
 def test_phi_sweeps_into_the_power_rounding_past_the_bracket_keep_the_per_step_solve(sigma, phi):
     for kind in ("logit", "linear"):
-        # the last of four steps in the second block fills held nodes forward
+        # the last steps lay their dense rows, which fill held nodes forward
         _assert_sweep_is_the_per_step_solve("phi", 0.999, phi, 8, ModelParams(sigma=sigma, phi=0.5),
                                             PenaltySpec(kind=kind, mu=0.2))
 
@@ -1019,17 +1148,21 @@ def test_a_block_whose_steps_partly_fail_keeps_each_steps_text(workers):
 
 def test_a_failing_block_is_laid_again_one_economy_at_a_time(monkeypatch):
     params, spec = _MIXED
-    upper_scan = equilibria._upper_scan
+    solve_state = equilibria._solve_state
     laid = []
 
-    def counted(p, phi=None):
-        laid.append(None if phi is None else len(phi))
-        return upper_scan(p, phi)
+    def counted(h, p, phi=None):
+        laid.append((np.shape(h), p.phi if phi is None else np.ravel(phi).tolist()))
+        return solve_state(h, p, phi)
 
-    monkeypatch.setattr(equilibria, "_upper_scan", counted)
+    monkeypatch.setattr(equilibria, "_solve_state", counted)
     sweep("phi", 0.1, 0.3, 9, params, spec)
-    # steps 1-4 all fail, steps 5-8 fail but for 8, and step 9 solves alone
-    assert laid == [4, None, None, None, None, 4, None, None, None, None, 1]
+    # the nine steps' coarse rows fail in one lay (steps 1-7 do), so each
+    # step lays its own dense row, in its own economy
+    values = np.linspace(0.1, 0.3, 9).tolist()
+    dense = (1, GRID_POINTS // 2 + 4)
+    assert laid == [((9, (GRID_POINTS // 2) // equilibria._STRIDE + 4), values)] + \
+        [(dense, value) for value in values]
 
 
 # Near sigma = 1 with theta > 1, kappa = (1 - theta)/(sigma - 1) is large and

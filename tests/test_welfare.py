@@ -343,3 +343,21 @@ def test_a_scalar_gets_the_bits_of_its_array_entry(sigma, phi, theta, inner, ulp
         _same_bits(lambda h: slope(h, params) if np.ndim(h) == 0
                    else _slopes(*_solve_state(h, params), params)[pick],
                    [h for h in shares if keep(h)])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.0])
+def test_slope_kernel_of_mixed_economies_matches_each_economys_own_call(theta):
+    # a per-element freeness gives each share its own economy's slopes, bit
+    # for bit, as the read rule of a freeness sweep's scan needs
+    params = ModelParams(sigma=2.0, phi=0.4, theta=theta)
+    h = np.linspace(0.05, 0.95, 7)
+    phis = np.repeat([0.1, 0.4, 0.9], h.size)
+    coefficients, du_dh, du_dphi, log_x_e = _slopes(
+        *_solve_state(np.tile(h, 3), params, phis), params, phis)
+    mixed = [*coefficients, du_dh, du_dphi, log_x_e]
+    for i, phi in enumerate((0.1, 0.4, 0.9)):
+        own = params.with_phi(phi)
+        coefficients, du_dh, du_dphi, log_x_e = _slopes(*_solve_state(h, own), own)
+        part = slice(i * h.size, (i + 1) * h.size)
+        for x, y in zip(mixed, [*coefficients, du_dh, du_dphi, log_x_e]):
+            assert np.asarray(x)[part].tobytes() == np.asarray(y).tobytes(), phi
