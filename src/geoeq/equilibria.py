@@ -27,17 +27,23 @@ wage solves, each share at its own step's freeness: the coarse nodes,
 then the nodes of the cells the rule reads.  A dense row brackets only
 inside the cells the same rule reads, so both give the same rest points.
 
-Solving is split in two phases.  The locate phase runs per economy: scan,
-brackets, polish, the first-cell search, near-boundary chase, pinned and
-boundary checks.  It is handed delta_V's closed-form slope at 1/2
+Solving is split in two phases.  The locate phase runs per scan row,
+over every step that shares it: a penalty-weight sweep locates all its
+steps in one pass over its economy's row, and find_equilibria and each
+freeness step pass one.  The steps' delta_V values (a row each), root
+cells, first-cell flags and boundary checks are array expressions; the
+polish, the first-cell search and the near-boundary chase run per step,
+and every polish starts from the values the scan holds at its bracket
+ends.  It is handed delta_V's closed-form slope at 1/2
 (:func:`_symmetric_slope`, one expression for one economy or all the
 steps of a sweep), which decides whether a rest point hides inside the
 first scan cell.  The finish phase takes the located rest points of any
 number of economies that differ only in freeness and penalty weight, and
 computes |delta_V| and its central-FD slope for the symmetric point,
 every root and every mirror in one delta_V call, each share at its own
-economy's freeness and weight.  :func:`find_equilibria` is the one-economy case; :func:`sweep`
-finishes all its steps at once.
+economy's freeness and weight; a sweep's pitchforks add their
+third-derivative stencils to the same call.  :func:`find_equilibria` is
+the one-economy case; :func:`sweep` finishes all its steps at once.
 """
 
 from __future__ import annotations
@@ -350,8 +356,9 @@ def _sparse_rows(params: ModelParams, spec: PenaltySpec, phi) -> list:
     h, g, log_odds, _ = _wage_terms(a, b)
     for arr in (w, h, g, log_odds, du, probe_du):
         arr.setflags(write=False)
-    ends = np.cumsum(k + (_STRIDE - 1) * np.count_nonzero(read, axis=1))[:-1]
-    laid = zip(*(np.split(x, ends) for x in (w, h, g, log_odds, du)), probe_du)
+    ends = [0, *np.cumsum(k + (_STRIDE - 1) * np.count_nonzero(read, axis=1)).tolist()]
+    laid = zip(*([x[i:j] for i, j in zip(ends, ends[1:])] for x in (w, h, g, log_odds, du)),
+               probe_du)
     if sparse.all():
         return list(laid)
     dense = zip(*_upper_scan(params, np.reshape(phi, -1)[~sparse]))
@@ -376,77 +383,71 @@ def _scan_rows(params: ModelParams, spec: PenaltySpec, phi=None) -> list:
         return [row for value in phi for row in _scan_rows(params.with_phi(value), spec)]
 
 
-def _root_cells(fx: np.ndarray) -> np.ndarray:
-    """Indices i along an ordered grid's values fx where fx[i] is exactly
-    zero or fx changes sign between nodes i and i + 1."""
-    sign = np.sign(fx)  # a product of the values could underflow to 0 or overflow
-    return np.flatnonzero((fx == 0.0) | np.append(sign[:-1] * sign[1:] < 0.0, False))
+def _root_cells(fx: np.ndarray, row: int = 0) -> np.ndarray:
+    """Indices i into ordered grid values fx where fx[i] is exactly zero or
+    fx changes sign between nodes i and i + 1.  ``row``, if given, is the
+    length of each of the grids that fx holds one after another: their
+    first nodes are passed over, so no cell spans two grids."""
+    # signs, not a product of the values: it could underflow to 0 or overflow
+    neg, pos, root = fx < 0.0, fx > 0.0, fx == 0.0
+    if row:
+        for x in (neg, pos, root):
+            x[::row] = False
+    root[:-1] |= (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    return np.flatnonzero(root)
 
 
 def _grid_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float, cells=None) -> list[float]:
     """Roots of f along an ordered grid x with values fx = f(x), in grid order.
 
     A node where fx is exactly zero is a root as it stands; a cell whose end
-    values have opposite signs gets one bracketed root find to ``xtol``.
-    ``cells``, if given, are the indices to take in place of every such
-    node and cell (:func:`_root_cells`).
+    values have opposite signs gets one bracketed root find to ``xtol``,
+    which starts from the end values fx holds: f at a node must give the
+    node's value bit for bit.  ``cells``, if given, are the indices to take
+    in place of every such node and cell (:func:`_root_cells`).
     """
     return [float(x[i]) if fx[i] == 0.0
-            else float(brentq(f, float(x[i]), float(x[i + 1]), xtol=xtol, maxiter=200))
+            else float(brentq(f, float(x[i]), float(x[i + 1]), xtol=xtol, maxiter=200,
+                              fa=fx[i], fb=fx[i + 1]))
             for i in (_root_cells(fx) if cells is None else cells)]
 
 
-def _incentive_and_slope(h, params: ModelParams, spec: PenaltySpec, phi=None, mu=None):
-    """|delta_V| and its central-FD slope at interior shares h, in one delta_V call.
-
-    Every share h is evaluated together with h +- step, step =
-    min(FD_STEP, h/2, (1-h)/2).  ``phi`` and ``mu``, if given, are each
-    share's freeness and penalty weight (see :func:`delta_V`).
-    """
+def _fd_shares(h):
+    """Interior shares h followed by h + step and h - step, step = min(FD_STEP,
+    h/2, (1-h)/2), for :func:`_incentive_and_slope`; and the steps."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     step = np.minimum(np.minimum(FD_STEP, 0.5 * h), 0.5 * (1.0 - h))
-    v = delta_V(np.stack([h, h + step, h - step]), params, spec, phi=phi, mu=mu)
-    return np.abs(v[0]), (v[1] - v[2]) / (2.0 * step)
+    return np.concatenate([h, h + step, h - step]), step
 
 
-def _interior_equilibria(pairs: list[tuple[float, float]], residual: np.ndarray,
-                         slope: np.ndarray) -> list[Equilibrium]:
-    """Interior rest points at market-clearing pairs (h*, w), given |delta_V|
-    and its slope at each."""
-    # Backward-error acceptance: near the boundary an unbounded penalty's
-    # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
-    # precision in h grows with it.  Scaling by the local slope keeps the
-    # criterion "h is right", not "delta_V is flat".
-    bad = np.flatnonzero(residual > RESIDUAL_TOL * np.maximum(1.0, np.abs(slope)))
-    if bad.size:
-        i = bad[0]
-        raise SolverError(
-            f"rest-point residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e} at h={pairs[i][0]}"
-        )
-    return [Equilibrium(h_star=h_star, w=w_star,
-                        kind=KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL
-                        else KIND_PARTIAL,
-                        stability=_stability_from_slope(sl), slope=sl, residual=res)
-            for (h_star, w_star), sl, res in zip(pairs, slope.tolist(), residual.tolist())]
+def _incentive_and_slope(v, step):
+    """|delta_V| and its central-FD slope at the shares of :func:`_fd_shares`,
+    from delta_V at its shares (``v``, which may run on) and its steps."""
+    n = step.size
+    return np.abs(v[:n]), (v[n:2 * n] - v[2 * n:3 * n]) / (2.0 * step)
 
 
-def _per_share(values: list[float], counts: list[int], default: float | None):
+def _per_share(values: list, counts: list[int], default: float | None):
     """Each value repeated for its economy's shares, or None if all equal ``default``."""
     if all(v == default for v in values):
         return None
     return np.repeat(values, counts)
 
 
-def _boundary_pair(params: ModelParams, stability: str, slope: float, residual: float,
-                   phi=None) -> list[Equilibrium]:
-    """The boundary rest points h = 0 and h = 1, at the wage-bracket ends:
-    mirror images, so they share their stability, slope and residual.
-    ``phi``, if given, is the freeness in place of ``params.phi``."""
+def _bracket_ends(params: ModelParams, phi=None) -> tuple[float, float]:
+    """The wage-bracket ends, at the freeness ``phi`` in place of ``params.phi``."""
     # as in ModelParams.wage_bracket
     lo = float(np.power(params.phi if phi is None else phi, 1.0 / params.sigma))
+    return lo, 1.0 / lo
+
+
+def _boundary_pair(ends: tuple[float, float], stability: str, slope: float,
+                   residual: float) -> list[Equilibrium]:
+    """The boundary rest points h = 0 and h = 1, at the wage-bracket ends:
+    mirror images, so they share their stability, slope and residual."""
     return [Equilibrium(h_star=h_star, w=w, kind=KIND_BOUNDARY, stability=stability,
                         slope=slope, residual=residual)
-            for h_star, w in ((0.0, lo), (1.0, 1.0 / lo))]
+            for h_star, w in zip((0.0, 1.0), ends)]
 
 
 def _bounded(spec: PenaltySpec, mu=None) -> bool:
@@ -455,25 +456,20 @@ def _bounded(spec: PenaltySpec, mu=None) -> bool:
     return spec.bounded if mu is None else spec.kind == LINEAR or mu == 0.0
 
 
-def _boundary_equilibria(params: ModelParams, spec: PenaltySpec, probe_du,
-                         mu=None, phi=None) -> list[Equilibrium]:
-    """Endpoint rest points, admissible only under a bounded penalty.
+def _boundary_equilibria(ends: tuple[float, float], v_step: float,
+                         v_full: float) -> list[Equilibrium]:
+    """Endpoint rest points of a bounded penalty, given the wage-bracket
+    ends (:func:`_bracket_ends`) and delta_V at the probes 1 - FD_STEP
+    (``v_step``) and 1 (``v_full``).
 
     h = 1 is at rest when no one wants to leave the crowded region, i.e.
     delta_V(1) >= 0; within MARGINAL_BAND of zero it is marginal.  The
-    mirror point h = 0 follows by antisymmetry.  ``probe_du`` is delta_u
-    at the probes, from the economy's scan row (:func:`_upper_scan`);
-    ``mu`` is as in :func:`_bounded`, ``phi`` the freeness in place of
-    ``params.phi``.
+    mirror point h = 0 follows by antisymmetry.
     """
-    if not _bounded(spec, mu):
-        return []
-    # at 1 - FD_STEP and 1
-    v_step, v_full = (probe_du[::2] - delta_t(_PROBES[::2], spec, mu=mu)).tolist()
     if v_full < -MARGINAL_BAND:
         return []
     stability = MARGINAL if abs(v_full) <= MARGINAL_BAND else STABLE
-    return _boundary_pair(params, stability, (v_full - v_step) / FD_STEP, abs(v_full), phi)
+    return _boundary_pair(ends, stability, (v_full - v_step) / FD_STEP, abs(v_full))
 
 
 @dataclass
@@ -486,8 +482,6 @@ class _Located:
     pinned or boundary rest points, final as they stand.
     """
 
-    params: ModelParams
-    spec: PenaltySpec
     phi: float
     mu: float | None
     roots: list[tuple[float, float]]
@@ -524,12 +518,15 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     differs from ``value`` = f(hi), delta_V at the first node, i.e. the
     curve re-crosses inside the cell.  Halve toward w = 1 until f takes
     the slope's sign to bracket the root; a fixed probe right next to 1/2
-    would read rounding noise.
+    would read rounding noise.  The polish starts from the end values
+    already in hand.
     """
+    f_hi = value
     while (lo := 0.5 * (1.0 + hi)) > 1.0:
-        if np.sign(f(lo)) * value <= 0.0:  # not f(lo) * value: it can underflow to 0
-            return brentq(f, lo, hi, xtol=1e-15, maxiter=200)
-        hi = lo
+        f_lo = f(lo)
+        if np.sign(f_lo) * value <= 0.0:  # not f(lo) * value: it can underflow to 0
+            return brentq(f, lo, hi, xtol=1e-15, maxiter=200, fa=f_lo, fb=f_hi)
+        hi, f_hi = lo, f_lo
     return None
 
 
@@ -566,33 +563,75 @@ def _read_root_cells(cells: list[int], nodes, h, values, params: ModelParams,
     return [i for i, c in zip(cells, coarse) if c not in unread]
 
 
-def _locate(params: ModelParams, spec: PenaltySpec, slope: float, scan,
-            mu=None, phi=None) -> _Located:
-    """The locate phase of :func:`find_equilibria`: everything but the finish.
+def _locate(params: ModelParams, spec: PenaltySpec, slopes, scan, mu=None, phi=None) -> list:
+    """The locate phase of :func:`find_equilibria` for steps that share one scan row.
 
-    ``slope`` is delta_V's slope at 1/2 (:func:`_symmetric_slope`); it
-    decides whether the first scan cell is searched.  ``scan`` is the
-    economy's scan row (:func:`_scan_rows`); a dense one has its root
-    cells read as a sparse one's are (:func:`_read_root_cells`).  ``mu``
-    and ``phi``, if given, are the penalty weight and freeness in place of
-    ``spec.mu`` (named families only) and ``params.phi``, so the steps of a
-    sweep build no economy or penalty of their own, except for the chase
-    past the scan edge.
+    ``scan`` is the row (:func:`_scan_rows`); ``slopes`` holds each step's
+    delta_V slope at 1/2 (:func:`_symmetric_slope`), which decides whether
+    its first scan cell is searched.  ``mu``, if given, is each step's
+    penalty weight in place of ``spec.mu`` (named families only); ``phi``,
+    if given, the row's freeness in place of ``params.phi``.  So the steps
+    of a sweep build no economy or penalty of their own, except for the
+    chase past the scan edge.
+
+    Every step's delta_V values (a row per step), root cells, first-cell
+    flags and bounded-penalty boundary checks are each one array expression.
+    Per step, a dense row's root cells are read as a sparse row's are
+    (:func:`_read_root_cells`), and the polish, the first-cell search, the
+    chase and the edge points run.  Returns per step its :class:`_Located`
+    or the exception that stopped it; an exception of the array part stops
+    every step.
     """
     nodes, h, g, log_odds, du, probe_du = scan
-    values = du - _penalty_gap(h, g, log_odds, spec, mu)
+    weights = [None] if mu is None else mu
+    col = None if mu is None else np.reshape(mu, (-1, 1))
+    try:
+        values = np.reshape(du - _penalty_gap(h, g, log_odds, spec, col), (len(weights), -1))
+        # The node at w = 1 is the symmetric point, zero by antisymmetry.
+        n = values.shape[1]
+        cells = [[] for _ in weights]
+        for i in _root_cells(values.ravel(), n).tolist():
+            cells[i // n].append(i % n)
+        # the slope at 1/2 and delta_V at the first node differ in sign (not
+        # their product, which can underflow to 0)
+        first = [abs(s) >= MARGINAL_BAND and (s < 0.0 < v or v < 0.0 < s)
+                 for s, v in zip(slopes, values[:, 1].tolist())]
+        bounded = [k for k, m in enumerate(weights) if _bounded(spec, m)]
+        edge = {}
+        if bounded:  # delta_V at 1 - FD_STEP and 1
+            v = probe_du[::2] - delta_t(_PROBES[::2], spec, mu=None if mu is None else col[bounded])
+            ends = _bracket_ends(params, phi)
+            edge = {k: _boundary_equilibria(ends, *vk)
+                    for k, vk in zip(bounded, np.reshape(v, (-1, 2)).tolist())}
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return [exc] * len(weights)
+    located = []
+    for k, m in enumerate(weights):
+        try:
+            roots, pinned = _locate_step(params, spec, scan, values[k], cells[k], first[k], m, phi)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            located.append(exc)
+            continue
+        located.append(_Located(params.phi if phi is None else phi, spec.mu if m is None else m,
+                                roots, [*pinned, *edge.get(k, ())]))
+    return located
 
-    roots: list[tuple[float, float]] = []
+
+def _locate_step(params: ModelParams, spec: PenaltySpec, scan, values, cells: list[int],
+                 first: bool, mu, phi):
+    """One step of :func:`_locate`: its upper-half rest points (h*, w) and
+    its pinned rest points, from its delta_V row ``values``, root cells and
+    first-cell flag."""
+    nodes, h, g, log_odds, du, probe_du = scan
     f = lambda x: float(_delta_V_wage(x, params, spec, mu, phi))
-    # The node at w = 1 is the symmetric point, zero by antisymmetry.
-    cells = (_root_cells(values[1:]) + 1).tolist()
     if cells and nodes.size == _NODES:
         cells = _read_root_cells(cells, nodes, h, values, params, spec, phi, mu)
     wages = _grid_roots(f, nodes, values, 1e-15, cells)
-    if abs(slope) >= MARGINAL_BAND and slope * np.sign(values[1]) < 0.0:
+    if first:
         w = _first_cell_root(f, float(nodes[1]), float(values[1]))
         if w is not None:
             wages.append(w)
+    roots: list[tuple[float, float]] = []
     for w in wages:
         _, a, b = _share_terms(w, params, phi)
         _add_root(roots, float(a / (a + b)), w)
@@ -617,48 +656,71 @@ def _locate(params: ModelParams, spec: PenaltySpec, slope: float, scan,
                                                      xtol=1e-16, maxiter=200)
             _add_root(roots, r, solve_wage(r, economy))
         else:
-            pinned = _boundary_pair(economy, STABLE, float("-inf"), v_last)
-    return _Located(params, spec, params.phi if phi is None else phi,
-                    spec.mu if mu is None else mu, roots,
-                    [*pinned, *_boundary_equilibria(params, spec, probe_du, mu, phi)])
+            pinned = _boundary_pair(_bracket_ends(economy), STABLE, float("-inf"), v_last)
+    return roots, pinned
 
 
-def _finish(located: list[_Located]) -> list:
-    """The finish phase of :func:`find_equilibria` for any number of economies.
+def _finish(params: ModelParams, spec: PenaltySpec, located: list[_Located],
+            parameter: str | None = None, forks=()) -> tuple[list, list[BifurcationPoint]]:
+    """The finish phase of :func:`find_equilibria` for any number of economies,
+    and the classification of a sweep's pitchforks.
 
     The economies are alike but for freeness and penalty weight.  The
     symmetric point, every located root and every mirror of every economy
-    get |delta_V| and the central-FD slope from one delta_V call; each
-    economy's edge points are then added.  Returns, per economy, its rest
-    points sorted by location or the exception that stopped it.  If the
-    call as a whole raises, every economy is finished on its own, so a
-    failure stays with its economy and carries the text that a
-    one-economy call gives.
+    get |delta_V| and the central-FD slope from one delta_V call, which
+    also takes the third-derivative stencil of each pitchfork at the
+    ``parameter`` values ``forks`` (:func:`pitchfork_criticality`), each
+    share at its own economy's freeness and weight.  The residual check
+    runs once over the batch; each economy's edge points are then added.
+    Returns, per economy, its rest points sorted by location or the
+    exception that stopped it, and the pitchforks.  If the call as a whole
+    raises, every economy is finished on its own and every pitchfork
+    classified by :func:`pitchfork_criticality`, so a failure carries the
+    text that a one-economy call gives.
     """
-    if not located:
-        return []
+    if not located and not forks:
+        return [], []
     pairs = [[(0.5, 1.0), *_mirrored(loc.roots)] for loc in located]
-    counts = [len(p) for p in pairs]
+    on_phi = parameter == "phi"
     try:
-        residual, slope = _incentive_and_slope(
-            np.array([h_star for p in pairs for h_star, _ in p]),
-            located[0].params, located[0].spec,
-            phi=_per_share([loc.phi for loc in located], counts, located[0].params.phi),
-            mu=_per_share([loc.mu for loc in located], counts, located[0].spec.mu))
+        shares, step = _fd_shares([h_star for p in pairs for h_star, _ in p])
+        shares = np.concatenate([shares, np.tile(_STENCIL, len(forks))])
+        phis = [loc.phi for loc in located] * 3 + [v if on_phi else params.phi for v in forks]
+        mus = [loc.mu for loc in located] * 3 + [spec.mu if on_phi else v for v in forks]
+        each = [len(p) for p in pairs] * 3 + [_STENCIL.size] * len(forks)
+        v = delta_V(shares, params, spec, phi=_per_share(phis, each, params.phi),
+                    mu=_per_share(mus, each, spec.mu))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        if len(located) == 1:
-            return [exc]
-        return [result for loc in located for result in _finish([loc])]
+        if len(located) == 1 and not forks:
+            return [exc], []
+        return ([r for loc in located for r in _finish(params, spec, [loc])[0]],
+                [pitchfork_criticality(parameter, value, params, spec) for value in forks])
+    residual, slope = _incentive_and_slope(v, step)
+    # Backward-error acceptance: near the boundary an unbounded penalty's
+    # slope diverges like 1/(1-h), so |delta_V| at a root known to machine
+    # precision in h grows with it.  Scaling by the local slope keeps the
+    # criterion "h is right", not "delta_V is flat".
+    bad = np.flatnonzero(residual > RESIDUAL_TOL * np.maximum(1.0, np.abs(slope))).tolist()
+    residual, slope = residual.tolist(), slope.tolist()
     results = []
-    for loc, p, end in zip(located, pairs, np.cumsum(counts).tolist()):
-        part = slice(end - len(p), end)
-        try:
-            found = _interior_equilibria(p, residual[part], slope[part])
-        except SolverError as exc:
-            results.append(exc)
+    end = 0
+    for loc, p in zip(located, pairs):
+        start, end = end, end + len(p)
+        if bad and bad[0] < end:
+            i = bad[0]
+            results.append(SolverError(f"rest-point residual {residual[i]:.3e} exceeds "
+                                       f"{RESIDUAL_TOL:.0e} at h={p[i - start][0]}"))
+            bad = [j for j in bad if j >= end]
             continue
+        found = [Equilibrium(h_star=h_star, w=w_star,
+                             kind=KIND_DISPERSION if abs(h_star - 0.5) <= DISPERSION_TOL
+                             else KIND_PARTIAL,
+                             stability=_stability_from_slope(sl), slope=sl, residual=res)
+                 for (h_star, w_star), sl, res in zip(p, slope[start:end], residual[start:end])]
         results.append(sorted(found + loc.edge, key=lambda e: e.h_star))
-    return results
+    stencils = v[3 * step.size:].tolist()
+    return results, [_pitchfork(parameter, value, stencils[_STENCIL.size * j:])
+                     for j, value in enumerate(forks)]
 
 
 def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]:
@@ -683,8 +745,10 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     roots only if delta_V has an extremum there that both tests miss; a
     read cell brackets roots at the full resolution (about 1/GRID_POINTS).
 
-    The locate and finish phases are the module docstring's; this is the
-    one-economy case of :func:`sweep`.  The sign-change test is blind in
+    Each polish starts from the scan's values at its bracket ends, which
+    the closed form in w gives at the nodes bit for bit.  The locate and
+    finish phases are the module docstring's; this is the one-economy
+    case of :func:`sweep`.  The sign-change test is blind in
     the first scan cell, next to the symmetric root, so a halving search
     looks there when delta_V's closed-form slope at 1/2 is not marginal
     and has the opposite sign to delta_V at the first node.  A SolverError
@@ -699,7 +763,10 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     the closest representable interior share.
     """
     scan, = zip(*_upper_scan(params))
-    found, = _finish([_locate(params, spec, _symmetric_slope(params, spec), scan)])
+    located, = _locate(params, spec, [_symmetric_slope(params, spec)], scan)
+    if isinstance(located, Exception):
+        raise located
+    (found,), _ = _finish(params, spec, [located])
     if isinstance(found, Exception):
         raise found
     return found
@@ -717,7 +784,8 @@ def classify_stability(eq: Equilibrium, params: ModelParams, spec: PenaltySpec) 
         if v < -MARGINAL_BAND:
             return UNSTABLE
         return MARGINAL if abs(v) <= MARGINAL_BAND else STABLE
-    _, slope = _incentive_and_slope(eq.h_star, params, spec)
+    shares, step = _fd_shares(eq.h_star)
+    _, slope = _incentive_and_slope(delta_V(shares, params, spec), step)
     return _stability_from_slope(float(slope[0]))
 
 
@@ -808,26 +876,17 @@ def _with_parameter(parameter: str, value: float, params: ModelParams,
     raise ValueError(f"unknown sweep parameter {parameter!r}; use 'phi' or 'mu'")
 
 
-def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
-                          spec: PenaltySpec) -> BifurcationPoint:
-    """Classify the pitchfork at the symmetric point for a parameter value.
+# The third-derivative stencil at 1/2: four shares at each of two steps,
+# whose five-point central stencils are Richardson-extrapolated.
+_STENCIL_STEPS = (CRITICALITY_STEP, 0.5 * CRITICALITY_STEP)
+_STENCIL = np.array([0.5 + k * step for step in _STENCIL_STEPS for k in (-2.0, -1.0, 1.0, 2.0)])
 
-    The first and (by symmetry) second derivatives of delta_V vanish at
-    the bifurcation, so the cubic term decides the geometry: negative
-    means the new asymmetric branch is stable and emerges on the far side
-    (supercritical); positive means it is unstable and bends backward
-    (subcritical).  The third derivative comes from a Richardson-
-    extrapolated five-point stencil; magnitudes below CRITICALITY_FLOOR
-    are reported indeterminate.
-    """
-    p2, s2 = _with_parameter(parameter, value, params, spec)
-    steps = (CRITICALITY_STEP, 0.5 * CRITICALITY_STEP)
-    # five-point central stencil for the third derivative at 1/2, both
-    # steps' shares in one batch
-    shares = np.array([0.5 + k * step for step in steps for k in (-2.0, -1.0, 1.0, 2.0)])
-    v = delta_V(shares, p2, s2).tolist()
+
+def _pitchfork(parameter: str, value: float, v: list[float]) -> BifurcationPoint:
+    """The pitchfork at a parameter value, classified from delta_V at the
+    shares of _STENCIL, the first _STENCIL.size entries of ``v``."""
     coarse, fine = ((-v[i] + 2.0 * v[i + 1] - 2.0 * v[i + 2] + v[i + 3]) / (2.0 * step ** 3)
-                    for i, step in zip((0, 4), steps))
+                    for i, step in zip((0, 4), _STENCIL_STEPS))
     third = (4.0 * fine - coarse) / 3.0
     if abs(third) < CRITICALITY_FLOOR:
         crit = INDETERMINATE
@@ -839,46 +898,63 @@ def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
                             criticality=crit, third_derivative=third)
 
 
-def _step_scans(parameter: str, values: list[float], params: ModelParams,
-                spec: PenaltySpec):
-    """(freeness or None, penalty weight or None, scan row or exception) per
-    sweep step.
+def pitchfork_criticality(parameter: str, value: float, params: ModelParams,
+                          spec: PenaltySpec) -> BifurcationPoint:
+    """Classify the pitchfork at the symmetric point for a parameter value.
 
-    A penalty-weight sweep lays its economy's dense row once; a freeness
-    sweep lays _LAY_STEPS steps' rows at a time (:func:`_sparse_rows`), and
-    drops them once those steps have taken their rows.
+    The first and (by symmetry) second derivatives of delta_V vanish at
+    the bifurcation, so the cubic term decides the geometry: negative
+    means the new asymmetric branch is stable and emerges on the far side
+    (supercritical); positive means it is unstable and bends backward
+    (subcritical).  The third derivative comes from a Richardson-
+    extrapolated five-point stencil, both steps' shares in one delta_V
+    call; magnitudes below CRITICALITY_FLOOR are reported indeterminate.
+    """
+    p2, s2 = _with_parameter(parameter, value, params, spec)
+    return _pitchfork(parameter, value, delta_V(_STENCIL, p2, s2).tolist())
+
+
+def _locate_steps(parameter: str, values: list[float], slopes, params: ModelParams,
+                  spec: PenaltySpec) -> list:
+    """:func:`_locate` over a run of sweep steps: one :class:`_Located` or
+    exception per step.
+
+    A penalty-weight sweep lays its economy's dense row once and locates
+    all its steps on it in one call; a freeness sweep lays _LAY_STEPS
+    steps' rows at a time (:func:`_sparse_rows`), locates each step on its
+    own row, and drops the rows once those steps have taken them.
     """
     if parameter == "mu":
         scan, = _scan_rows(params, spec)
-        for value in values:
-            yield None, value, scan
-        return
+        if isinstance(scan, Exception):
+            return [scan] * len(values)
+        return _locate(params, spec, slopes, scan, mu=values)
+    located = []
     for start in range(0, len(values), _LAY_STEPS):
         block = values[start:start + _LAY_STEPS]
-        for value, scan in zip(block, _scan_rows(params, spec, block)):
-            yield value, None, scan
+        for value, slope, scan in zip(block, slopes[start:start + _LAY_STEPS],
+                                      _scan_rows(params, spec, block)):
+            located += ([scan] if isinstance(scan, Exception)
+                        else _locate(params, spec, [slope], scan, phi=value))
+    return located
 
 
 def _sweep_chunk(job):
-    """Locate a run of sweep steps one by one, then finish them all at once.
+    """Locate a run of sweep steps, then finish them and classify the
+    pitchforks ``forks`` in one call (:func:`_finish`).
 
-    Returns (value, rest points, diagnostic or None) per step; module level
-    so process pools can pickle it.
+    Returns (value, rest points, diagnostic or None) per step, and the
+    pitchforks; module level so process pools can pickle it.
     """
-    parameter, values, slopes, params, spec = job
-    steps = []
-    for (phi, mu, scan), slope in zip(_step_scans(parameter, values, params, spec), slopes):
-        if isinstance(scan, Exception):
-            steps.append(scan)
-            continue
-        try:
-            steps.append(_locate(params, spec, slope, scan, mu, phi))
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            steps.append(exc)
-    finished = iter(_finish([s for s in steps if not isinstance(s, Exception)]))
+    parameter, values, slopes, params, spec, forks = job
+    steps = _locate_steps(parameter, values, slopes, params, spec)
+    finished, bifurcations = _finish(params, spec, [s for s in steps
+                                                    if not isinstance(s, Exception)],
+                                     parameter, forks)
+    finished = iter(finished)
     results = [s if isinstance(s, Exception) else next(finished) for s in steps]
     return [(value, [], f"{type(r).__name__}: {r}") if isinstance(r, Exception)
-            else (value, r, None) for value, r in zip(values, results)]
+            else (value, r, None) for value, r in zip(values, results)], bifurcations
 
 
 def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
@@ -886,26 +962,30 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     """Trace the equilibrium set along one parameter.
 
     Each step's sample is exactly what :func:`find_equilibria` returns
-    there: every step is located on its own, from its own row of scan
-    arrays, and the finish phase takes all steps in one delta_V call.
-    mu-steps share one economy's dense row; phi-steps lay a coarse row and
-    the cells the read rule reads, many steps per wage solve
-    (:func:`_sparse_rows`), and find_equilibria's dense row brackets only
-    inside the cells that rule reads, so both bracket the same cells.  A
-    step whose scan, locate or finish raises is recorded in
-    ``diagnostics`` with the text find_equilibria would raise; the other
-    steps keep their rest points.  With workers > 1 each worker process
-    locates and finishes one contiguous run of steps; the results do not
-    depend on the split.
+    there: every step is located from its own row of delta_V values, and
+    the finish phase takes all steps in one delta_V call.  mu-steps share
+    one economy's dense row and are located in one pass over it, a row of
+    values per step; phi-steps lay a coarse row and the cells the read
+    rule reads, many steps per wage solve (:func:`_sparse_rows`), and are
+    located one by one; find_equilibria's dense row brackets only inside
+    the cells that rule reads, so both bracket the same cells.  A step
+    whose scan, locate or finish raises is recorded in ``diagnostics``
+    with the text find_equilibria would raise; the other steps keep their
+    rest points.  A serial sweep (workers = 1) runs on all its steps at
+    once; with workers > 1 each worker process locates and finishes one
+    contiguous run of steps; the results do not depend on the split.
 
     Pitchforks of the symmetric point sit where that slope changes sign.
     :func:`_symmetric_slope` gives it at all steps as one array, and each
     sign change between neighbouring steps is polished by a bracketed root
     find on the same expression at a float parameter, which gets the bits
-    it would get inside the array; each pitchfork is classified via
-    :func:`pitchfork_criticality`.  The slope needs no rest-point scan, so
-    a step whose scan fails hides no pitchfork next to it; where the slope
-    leaves the double range, the sweep raises SolverError.
+    it would get inside the array, before any step is located.  The
+    finish's delta_V call takes each pitchfork's stencil shares, at its own
+    freeness or weight, and classifies it as :func:`pitchfork_criticality`
+    does at its value; if that call raises, each pitchfork goes through
+    pitchfork_criticality.  The slope needs no rest-point scan, so a step
+    whose scan fails hides no pitchfork next to it; where the slope leaves
+    the double range, the sweep raises SolverError.
 
     Parallel runs (workers > 1) require a picklable penalty spec; the
     named families always are, custom callables must live at module level.
@@ -924,20 +1004,24 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     symmetric_slope = lambda v: _symmetric_slope(params, spec, **{parameter: v})
     values = np.linspace(lo, hi, steps)
     slopes = symmetric_slope(values)
-    runs = min(workers, steps)
-    jobs = [(parameter, v.tolist(), sl.tolist(), params, spec)
-            for v, sl in zip(np.array_split(values, runs), np.array_split(slopes, runs))]
+    forks = _grid_roots(symmetric_slope, values, slopes, 1e-12)
     if workers == 1:
-        results = _sweep_chunk(jobs[0])
+        results, bifurcations = _sweep_chunk((parameter, values.tolist(), slopes.tolist(), params,
+                                              spec, forks))
     else:
+        runs = min(workers, steps)
+        # the first run classifies every pitchfork
+        jobs = [(parameter, v.tolist(), sl.tolist(), params, spec, forks if i == 0 else [])
+                for i, (v, sl) in enumerate(zip(np.array_split(values, runs),
+                                                np.array_split(slopes, runs)))]
         # imported here, so that serial sweeps and CLI runs never load the pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for run in pool.map(_sweep_chunk, jobs) for r in run]
+            chunks = list(pool.map(_sweep_chunk, jobs))
+        results = [r for run, _ in chunks for r in run]
+        bifurcations = [b for _, run in chunks for b in run]
     samples = [(value, eqs) for value, eqs, _ in results]
     diagnostics = [f"{parameter}={value!r}: {error}"
                    for value, _, error in results if error is not None]
-    bifurcations = [pitchfork_criticality(parameter, p, params, spec)
-                    for p in _grid_roots(symmetric_slope, values, slopes, 1e-12)]
     return Branch(parameter=parameter, samples=samples,
                   bifurcations=bifurcations, diagnostics=diagnostics)

@@ -81,21 +81,25 @@ class SolverError(RuntimeError):
     """A root-finder failed to meet its residual tolerance."""
 
 
-def brentq(f, a, b, *, xtol, maxiter):
+def brentq(f, a, b, *, xtol, maxiter, fa=None, fb=None):
     """Root of f between a and b by Brent's method (Brent 1973, ch. 4).
 
     Step for step the iteration of ``scipy.optimize.brentq``: the same
     bracket bookkeeping, the same test for accepting a secant or inverse
     quadratic step over bisection, and the same stopping rule
     ``|sbis| < (xtol + 4*eps*|x|)/2``, so both return the same float.  An
-    exact zero at either end is returned as that end.
+    exact zero at either end is returned as that end.  ``fa`` and ``fb``,
+    if given, are f(a) and f(b), which a caller that already holds them
+    (a scan's values at its nodes) passes in place of two evaluations;
+    given the same bits, the iterates are the same.
 
     Raises:
         ValueError: if f(a) and f(b) have the same sign, or f returns NaN.
         SolverError: if maxiter iterations do not converge.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre = float(f(xpre) if fa is None else fa)
+    fcur = float(f(xcur) if fb is None else fb)
     if fpre != fpre or fcur != fcur:
         raise ValueError(f"f is NaN at a bracket end [{xpre!r}, {xcur!r}]")
     if fpre == 0.0:

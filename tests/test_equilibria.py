@@ -19,6 +19,7 @@ from geoeq import (
     classify_stability,
     ddelta_u_dphi,
     delta_V,
+    delta_t,
     delta_u,
     dispersion_threshold,
     find_equilibria,
@@ -275,7 +276,10 @@ def _share_scan_equilibria(params, spec):
                       for h, w in zip((0.0, 1.0), params.wage_bracket)]
     for r in roots:
         found += [interior(r), interior(1.0 - r)]
-    found += _boundary_equilibria(params, spec, _scan_row(params)[5])
+    if spec.bounded:  # delta_V at 1 - FD_STEP and 1, from the scan's probes
+        v_step, v_full = (_scan_row(params)[5][::2]
+                          - delta_t(equilibria._PROBES[::2], spec)).tolist()
+        found += _boundary_equilibria(equilibria._bracket_ends(params), v_step, v_full)
     return sorted(found, key=lambda e: e.h_star)
 
 
@@ -350,23 +354,29 @@ def test_rest_points_inside_the_first_scan_cell_are_found(sigma, phi, theta, gap
     (2.0, 0.4, 0.0), (2.5, 0.3, 1.0), (3.0, 0.6, 2.0), (1.5, 0.2, 0.5)])
 def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma, phi, theta):
     # the closed-form symmetric slope sends the locate phase into the first
-    # scan cell, so the finish sees 1/2 and the pair together: one call,
-    # also for all the steps of a sweep
+    # scan cell, so the finish sees 1/2 and the pair together: one delta_V
+    # call of each share and its two FD neighbours, also for all the steps
+    # of a sweep, and with 8 stencil shares per pitchfork the sweep crosses
     params = ModelParams(sigma=sigma, phi=phi, theta=theta)
     spec = PenaltySpec(kind="logit", mu=dispersion_threshold(params) - 1e-8)
     sizes = []
-    incentive_and_slope = equilibria._incentive_and_slope
+    incentive = equilibria.delta_V
 
     def counted(h, *args, **kwargs):
         sizes.append(np.size(h))
-        return incentive_and_slope(h, *args, **kwargs)
+        return incentive(h, *args, **kwargs)
 
-    monkeypatch.setattr(equilibria, "_incentive_and_slope", counted)
+    monkeypatch.setattr(equilibria, "delta_V", counted)
     assert len(find_equilibria(params, spec)) == 3
-    assert sizes == [3]
+    assert sizes == [3 * 3]
     sizes.clear()
     branch = sweep("mu", spec.mu - 1e-8, spec.mu, 2, params, spec)
-    assert [len(eqs) for _, eqs in branch.samples] == [3, 3] and sizes == [6]
+    assert [len(eqs) for _, eqs in branch.samples] == [3, 3] and sizes == [3 * 6]
+    sizes.clear()
+    # the pitchfork sits 1e-8 above spec.mu, between the last two steps
+    branch = sweep("mu", spec.mu - 1e-8, spec.mu + 2e-8, 3, params, spec)
+    assert [len(eqs) for _, eqs in branch.samples] == [3, 3, 1]
+    assert len(branch.bifurcations) == 1 and sizes == [3 * 7 + 8]
 
 
 def _scan_row(params):
@@ -607,8 +617,11 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
 
     locate = equilibria._locate
 
-    def fresh_scan(p, spec, slope, scan, mu=None, phi=None):
-        return locate(p, spec, slope, _scan_row(p), mu, phi)
+    def fresh_scan(p, spec, slopes, scan, mu=None, phi=None):
+        # each step on a fresh row of its own
+        return [found for k, slope in enumerate(slopes)
+                for found in locate(p, spec, [slope], _scan_row(p),
+                                    None if mu is None else mu[k:k + 1], phi)]
 
     monkeypatch.setattr(equilibria, "_locate", fresh_scan)
     laid.clear()
@@ -655,6 +668,76 @@ def test_block_rows_are_each_economys_own_scan(sigma, lo, hi, theta):
         assert set(range(0, nodes, stride)) <= set(laid.tolist()), value
         # only the last step of a range ending near free trade lays its dense row
         assert (row[0].size == nodes) == (value == hi > 0.99), value
+
+
+def _bits(values):
+    """The bit patterns of float values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_nodes_give_their_values(nodes, values, params, spec, mu=None, phi=None):
+    """The scalar closed form at each node gives the node's row value, bit
+    for bit, so a polish from the row's end values returns the float of one
+    that evaluates them."""
+    f = lambda w: float(equilibria._delta_V_wage(w, params, spec, mu, phi))
+    x = nodes.tolist()
+    assert _bits([f(w) for w in x]) == _bits(values)
+    assert equilibria._grid_roots(f, nodes, values, 1e-15) == [
+        x[i] if values[i] == 0.0 else equilibria.brentq(f, x[i], x[i + 1], xtol=1e-15, maxiter=200)
+        for i in equilibria._root_cells(values)]
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(sigma=st.floats(1.05, 4.0), phi=st.floats(0.02, 0.98), theta=st.floats(0.0, 2.0),
+       kind=st.sampled_from(["logit", "linear", "custom"]), mu=st.floats(0.0, 1.2))
+def test_a_dense_rows_values_are_the_scalar_closed_form_at_its_nodes(sigma, phi, theta, kind,
+                                                                     mu):
+    # a polish starts from the values the row holds at its cell's ends: at
+    # the economy's weight, and at each weight of a column as a
+    # penalty-weight sweep lays its steps' rows
+    params = ModelParams(sigma=sigma, phi=phi, theta=theta)
+    spec = _spec((kind, mu))
+    nodes, h, g, log_odds, du, _ = _scan_row(params)
+    _assert_nodes_give_their_values(
+        nodes, du - equilibria._penalty_gap(h, g, log_odds, spec), params, spec)
+    if kind != "custom":
+        weights = [0.0, mu, 3.0]
+        rows = du - equilibria._penalty_gap(h, g, log_odds, spec, np.reshape(weights, (-1, 1)))
+        for weight, values in zip(weights, rows):
+            _assert_nodes_give_their_values(nodes, values, params, spec, mu=weight)
+
+
+@pytest.mark.parametrize("sigma,lo,hi,theta", _BLOCK_ECONOMIES)
+def test_a_phi_sweep_rows_values_are_the_scalar_closed_form_at_its_nodes(sigma, lo, hi, theta):
+    # sparse rows, and the dense rows of steps near free trade, whose held
+    # nodes repeat the wage of the node before
+    params = ModelParams(sigma=sigma, phi=0.5, theta=theta)
+    values = np.linspace(lo, hi, 5).tolist()
+    held = False
+    for spec in (LOGIT02, PenaltySpec(kind="linear", mu=0.3)):
+        for value, (nodes, h, g, log_odds, du, _) in zip(
+                values, equilibria._scan_rows(params, spec, values)):
+            held |= bool(np.any(np.diff(nodes) == 0.0))
+            _assert_nodes_give_their_values(
+                nodes, du - equilibria._penalty_gap(h, g, log_odds, spec), params, spec,
+                phi=value)
+    assert held == (hi > 0.99)
+
+
+@pytest.mark.parametrize("sigma", [1.2, 2.0, 4.0])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.0])
+def test_the_threshold_and_the_symmetric_slope_give_a_scalar_its_array_entry(sigma, theta):
+    # threshold_phi_crossings and the pitchfork polish start from the grid's
+    # values at a cell's ends
+    params = ModelParams(sigma=sigma, phi=0.4, theta=theta)
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 1024)
+    assert _bits([dispersion_threshold(params, phi=p) - 0.3 for p in grid.tolist()]) \
+        == _bits(dispersion_threshold(params, phi=grid) - 0.3)
+    weights = np.linspace(0.0, 2.0, 101)
+    for spec in (LOGIT02, PenaltySpec(kind="linear", mu=0.3)):
+        for parameter, values in (("phi", grid), ("mu", weights)):
+            slope = lambda v: equilibria._symmetric_slope(params, spec, **{parameter: v})
+            assert _bits([slope(v) for v in values.tolist()]) == _bits(slope(values))
 
 
 def test_a_phi_sweep_lays_each_run_of_steps_in_two_wage_solves(monkeypatch):
@@ -1027,10 +1110,10 @@ def test_a_failed_step_hides_no_pitchfork(monkeypatch):
     params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
     locate = equilibria._locate
 
-    def failing_scan(p, spec, slope, scan, mu=None, phi=None):
+    def failing_scan(p, spec, slopes, scan, mu=None, phi=None):
         if phi == 0.7:
-            raise SolverError("injected failure")
-        return locate(p, spec, slope, scan, mu, phi)
+            return [SolverError("injected failure")]
+        return locate(p, spec, slopes, scan, mu, phi)
 
     monkeypatch.setattr(equilibria, "_locate", failing_scan)
     branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
@@ -1227,6 +1310,69 @@ def test_a_step_whose_finish_fails_keeps_its_text_and_spares_the_others(monkeypa
                                     else "injected failure"))
     assert [eqs for _, eqs in branch.samples] == [
         [] if value == 0.7 else eqs for value, eqs in clean.samples]
+
+
+# (parameter, lo, hi, sigma, theta, penalty, pitchforks): each family with
+# no pitchfork, one, and (freeness only: the symmetric slope is linear in
+# the weight) two, where the threshold rises and falls again in freeness
+_FORK_SWEEPS = [
+    ("mu", 0.6, 1.0, 2.0, 0.0, PenaltySpec(kind="logit", mu=0.2), 0),
+    ("mu", 0.1, 1.0, 2.0, 0.0, PenaltySpec(kind="logit", mu=0.2), 1),
+    ("mu", 1.2, 2.0, 2.0, 0.0, PenaltySpec(kind="linear", mu=0.2), 0),
+    ("mu", 0.2, 2.0, 2.0, 0.0, PenaltySpec(kind="linear", mu=0.2), 1),
+    ("phi", 0.02, 0.98, 1.2, 0.0, PenaltySpec(kind="logit", mu=0.6), 0),
+    ("phi", 0.02, 0.98, 2.0, 0.0, PenaltySpec(kind="logit", mu=0.2), 1),
+    ("phi", 0.02, 0.98, 1.2, 0.0, PenaltySpec(kind="logit", mu=0.3), 2),
+    ("phi", 0.02, 0.98, 1.2, 0.0, PenaltySpec(kind="linear", mu=1.2), 0),
+    ("phi", 0.02, 0.98, 2.0, 0.0, PenaltySpec(kind="linear", mu=0.4), 1),
+    ("phi", 0.02, 0.98, 1.2, 0.0, PenaltySpec(kind="linear", mu=0.6), 2),
+]
+
+
+@pytest.mark.parametrize("parameter,lo,hi,sigma,theta,spec,forks", _FORK_SWEEPS)
+def test_sweep_pitchforks_are_pitchfork_criticality_at_their_values(monkeypatch, parameter, lo,
+                                                                   hi, sigma, theta, spec,
+                                                                   forks):
+    # the finish's one delta_V call classifies each pitchfork from the
+    # stencil pitchfork_criticality lays at its own value, and never calls it
+    params = ModelParams(sigma=sigma, phi=0.4, theta=theta)
+    calls = []
+    criticality = equilibria.pitchfork_criticality
+    monkeypatch.setattr(equilibria, "pitchfork_criticality",
+                        lambda *args: calls.append(args) or criticality(*args))
+    branch = sweep(parameter, lo, hi, 13, params, spec)
+    assert len(branch.bifurcations) == forks and calls == [] and branch.diagnostics == []
+    assert repr(branch.bifurcations) == repr(
+        [criticality(parameter, b.value, params, spec) for b in branch.bifurcations])
+
+
+def test_a_sweep_whose_finish_raises_classifies_its_pitchfork_on_its_own(monkeypatch):
+    # the finish's call raises at the step 0.7, so each step is finished
+    # alone and the pitchfork at 0.75 goes through pitchfork_criticality
+    params = ModelParams(sigma=2.0, phi=0.5, theta=1.0)
+    clean = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
+    expected = [pitchfork_criticality("phi", b.value, params, LOGIT02)
+                for b in clean.bifurcations]
+    assert len(expected) == 1
+    calls = []
+    criticality = equilibria.pitchfork_criticality
+    monkeypatch.setattr(equilibria, "pitchfork_criticality",
+                        lambda *args: calls.append(args) or criticality(*args))
+    _bumped_incentive(monkeypatch, "raise")
+    branch = sweep("phi", 0.6, 0.9, 4, params, LOGIT02)
+    assert branch.diagnostics == ["phi=0.7: SolverError: injected failure"]
+    assert len(calls) == 1
+    assert repr(branch.bifurcations) == repr(clean.bifurcations) == repr(expected)
+
+
+@pytest.mark.parametrize("parameter", ["phi", "mu"])
+def test_a_serial_sweep_splits_no_steps_into_jobs(monkeypatch, parameter):
+    def split(*args, **kwargs):
+        raise AssertionError("a serial sweep splits its steps")
+
+    monkeypatch.setattr(np, "array_split", split)
+    branch = sweep(parameter, 0.1, 0.6, 11, ModelParams(sigma=2.0, phi=0.4), LOGIT02)
+    assert len(branch.samples) == 11 and branch.diagnostics == []
 
 
 def test_high_weight_sweep_keeps_dispersion_stable_everywhere():

@@ -636,6 +636,11 @@ def _outcome(solver, f, a, b, xtol):
         return "no convergence"
 
 
+def _brentq_from_ends(f, a, b, **kwargs):
+    """brentq started from f(a) and f(b), as a caller that holds them calls it."""
+    return brentq(f, a, b, fa=f(a), fb=f(b), **kwargs)
+
+
 def _cubic(c0, c1, c2, c3):
     return lambda x: ((c3 * x + c2) * x + c1) * x + c0
 
@@ -679,7 +684,8 @@ def test_brentq_matches_scipy_on_seeded_brackets():
     # On cubics the step-acceptance test seldom lands near its threshold;
     # flat odd powers |x - r|**n and exponentials put it there often enough
     # that a port with a slightly different bound (2.9 for 3 in
-    # 3|sbis| - delta) already disagrees with scipy on a few of these cases
+    # 3|sbis| - delta) already disagrees with scipy on a few of these cases.
+    # Started from the end values, brentq returns the same float.
     rng = random.Random(20240404)
     families = [
         lambda: _cubic(*(rng.uniform(-100.0, 100.0) for _ in range(4))),
@@ -697,7 +703,8 @@ def test_brentq_matches_scipy_on_seeded_brackets():
             continue
         xtol = rng.choice(XTOLS)
         cases += 1
-        mismatched += _outcome(brentq, f, a, b, xtol) != _outcome(optimize.brentq, f, a, b, xtol)
+        mismatched += len({_outcome(solver, f, a, b, xtol)
+                           for solver in (brentq, _brentq_from_ends, optimize.brentq)}) > 1
     assert mismatched == 0
 
 
@@ -718,6 +725,24 @@ def test_brentq_rejects_a_bracket_without_a_sign_change():
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, xtol=2e-12,
                maxiter=MAXITER)
+
+
+def test_brentq_takes_the_end_values_in_place_of_two_evaluations():
+    seen = []
+    f = lambda x: seen.append(x) or x ** 3 - 2.0
+    plain = brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER)
+    evaluations = len(seen)
+    seen.clear()
+    assert brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER, fa=-2.0, fb=62.0) == plain
+    assert len(seen) == evaluations - 2 and 0.0 not in seen and 4.0 not in seen
+    # given end values are checked as evaluated ones are
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER, fa=1e-200, fb=62.0)
+    for fa, fb in ((math.nan, 62.0), (-2.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER, fa=fa, fb=fb)
+    # an exact zero given at an end is that end
+    assert brentq(f, 0.0, 4.0, xtol=2e-12, maxiter=MAXITER, fa=0.0, fb=62.0) == 0.0
 
 
 def test_brentq_reports_running_out_of_iterations():
