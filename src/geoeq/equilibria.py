@@ -14,18 +14,19 @@ the symmetric point is always a root.  It brackets and polishes in the
 relative wage rather than the share: the upper half is the wage interval
 [1, w_hi), on which both shares are closed forms of w
 (:func:`geoeq.model._share_terms`), so the polish evaluates delta_V
-without any wage solve.  One array wage solve lays an economy's scan, at
-the wages of evenly spaced shares, and solves the boundary probes with
-it.  The part of the scan that does not depend on the penalty (nodes,
-shares, and the utility gap at the nodes and at the probes) is one row
-per economy, and a penalty-weight sweep lays its economy's row once and
-hands it to every step.  Every 32nd node is a coarse node, and a read
-rule on delta_V and its closed-form slope at the coarse nodes
-(:func:`_read_cells`) says which coarse cells can hold roots that their
-ends do not show.  A freeness sweep lays the rows of many steps in two
-wage solves, each share at its own step's freeness: the coarse nodes,
-then the nodes of the cells the rule reads.  A dense row brackets only
-inside the cells the same rule reads, so both give the same rest points.
+without any wage solve.  A scan row is one economy's: one array wage
+solve lays its nodes, the wages of evenly spaced shares, and its boundary
+probes.  Its penalty-free part (nodes, shares, and the utility gap at the
+nodes and probes) is laid once, so a penalty-weight sweep hands its
+economy's dense row to every step.  A freeness sweep lays many steps'
+sparse rows in two wage solves, each share at its step's freeness: every
+32nd node (the coarse nodes), then the nodes of the coarse cells a read
+rule (:func:`_read_cells`) reads; a step whose coarse row cannot vouch
+for its nodes lays its own dense row.  A dense row brackets every sign
+change it holds, a sparse row those of the cells it reads.  So a
+penalty-weight step's sample is exactly find_equilibria's, and a freeness
+step's is too wherever the rule reads every cell that holds a root
+(:func:`find_equilibria` says when that can fail; no case is known).
 
 Solving is split in two phases.  The locate phase runs per scan row,
 over every step that shares it: a penalty-weight sweep locates all its
@@ -48,6 +49,7 @@ the one-economy case; :func:`sweep` finishes all its steps at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,51 +240,37 @@ _RISE_ULPS = 64.0 * _STRIDE
 _LAY_STEPS = 32
 
 
-def _upper_scan(params: ModelParams, phi=None):
-    """The penalty-free part of the dense rest-point scan, one row per economy.
+def _upper_scan(params: ModelParams):
+    """The penalty-free part of one economy's dense rest-point scan row.
 
-    One wage solve lays the scan: the wages of the _NODES shares spread
+    One wage solve lays the row: the wages of the _NODES shares spread
     evenly over [1/2, 1 - GRID_EDGE] are the nodes, and the same call
     solves the boundary probes (_PROBES).  Returns the nodes and, at every
     node, the two shares, the log-odds and delta_u, then delta_u at the
-    probes, all read-only 2-D arrays.  ``phi``, if given, is a sequence of
-    freeness values in place of ``params.phi``, one row each, and every row
-    equals the one row that economy's own call lays.  A penalty weight
-    moves none of them.
+    probes, all read-only 1-D arrays.  A penalty weight moves none of them.
 
     Near phi = 1 neighbouring solved wages can tie or swap by a spacing of
     doubles, and w**sigma can round past 1/phi, which clips a node's b to 0
     (share 1, log-odds inf) at nodes that need not be contiguous.  So each
-    node takes the wage and share terms of the last node up to it in its
-    row that holds the running maximum wage and has b > 0: the nodes are
+    node takes the wage and share terms of the last node up to it that
+    holds the running maximum wage and has b > 0: the nodes are
     non-decreasing, and the first node, the symmetric point w = 1, has
-    b = 1 - phi.  A tied cell brackets nothing, and the scan keeps its
+    b = 1 - phi.  A tied cell brackets nothing, and the row keeps its
     _NODES nodes.
     """
     n = _NODES
-    if phi is not None:
-        phi = np.reshape(phi, (-1, 1))  # one row per freeness
-    rows = 1 if phi is None else phi.shape[0]
-    w, _, a, b = _solve_state(np.broadcast_to(_SHARES, (rows, _SHARES.size)), params, phi)
-    held = (w[:, :n] == np.maximum.accumulate(w[:, :n], axis=1)) & (b[:, :n] > 0.0)
+    w, _, a, b = _solve_state(_SHARES, params)
+    held = (w[:n] == np.maximum.accumulate(w[:n])) & (b[:n] > 0.0)
     if not held.all():  # the probes keep their wages
-        keep = np.maximum.accumulate(np.where(held, np.arange(n), 0), axis=1)
-        keep += _SHARES.size * np.arange(rows)[:, None]  # flat indices of the row-major arrays
+        keep = np.maximum.accumulate(np.where(held, np.arange(n), 0))
         for x in (w, a, b):
-            x[:, :n] = x.take(keep)
-    h, g, log_odds, _ = _wage_terms(a[:, :n], b[:, :n])
-    du = _delta_u_at(np.log(w), w, a + b, params, phi)
-    scan = (w[:, :n], h, g, log_odds, du[:, :n], du[:, n:])
+            x[:n] = x[keep]
+    h, g, log_odds, _ = _wage_terms(a[:n], b[:n])
+    du = _delta_u_at(np.log(w), w, a + b, params)
+    scan = (w[:n], h, g, log_odds, du[:n], du[n:])
     for arr in scan:
         arr.setflags(write=False)
     return scan
-
-
-def _incentive_slopes(w, X, a, b, h, params: ModelParams, spec: PenaltySpec, phi=None, mu=None):
-    """delta_V's closed-form slope in h at the wage states (w, X, a, b) of
-    shares h: :func:`geoeq.welfare._slopes`' d(delta_u)/dh less the
-    penalty's; ``phi`` and ``mu`` are per-element, as in :func:`delta_V`."""
-    return _slopes(w, X, a, b, params, phi)[1] - delta_t_prime(h, spec, mu=mu)
 
 
 def _read_cells(values, slopes, width):
@@ -314,19 +302,19 @@ def _read_cells(values, slopes, width):
 
 
 def _sparse_rows(params: ModelParams, spec: PenaltySpec, phi) -> list:
-    """Scan rows of freeness-sweep steps, laid in two wage solves.
+    """Sparse scan rows of freeness-sweep steps, laid in two wage solves.
 
     The first solves every step's coarse row, the dense nodes 0, _STRIDE,
     2 _STRIDE, ... and the probes, at its freeness ``phi``; the read rule
     (:func:`_read_cells`) picks the coarse cells to read, and the second
     solves those cells' dense nodes, the first cell's always.  A step's row
     is its coarse nodes plus its read cells: each node carries the bits of
-    the dense row of :func:`_upper_scan`, whose every share stops its own
-    wage solve.  Where the coarse row cannot show that the dense row's
-    forward fill leaves the laid nodes alone, at a node with b = 0 or a
-    cell whose wage rises by at most _RISE_ULPS spacings of doubles, the
-    step takes its dense row.  Returns one tuple of read-only arrays per
-    step, as :func:`_upper_scan`'s rows.
+    the step's dense row (:func:`_upper_scan`), whose every share stops its
+    own wage solve.  Returns per step its row, a tuple of read-only arrays
+    as :func:`_upper_scan`'s, or None where the coarse row cannot show that
+    the dense row's forward fill leaves the laid nodes alone (a node with
+    b = 0, or a cell whose wage rises by at most _RISE_ULPS spacings of
+    doubles): that step lays its dense row.
     """
     k = _NODES // _STRIDE + 1  # coarse nodes
     col = np.reshape(phi, (-1, 1))
@@ -341,8 +329,9 @@ def _sparse_rows(params: ModelParams, spec: PenaltySpec, phi) -> list:
     probe_du = du[:, k:]
     w, X, a, b, du = (x[:, :k] for x in (w, X, a, b, du))
     h, g, log_odds, _ = _wage_terms(a, b)
+    # delta_V and its closed-form slope in h (welfare._slopes' d(delta_u)/dh less the penalty's)
     read = _read_cells(du - _penalty_gap(h, g, log_odds, spec),
-                       _incentive_slopes(w, X, a, b, h, params, spec, col), _WIDTH)
+                       _slopes(w, X, a, b, params, col)[1] - delta_t_prime(h, spec), _WIDTH)
     read[:, 0] = True  # the first-cell search reads nodes[1]
     step, cell = np.nonzero(read)
     index = cell[:, None] * _STRIDE + np.arange(1, _STRIDE)
@@ -359,28 +348,7 @@ def _sparse_rows(params: ModelParams, spec: PenaltySpec, phi) -> list:
     ends = [0, *np.cumsum(k + (_STRIDE - 1) * np.count_nonzero(read, axis=1)).tolist()]
     laid = zip(*([x[i:j] for i, j in zip(ends, ends[1:])] for x in (w, h, g, log_odds, du)),
                probe_du)
-    if sparse.all():
-        return list(laid)
-    dense = zip(*_upper_scan(params, np.reshape(phi, -1)[~sparse]))
-    return [next(laid if s else dense) for s in sparse]
-
-
-def _scan_rows(params: ModelParams, spec: PenaltySpec, phi=None) -> list:
-    """Scan rows, one tuple of six arrays per economy, or the exception
-    that economy's own scan raises: the dense row of :func:`_upper_scan`
-    for one economy, or the rows of :func:`_sparse_rows` for the freeness
-    values ``phi``.
-
-    A lay of several economies that raises is laid again one economy at a
-    time, each its dense row, so a failure stays with its economy and
-    carries the text that :func:`find_equilibria` gives there.
-    """
-    try:
-        return list(zip(*_upper_scan(params))) if phi is None else _sparse_rows(params, spec, phi)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        if phi is None:
-            return [exc]
-        return [row for value in phi for row in _scan_rows(params.with_phi(value), spec)]
+    return [next(laid) if s else None for s in sparse.tolist()]
 
 
 def _root_cells(fx: np.ndarray, row: int = 0) -> np.ndarray:
@@ -530,57 +498,24 @@ def _first_cell_root(f, hi: float, value: float) -> float | None:
     return None
 
 
-def _read_root_cells(cells: list[int], nodes, h, values, params: ModelParams,
-                     spec: PenaltySpec, phi=None, mu=None) -> list[int]:
-    """The root cells (:func:`_root_cells`) of a dense scan row with nodes,
-    shares h and delta_V values, less those inside a coarse cell that the
-    read rule does not read.
-
-    Only a coarse cell whose ends share a sign can go unread, and only one
-    holding a root cell is asked about (:func:`_read_cells`, on its ends
-    alone), so a dense row brackets what a freeness-sweep row, laid with
-    the read cells only (:func:`_sparse_rows`), brackets.  Where the rule
-    cannot be evaluated, the cells are read.  ``phi`` and ``mu`` are as in
-    :func:`_locate`.  A few root cells are the common case, so they are
-    checked one by one.
-    """
-    ends = values[::_STRIDE].tolist()
-    # a zero at the last node counts to the last cell, which it makes read
-    coarse = [min(i // _STRIDE, _WIDTH.size - 1) for i in cells]
-    # ends sharing a sign: the read rule's sign(v0) sign(v1) > 0, NaN excluded
-    ask = sorted({c for c in coarse if c > 0 and ((ends[c] > 0.0 and ends[c + 1] > 0.0)
-                                                 or (ends[c] < 0.0 and ends[c + 1] < 0.0))})
-    if not ask:
-        return cells
-    at = (np.array(ask)[:, None] + [0, 1]) * _STRIDE  # the asked cells' ends
-    w = nodes[at]
-    try:
-        slopes = _incentive_slopes(w, *_share_terms(w, params, phi), h[at], params, spec, phi, mu)
-        read = _read_cells(values[at], slopes, _WIDTH[ask][:, None])[:, 0].tolist()
-    except (ValueError, ArithmeticError, RuntimeError):
-        return cells
-    unread = {c for c, r in zip(ask, read) if not r}
-    return [i for i, c in zip(cells, coarse) if c not in unread]
-
-
 def _locate(params: ModelParams, spec: PenaltySpec, slopes, scan, mu=None, phi=None) -> list:
     """The locate phase of :func:`find_equilibria` for steps that share one scan row.
 
-    ``scan`` is the row (:func:`_scan_rows`); ``slopes`` holds each step's
-    delta_V slope at 1/2 (:func:`_symmetric_slope`), which decides whether
-    its first scan cell is searched.  ``mu``, if given, is each step's
-    penalty weight in place of ``spec.mu`` (named families only); ``phi``,
-    if given, the row's freeness in place of ``params.phi``.  So the steps
-    of a sweep build no economy or penalty of their own, except for the
-    chase past the scan edge.
+    ``scan`` is the row (:func:`_upper_scan` or :func:`_sparse_rows`);
+    ``slopes`` holds each step's delta_V slope at 1/2
+    (:func:`_symmetric_slope`), which decides whether its first scan cell
+    is searched.  ``mu``, if given, is each step's penalty weight in place
+    of ``spec.mu`` (named families only); ``phi``, if given, the row's
+    freeness in place of ``params.phi``.  So the steps of a sweep build no
+    economy or penalty of their own, except for the chase past the scan
+    edge.
 
     Every step's delta_V values (a row per step), root cells, first-cell
-    flags and bounded-penalty boundary checks are each one array expression.
-    Per step, a dense row's root cells are read as a sparse row's are
-    (:func:`_read_root_cells`), and the polish, the first-cell search, the
-    chase and the edge points run.  Returns per step its :class:`_Located`
-    or the exception that stopped it; an exception of the array part stops
-    every step.
+    flags and bounded-penalty boundary checks are each one array expression;
+    every sign change of a row is bracketed.  Per step, the polish, the
+    first-cell search, the chase and the edge points run.  Returns per step
+    its :class:`_Located` or the exception that stopped it; an exception of
+    the array part stops every step.
     """
     nodes, h, g, log_odds, du, probe_du = scan
     weights = [None] if mu is None else mu
@@ -622,10 +557,8 @@ def _locate_step(params: ModelParams, spec: PenaltySpec, scan, values, cells: li
     """One step of :func:`_locate`: its upper-half rest points (h*, w) and
     its pinned rest points, from its delta_V row ``values``, root cells and
     first-cell flag."""
-    nodes, h, g, log_odds, du, probe_du = scan
+    nodes, probe_du = scan[0], scan[5]
     f = lambda x: float(_delta_V_wage(x, params, spec, mu, phi))
-    if cells and nodes.size == _NODES:
-        cells = _read_root_cells(cells, nodes, h, values, params, spec, phi, mu)
     wages = _grid_roots(f, nodes, values, 1e-15, cells)
     if first:
         w = _first_cell_root(f, float(nodes[1]), float(values[1]))
@@ -652,8 +585,18 @@ def _locate_step(params: ModelParams, spec: PenaltySpec, scan, values, cells: li
         h_last = float(_PROBES[1])
         v_last = float(probe_du[1] - delta_t(h_last, penalty))
         if v_last <= 0.0:
-            r = h_last if v_last == 0.0 else brentq(f_h, 1.0 - GRID_EDGE, h_last,
-                                                     xtol=1e-16, maxiter=200)
+            r = h_last
+            if v_last < 0.0:
+                # the wage solve admits a few spacings of w, each moving h by
+                # about eps/(1 - phi): the rest point can lie below 1 - GRID_EDGE
+                lo = 1.0 - GRID_EDGE
+                v_lo = f_h(lo)
+                if v_lo < 0.0:
+                    raise SolverError(
+                        f"no bracket for the rest point past the scan edge: delta_V={v_lo:.3e} "
+                        f"at h={lo!r}, at sigma={economy.sigma!r}, phi={economy.phi!r}, "
+                        f"theta={economy.theta!r}, mu={penalty.mu!r}")
+                r = brentq(f_h, lo, h_last, xtol=1e-16, maxiter=200, fa=v_lo)
             _add_root(roots, r, solve_wage(r, economy))
         else:
             pinned = _boundary_pair(_bracket_ends(economy), STABLE, float("-inf"), v_last)
@@ -735,15 +678,17 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     The asymmetric roots are mirrored across 1/2 and admissible boundary
     points appended.
 
-    Every 32nd node is a coarse node, and the scan reads a coarse cell's
-    nodes only where the read rule (:func:`_read_cells`) reads the cell:
-    where delta_V changes sign or vanishes between its ends, or may have an
-    extremum inside, by the closed-form slope changing sign between the
-    ends or the cubic Hermite interpolant through the ends' values and
+    Every sign change of the dense row is bracketed, at the full
+    resolution (about 1/GRID_POINTS), so a sweep's mu-step gets exactly
+    this function's sample.  A phi-step brackets only inside the coarse
+    cells (every 32nd node) that the read rule (:func:`_read_cells`) reads:
+    where delta_V changes sign or vanishes between a cell's ends, or may
+    have an extremum inside, by the closed-form slope changing sign between
+    the ends or the cubic Hermite interpolant through the ends' values and
     slopes changing sign inside; the first cell is always read.  An unread
     cell's ends share a sign, so by Rolle's theorem it holds a pair of
-    roots only if delta_V has an extremum there that both tests miss; a
-    read cell brackets roots at the full resolution (about 1/GRID_POINTS).
+    roots only if both tests miss an extremum there; no such cell is
+    known, and elsewhere a phi-step's sample is this function's.
 
     Each polish starts from the scan's values at its bracket ends, which
     the closed form in w gives at the nodes bit for bit.  The locate and
@@ -760,10 +705,11 @@ def find_equilibria(params: ModelParams, spec: PenaltySpec) -> list[Equilibrium]
     the last floating-point spacing below 1, no double can represent it
     and it is reported pinned at the boundary: kind boundary_agglomeration,
     stable, slope -inf, with ``residual`` carrying the outward incentive at
-    the closest representable interior share.
+    the closest representable interior share.  Where 1 - GRID_EDGE does
+    not bracket that rest point (freeness within about 1e-8 of 1), a
+    SolverError names the economy.
     """
-    scan, = zip(*_upper_scan(params))
-    located, = _locate(params, spec, [_symmetric_slope(params, spec)], scan)
+    located, = _locate(params, spec, [_symmetric_slope(params, spec)], _upper_scan(params))
     if isinstance(located, Exception):
         raise located
     (found,), _ = _finish(params, spec, [located])
@@ -919,23 +865,32 @@ def _locate_steps(parameter: str, values: list[float], slopes, params: ModelPara
     """:func:`_locate` over a run of sweep steps: one :class:`_Located` or
     exception per step.
 
-    A penalty-weight sweep lays its economy's dense row once and locates
-    all its steps on it in one call; a freeness sweep lays _LAY_STEPS
-    steps' rows at a time (:func:`_sparse_rows`), locates each step on its
-    own row, and drops the rows once those steps have taken them.
+    A penalty-weight sweep locates all its steps on its economy's dense row
+    in one call, and an exception from that row is every step's.  A
+    freeness sweep lays _LAY_STEPS steps' sparse rows at a time
+    (:func:`_sparse_rows`); a step without one, as every step of a lay that
+    raises, lays its own dense row, so a failure keeps its step's text.
     """
     if parameter == "mu":
-        scan, = _scan_rows(params, spec)
-        if isinstance(scan, Exception):
-            return [scan] * len(values)
+        try:
+            scan = _upper_scan(params)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            return [exc] * len(values)
         return _locate(params, spec, slopes, scan, mu=values)
     located = []
     for start in range(0, len(values), _LAY_STEPS):
         block = values[start:start + _LAY_STEPS]
-        for value, slope, scan in zip(block, slopes[start:start + _LAY_STEPS],
-                                      _scan_rows(params, spec, block)):
-            located += ([scan] if isinstance(scan, Exception)
-                        else _locate(params, spec, [slope], scan, phi=value))
+        try:
+            rows = _sparse_rows(params, spec, block)
+        except (ValueError, ArithmeticError, RuntimeError):
+            rows = [None] * len(block)
+        for value, slope, row in zip(block, slopes[start:start + _LAY_STEPS], rows):
+            try:
+                scan = row or _upper_scan(params.with_phi(value))
+            except (ValueError, ArithmeticError, RuntimeError) as exc:
+                located.append(exc)
+                continue
+            located += _locate(params, spec, [slope], scan, phi=value)
     return located
 
 
@@ -961,19 +916,20 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
           spec: PenaltySpec, *, workers: int = 1) -> Branch:
     """Trace the equilibrium set along one parameter.
 
-    Each step's sample is exactly what :func:`find_equilibria` returns
-    there: every step is located from its own row of delta_V values, and
-    the finish phase takes all steps in one delta_V call.  mu-steps share
-    one economy's dense row and are located in one pass over it, a row of
-    values per step; phi-steps lay a coarse row and the cells the read
-    rule reads, many steps per wage solve (:func:`_sparse_rows`), and are
-    located one by one; find_equilibria's dense row brackets only inside
-    the cells that rule reads, so both bracket the same cells.  A step
-    whose scan, locate or finish raises is recorded in ``diagnostics``
-    with the text find_equilibria would raise; the other steps keep their
-    rest points.  A serial sweep (workers = 1) runs on all its steps at
-    once; with workers > 1 each worker process locates and finishes one
-    contiguous run of steps; the results do not depend on the split.
+    Every step is located from its own row of delta_V values, and the
+    finish phase takes all steps in one delta_V call.  mu-steps share one
+    economy's dense row and are located in one pass over it, a row of
+    values per step; phi-steps lay sparse rows, many steps per wage solve
+    (:func:`_sparse_rows`), and are located one by one, and a phi-step
+    without a sparse row lays its own dense row.  A mu-step's sample is
+    exactly what :func:`find_equilibria` returns there, and a phi-step's
+    too wherever the read rule reads every cell that holds a root (see
+    find_equilibria; no exception is known).  A step whose scan, locate or
+    finish raises is recorded in ``diagnostics`` with the text
+    find_equilibria would raise; the other steps keep their rest points.
+    A serial sweep (workers = 1) runs on all its steps at once; with
+    workers > 1 each worker process locates and finishes one contiguous
+    run of steps; the results do not depend on the split.
 
     Pitchforks of the symmetric point sit where that slope changes sign.
     :func:`_symmetric_slope` gives it at all steps as one array, and each
@@ -992,6 +948,10 @@ def sweep(parameter: str, lo: float, hi: float, steps: int, params: ModelParams,
     """
     for end in (lo, hi):  # the parameter's name, family and range
         _with_parameter(parameter, end, params, spec)
+    try:
+        steps, workers = operator.index(steps), operator.index(workers)
+    except TypeError:
+        raise ValueError(f"steps and workers must be integers, got {steps!r} and {workers!r}")
     if steps < 2:
         raise ValueError(f"a sweep needs at least 2 steps, got {steps}")
     if not lo < hi:

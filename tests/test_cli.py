@@ -242,6 +242,17 @@ def test_equilibria_names_a_utility_gap_past_the_double_range(tmp_path, capsys):
     assert "sigma=1.0073018454685185" in err and "theta=4.8004072756093965" in err
 
 
+def test_equilibria_names_a_chase_without_a_bracket(tmp_path, capsys):
+    # near phi = 1 the rest point past the scan edge can lie below
+    # 1 - GRID_EDGE: a solver failure naming the economy, not a config error
+    code = main(["equilibria", "--sigma", "1.5", "--phi", "0.9999999922499775", "--theta", "0",
+                 "--mu", "1e-9", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no bracket for the rest point past the scan edge" in err
+    assert "sigma=1.5, phi=0.9999999922499775, theta=0.0, mu=1e-09" in err
+
+
 def test_equilibria_near_sigma_one_publishes_finite_slope_checks(tmp_path):
     # kappa = 1/(sigma - 1) = 1e4: w**(sigma kappa) and C_R**(sigma - 1)
     # raised to kappa pass the double range near h = 1 while their product,

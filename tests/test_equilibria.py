@@ -1,6 +1,5 @@
 import itertools
 import math
-import unittest.mock
 import warnings
 from dataclasses import astuple, fields, replace
 
@@ -156,6 +155,29 @@ def test_near_boundary_rest_point_is_resolved_with_backward_error():
     assert top.kind == KIND_PARTIAL and top.stability == STABLE
     assert 0.99999 < top.h_star < 1.0
     assert top.residual <= 1e-10 * max(1.0, abs(top.slope))
+
+
+# freeness within 1e-8 of 1, where a spacing of w moves h by about
+# eps/(1 - phi): the last scan node solves to the share 0.99999998567, below
+# 1 - GRID_EDGE, and the rest point past it lies below 1 - GRID_EDGE too, so
+# no chase bracket starts there
+_UNBRACKETED_CHASE = (ModelParams(sigma=1.5, phi=0.9999999922499775, theta=0.0),
+                      PenaltySpec(kind="logit", mu=1e-9))
+
+
+def test_an_unbracketed_chase_names_the_economy():
+    params, spec = _UNBRACKETED_CHASE
+    named = (r"no bracket for the rest point past the scan edge: delta_V=-5\.654e-11 at "
+             r"h=0\.999999999, at sigma=1\.5, phi=0\.9999999922499775, theta=0\.0, mu=1e-09$")
+    with pytest.raises(SolverError, match=named):
+        find_equilibria(params, spec)
+    # 15 of these sweep steps have no chase bracket, each named as its own
+    # find_equilibria names it; one more misses the residual check
+    branch = _assert_sweep_is_the_per_step_solve("phi", 1.0 - 1e-8, 1.0 - 1e-13, 41,
+                                                 params, spec)
+    texts = [d.split(": ", 1)[1] for d in branch.diagnostics]
+    assert sum(t.startswith("SolverError: no bracket for the rest point") for t in texts) == 15
+    assert len(texts) == 16 and not any("ValueError" in t for t in texts)
 
 
 def test_sub_resolution_rest_point_is_pinned_at_the_boundary():
@@ -380,10 +402,10 @@ def test_a_first_cell_rest_point_is_finished_in_the_one_batch(monkeypatch, sigma
 
 
 def _scan_row(params):
-    """The one row of scan arrays that an economy's own scan lays."""
+    """The scan row that an economy's own scan lays: six 1-D arrays."""
     arrays = equilibria._upper_scan(params)
-    assert all(arr.shape[0] == 1 for arr in arrays)
-    return tuple(arr[0] for arr in arrays)
+    assert len(arrays) == 6 and all(arr.ndim == 1 for arr in arrays)
+    return arrays
 
 
 def _check_upper_scan(params):
@@ -605,15 +627,15 @@ def test_mu_sweep_reuses_the_scan_and_matches_a_fresh_scan_at_every_step(monkeyp
     upper_scan = equilibria._upper_scan
     laid = []
 
-    def counted(p, phi=None):
-        laid.append((p, phi))
-        return upper_scan(p, phi)
+    def counted(p):
+        laid.append(p)
+        return upper_scan(p)
 
     monkeypatch.setattr(equilibria, "_upper_scan", counted)
     reused = sweep("mu", 0.0, 1.0, 13, params, LOGIT02)
     # one row for the economy, handed to all 13 steps, the zero-weight
     # step's boundary check included
-    assert laid == [(params, None)]
+    assert laid == [params]
 
     locate = equilibria._locate
 
@@ -654,10 +676,13 @@ def test_block_rows_are_each_economys_own_scan(sigma, lo, hi, theta):
     values = np.linspace(lo, hi, 5).tolist()
     stride, nodes = equilibria._STRIDE, GRID_POINTS // 2 + 1
     for value, row in zip(values, equilibria._sparse_rows(params, LOGIT02, values)):
+        # only the last step of a range ending near free trade takes no
+        # sparse row: that step lays its own dense row
+        assert (row is None) == (value == hi > 0.99), value
+        if row is None:
+            continue
         own = _scan_row(params.with_phi(value))
         laid = np.searchsorted(own[0], row[0])  # the dense nodes rise strictly
-        if row[0].size == nodes:
-            laid = np.arange(nodes)
         for arr, dense in zip(row, own):
             at = dense if arr is row[5] else dense[laid]
             assert arr.tobytes() == at.tobytes(), value
@@ -666,8 +691,6 @@ def test_block_rows_are_each_economys_own_scan(sigma, lo, hi, theta):
         cells = np.bincount(laid[laid % stride > 0] // stride, minlength=nodes // stride)
         assert set(cells.tolist()) <= {0, stride - 1} and cells[0] == stride - 1, value
         assert set(range(0, nodes, stride)) <= set(laid.tolist()), value
-        # only the last step of a range ending near free trade lays its dense row
-        assert (row[0].size == nodes) == (value == hi > 0.99), value
 
 
 def _bits(values):
@@ -709,14 +732,15 @@ def test_a_dense_rows_values_are_the_scalar_closed_form_at_its_nodes(sigma, phi,
 
 @pytest.mark.parametrize("sigma,lo,hi,theta", _BLOCK_ECONOMIES)
 def test_a_phi_sweep_rows_values_are_the_scalar_closed_form_at_its_nodes(sigma, lo, hi, theta):
-    # sparse rows, and the dense rows of steps near free trade, whose held
-    # nodes repeat the wage of the node before
+    # sparse rows, and the dense rows that steps near free trade lay in
+    # their place (a None row), whose held nodes repeat the wage of the node
+    # before
     params = ModelParams(sigma=sigma, phi=0.5, theta=theta)
     values = np.linspace(lo, hi, 5).tolist()
     held = False
     for spec in (LOGIT02, PenaltySpec(kind="linear", mu=0.3)):
-        for value, (nodes, h, g, log_odds, du, _) in zip(
-                values, equilibria._scan_rows(params, spec, values)):
+        for value, row in zip(values, equilibria._sparse_rows(params, spec, values)):
+            nodes, h, g, log_odds, du, _ = row or _scan_row(params.with_phi(value))
             held |= bool(np.any(np.diff(nodes) == 0.0))
             _assert_nodes_give_their_values(
                 nodes, du - equilibria._penalty_gap(h, g, log_odds, spec), params, spec,
@@ -764,32 +788,8 @@ def test_a_phi_sweep_lays_each_run_of_steps_in_two_wage_solves(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the read rule against the dense scan that reads every cell
-
-
-def _all_cells_equilibria(params, spec):
-    """find_equilibria on its dense row with every coarse cell read: the
-    scan at its full resolution, the read rule's oracle."""
-    with unittest.mock.patch.object(equilibria, "_read_cells",
-                                    lambda values, slopes, width: np.ones(
-                                        np.shape(values[..., 1:]), dtype=bool)):
-        return find_equilibria(params, spec)
-
-
-def _assert_sweep_reads_every_root(parameter, lo, hi, steps, params, spec):
-    """The sweep is the per-step solve, and each step's rest points are the
-    all-cells scan's, to the bit of h*; a step that fails fails in both."""
-    branch = _assert_sweep_is_the_per_step_solve(parameter, lo, hi, steps, params, spec)
-    for value, eqs in branch.samples:
-        p2, s2 = (params.with_phi(value), spec) if parameter == "phi" \
-            else (params, replace(spec, mu=value))
-        try:
-            oracle = _all_cells_equilibria(p2, s2)
-        except (ValueError, ArithmeticError, RuntimeError):
-            oracle = []
-        assert [(e.kind, e.stability, e.h_star.hex()) for e in eqs] == \
-            [(e.kind, e.stability, e.h_star.hex()) for e in oracle], (parameter, value)
-    return branch
+# the read rule against the dense scan that reads every cell: find_equilibria,
+# whose dense row brackets every sign change it holds
 
 
 # the economies on which the read rule was built: sigma up to 7.3, the whole
@@ -805,7 +805,7 @@ def _assert_sweep_reads_every_root(parameter, lo, hi, steps, params, spec):
 def test_phi_sweeps_read_every_root_of_the_all_cells_scan(log_gap, phi, theta, kind, log_mu):
     params = ModelParams(sigma=1.0 + 10.0 ** log_gap, phi=phi, theta=theta)
     spec = PenaltySpec(kind=kind, mu=10.0 ** log_mu)
-    _assert_sweep_reads_every_root("phi", phi - 0.01, phi + 0.01, 3, params, spec)
+    _assert_sweep_is_the_per_step_solve("phi", phi - 0.01, phi + 0.01, 3, params, spec)
 
 
 # a fold economy: two rest points of the upper half meet and vanish
@@ -824,36 +824,48 @@ def test_fold_sweeps_keep_the_dense_scans_rest_points(parameter, lo, hi, counts,
     assert {n: sizes.count(n) for n in set(sizes)} == counts
     assert max(v for v, eqs in branch.samples if len(eqs) == last[0]) == last[1]
     if parameter == "phi":
-        _assert_sweep_reads_every_root(parameter, lo, hi, 401, _FOLD,
-                                       PenaltySpec(kind="logit", mu=0.66))
+        _assert_sweep_is_the_per_step_solve(parameter, lo, hi, 401, _FOLD,
+                                            PenaltySpec(kind="logit", mu=0.66))
 
 
-def test_a_dense_row_asks_the_read_rule_about_a_root_pair_in_one_coarse_cell(monkeypatch):
+def test_a_dense_row_brackets_a_root_pair_in_one_coarse_cell():
     # Just below the fold at sigma = 1.1, phi = 0.29, theta = 0.5 (about
     # mu = 0.666617), the two upper rest points lie in one coarse cell
     # (dense nodes 576 to 608) whose ends share a sign: the dense row
-    # brackets both, and the rule, asked about that cell alone, reads it
-    # by its slope's sign change
+    # brackets both, and a phi-step's rule reads that cell by its slope's
+    # sign change
     params = ModelParams(sigma=1.1, phi=0.29, theta=0.5)
     spec = PenaltySpec(kind="logit", mu=0.6666)
-    read_cells = equilibria._read_cells
-    asked = []
-
-    def counted(values, slopes, width):
-        read = read_cells(values, slopes, width)
-        if np.shape(values) == (1, 2):
-            asked.append((np.sign(values).tolist(), np.sign(slopes).tolist(), read.tolist()))
-        return read
-
-    monkeypatch.setattr(equilibria, "_read_cells", counted)
     eqs = find_equilibria(params, spec)
-    assert asked == [([[-1.0, -1.0]], [[1.0, -1.0]], [[True]])]
     assert len(eqs) == 5
     upper = [(e.h_star - 0.5) / ((0.5 - GRID_EDGE) / (GRID_POINTS // 2)) for e in eqs[3:]]
     assert 576 < upper[0] < upper[1] < 608
+    row, = equilibria._sparse_rows(params, spec, [0.29])
+    assert set(range(576, 609)) <= set(np.searchsorted(_scan_row(params)[0], row[0]).tolist())
     # and a mu-sweep's dense row, and a phi-sweep's read cells, keep the pair
-    _assert_sweep_reads_every_root("mu", 0.6665, 0.6666, 2, params, spec)
-    _assert_sweep_reads_every_root("phi", 0.29, 0.2901, 2, params, spec)
+    _assert_sweep_is_the_per_step_solve("mu", 0.6665, 0.6666, 2, params, spec)
+    _assert_sweep_is_the_per_step_solve("phi", 0.29, 0.2901, 2, params, spec)
+
+
+def test_only_sparse_rows_consult_the_read_rule(monkeypatch):
+    # find_equilibria and a mu-sweep bracket every sign change of their
+    # dense rows; a phi-sweep whose lays raise gives every step its own
+    # dense row, and so find_equilibria's sample
+    params = ModelParams(sigma=1.1, phi=0.29, theta=0.5)
+    spec = PenaltySpec(kind="logit", mu=0.6666)
+    runs = lambda: (find_equilibria(params, spec), sweep("mu", 0.64, 0.68, 9, params, spec),
+                    sweep("phi", 0.2, 0.4, 9, params, spec))
+    before = runs()
+
+    def refuse(values, slopes, width):
+        raise SolverError("the read rule was consulted")
+
+    monkeypatch.setattr(equilibria, "_read_cells", refuse)
+    upper_scan, laid = equilibria._upper_scan, []
+    monkeypatch.setattr(equilibria, "_upper_scan", lambda p: laid.append(p.phi) or upper_scan(p))
+    assert repr(runs()) == repr(before)
+    assert laid == [0.29, 0.29, *np.linspace(0.2, 0.4, 9).tolist()]
+    assert not _assert_sweep_is_the_per_step_solve("phi", 0.2, 0.4, 9, params, spec).diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -1243,7 +1255,7 @@ def test_a_failing_block_is_laid_again_one_economy_at_a_time(monkeypatch):
     # the nine steps' coarse rows fail in one lay (steps 1-7 do), so each
     # step lays its own dense row, in its own economy
     values = np.linspace(0.1, 0.3, 9).tolist()
-    dense = (1, GRID_POINTS // 2 + 4)
+    dense = (GRID_POINTS // 2 + 4,)
     assert laid == [((9, (GRID_POINTS // 2) // equilibria._STRIDE + 4), values)] + \
         [(dense, value) for value in values]
 
@@ -1402,6 +1414,12 @@ def test_sweep_validation():
         sweep("mu", 0.1, 0.5, 1, p, LOGIT02)
     with pytest.raises(ValueError):
         sweep("mu", 0.1, 0.5, 5, p, LOGIT02, workers=0)
+    # a count that is not an integer is named before any step or pool runs
+    with pytest.raises(ValueError, match=r"got 2\.5 and 1$"):
+        sweep("mu", 0.1, 0.5, 2.5, p, LOGIT02)
+    with pytest.raises(ValueError, match=r"got 5 and 2\.0$"):
+        sweep("mu", 0.1, 0.5, 5, p, LOGIT02, workers=2.0)
+    assert len(sweep("mu", 0.1, 0.5, np.int64(3), p, LOGIT02).samples) == 3
 
 
 def test_mu_sweep_rejects_custom_penalty():
